@@ -1,188 +1,155 @@
 // E13 — the paper's Section 7 future-work study: shrinking the FTVC
-// piggyback with differential encoding (Singhal-Kshemkalyani applied per
-// destination).
+// piggyback by sending only the clock entries that changed since the
+// previous message on the same (sender, receiver) stream.
 //
-// Real message traces are captured from Damani-Garg runs on a FIFO network
-// (the codec's requirement); every (src,dst) stream is re-encoded offline
-// with the differential codec and the byte counts compared against the full
-// vectors actually shipped. Failure runs are included: incarnation changes
-// simply travel as changed entries; rollback-invalidation is modelled by
-// resetting the per-destination cache at each sender rollback (counted via
-// full-clock re-sends).
+// Real Damani-Garg runs, failure-free and with crashes, are replayed
+// through scale::run_fleet_piggyback in DeltaMode::kFifo: every application
+// send is encoded by the sender's per-destination delta stream, decoded by
+// the receiver, and checked byte-exact against the flat frame. The delta
+// column counts everything a stateful frame adds (stream seq, base seq,
+// base checksum, changed entries); a stream's first frame carries the full
+// clock, every later one a delta. Exits 1 if any frame fails the fidelity
+// check.
+//
+//   bench_diff_piggyback [--out=BENCH_diff_piggyback.json]
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <vector>
 
 #include "bench_util.h"
-#include "src/clocks/diff_codec.h"
+#include "src/scale/fleet_model.h"
 
 using namespace optrec;
 using namespace optrec::bench;
 
 namespace {
 
-struct TraceResult {
-  std::size_t messages = 0;
-  std::size_t full_bytes = 0;
-  std::size_t diff_bytes = 0;
-  std::size_t payload_bytes = 0;
-};
+constexpr std::uint32_t kIntensity = 6;
 
-TraceResult replay_trace(std::size_t n, std::uint64_t seed,
-                         std::size_t crashes, WorkloadKind workload) {
-  ScenarioConfig config =
-      standard_config(ProtocolKind::kDamaniGarg, seed, n, 6, 48);
-  config.workload.kind = workload;
-  if (workload == WorkloadKind::kPingPong) config.workload.depth = 200;
-  config.network.fifo = true;  // the codec's delivery-order requirement
-  if (crashes > 0) {
-    Rng rng(seed * 13 + 1);
-    config.failures =
-        FailurePlan::random(rng, n, crashes, millis(20), millis(150));
-  }
-
-  Scenario scenario(config);
-  TraceResult result;
-  // One encoder per sender, keyed lazily; decode side checked for fidelity.
-  std::map<ProcessId, DiffFtvcEncoder> encoders;
-  std::map<std::pair<ProcessId, ProcessId>, DiffFtvcDecoder> decoders;
-  scenario.net().set_message_tap([&](const Message& m) {
-    if (m.kind != MessageKind::kApp || m.clock.size() == 0) return;
-    result.messages += 1;
-    result.full_bytes += m.clock.wire_size();
-    result.payload_bytes += m.payload.size();
-    auto [enc_it, created] = encoders.try_emplace(m.src, n);
-    const Bytes wire = enc_it->second.encode_for(m.dst, m.clock);
-    result.diff_bytes += wire.size();
-    auto [dec_it, dcreated] =
-        decoders.try_emplace(std::make_pair(m.src, m.dst), n);
-    // Fidelity: reconstruction must be exact, or the study is meaningless.
-    if (!(dec_it->second.decode_from(m.src, wire) == m.clock)) {
-      std::abort();
-    }
-  });
-  scenario.run();
-  return result;
+std::uint32_t depth_for(WorkloadKind workload) {
+  return workload == WorkloadKind::kPingPong ? 200 : 48;
 }
 
 struct Row {
-  std::string workload;
-  std::size_t n = 0;
+  WorkloadSpec workload;
   std::size_t crashes = 0;
-  TraceResult trace;
+  scale::FleetPiggybackReport report;
 };
 
-std::vector<Row> print_table() {
-  print_header("E13: differential piggyback (future-work study)",
-               "Section 7 ('send only one timestamp with each message')",
-               "per-destination diffs shrink the O(n) piggyback toward the "
-               "single-entry ideal on FIFO channels");
-
+std::vector<Row> run_rows() {
   std::vector<Row> rows;
-  TablePrinter table({"workload", "n", "crashes", "messages", "full B/msg",
-                      "diff B/msg", "saving"});
-  for (WorkloadKind workload : {WorkloadKind::kPingPong, WorkloadKind::kCounter}) {
-    WorkloadSpec spec;
-    spec.kind = workload;
+  for (WorkloadKind kind : {WorkloadKind::kPingPong, WorkloadKind::kCounter}) {
     for (std::size_t n : {4u, 8u, 16u, 32u}) {
       for (std::size_t crashes : {0u, 2u}) {
-        const TraceResult r = replay_trace(n, 9000 + n, crashes, workload);
-        if (r.messages == 0) continue;
-        rows.push_back({spec.name(), n, crashes, r});
-        const double full = static_cast<double>(r.full_bytes) /
-                            static_cast<double>(r.messages);
-        const double diff = static_cast<double>(r.diff_bytes) /
-                            static_cast<double>(r.messages);
-        table.add_row({spec.name(), std::to_string(n), std::to_string(crashes),
-                       std::to_string(r.messages), TablePrinter::fmt(full, 1),
-                       TablePrinter::fmt(diff, 1),
-                       TablePrinter::fmt(100.0 * (1.0 - diff / full), 0) +
-                           " %"});
+        scale::FleetPiggybackConfig c;
+        c.n = n;
+        c.seed = 9000 + n;
+        c.workload = kind;
+        c.intensity = kIntensity;
+        c.depth = depth_for(kind);
+        c.all_seed = true;
+        c.crashes = crashes;
+        c.mode = scale::DeltaMode::kFifo;
+        Row row;
+        row.workload.kind = kind;
+        row.crashes = crashes;
+        row.report = scale::run_fleet_piggyback(c);
+        rows.push_back(std::move(row));
       }
     }
   }
-  table.print(std::cout);
-  std::printf(
-      "\nHONEST FINDING: the technique's payoff depends on traffic locality. "
-      "Pairwise traffic (pingpong) approaches the §7 single-entry ideal — "
-      "diff B/msg stays flat as n grows. Scattered traffic (counter, random "
-      "destinations) CHANGES most entries between consecutive same-pair "
-      "messages, so diffs cost slightly MORE than full vectors; a deployment "
-      "would pick per-destination adaptively (diff iff it is smaller, one "
-      "flag bit). The fidelity check (exact reconstruction) passed on every "
-      "message of every trace.\n\n");
   return rows;
 }
 
-int write_json(const std::string& out_file, const std::vector<Row>& rows) {
-  std::ofstream os(out_file, std::ios::binary);
-  if (!os) {
-    std::fprintf(stderr, "bench_diff_piggyback: cannot open '%s'\n",
-                 out_file.c_str());
-    return 2;
+void print_table(const std::vector<Row>& rows) {
+  print_header("E13: delta piggyback over FIFO streams (future-work study)",
+               "Section 7 ('send only one timestamp with each message')",
+               "per-destination deltas shrink the O(n) piggyback toward the "
+               "single-entry ideal on FIFO channels");
+  TablePrinter table({"workload", "n", "crashes", "messages", "full B/msg",
+                      "delta B/msg", "saving", "full frames", "mismatches"});
+  for (const Row& r : rows) {
+    const scale::FleetPiggybackReport& p = r.report;
+    const double full = p.flat_piggyback_per_msg();
+    const double delta = p.delta_piggyback_per_msg();
+    table.add_row({r.workload.name(), std::to_string(p.n),
+                   std::to_string(r.crashes), std::to_string(p.app_frames),
+                   TablePrinter::fmt(full, 1), TablePrinter::fmt(delta, 1),
+                   TablePrinter::fmt(100.0 * (1.0 - p.piggyback_ratio()), 0) +
+                       " %",
+                   std::to_string(p.full_frames),
+                   std::to_string(p.fidelity_mismatches)});
   }
+  table.print(std::cout);
+  std::printf(
+      "\nPairwise traffic (pingpong) approaches the §7 single-entry ideal: "
+      "the delta stays flat as n grows. Scattered traffic (counter) changes "
+      "most entries between consecutive same-pair messages, so a delta "
+      "(index + entry per change, plus seq/base/checksum) costs more than "
+      "the flat vector.\n\n");
+}
+
+void write_json(std::ostream& os, const std::vector<Row>& rows) {
   JsonWriter w(os);
   w.begin_object();
   write_bench_preamble(w, "diff_piggyback");
   w.key("config").begin_object();
   w.kv("protocol", "dg");
-  w.kv("fifo", true);
-  w.kv("intensity", std::uint64_t{6});
-  w.kv("depth", std::uint64_t{48});
+  w.kv("mode", "fifo");
+  w.kv("intensity", std::uint64_t{kIntensity});
+  w.kv("depth_counter", std::uint64_t{depth_for(WorkloadKind::kCounter)});
+  w.kv("depth_pingpong", std::uint64_t{depth_for(WorkloadKind::kPingPong)});
   w.end_object();
   w.key("results").begin_array();
   for (const Row& r : rows) {
+    const scale::FleetPiggybackReport& p = r.report;
     w.begin_object();
-    w.kv("workload", r.workload);
-    w.kv("n", std::uint64_t{r.n});
+    w.kv("workload", r.workload.name());
+    w.kv("n", std::uint64_t{p.n});
     w.kv("crashes", std::uint64_t{r.crashes});
-    w.kv("messages", std::uint64_t{r.trace.messages});
-    w.kv("full_bytes", std::uint64_t{r.trace.full_bytes});
-    w.kv("diff_bytes", std::uint64_t{r.trace.diff_bytes});
-    w.kv("payload_bytes", std::uint64_t{r.trace.payload_bytes});
+    w.kv("quiesced", p.quiesced);
+    w.kv("messages", p.app_frames);
+    w.kv("full_frames", p.full_frames);
+    w.kv("flat_piggyback_bytes", p.flat_piggyback_bytes);
+    w.kv("delta_piggyback_bytes", p.delta_piggyback_bytes);
+    w.kv("flat_frame_bytes", p.flat_frame_bytes);
+    w.kv("delta_frame_bytes", p.delta_frame_bytes);
+    w.kv("resyncs", p.resyncs);
+    w.kv("fidelity_mismatches", p.fidelity_mismatches);
     w.end_object();
   }
   w.end_array();
   w.end_object();
   os << "\n";
-  return 0;
-}
-
-void BM_DiffEncode(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  DiffFtvcEncoder enc(n);
-  Ftvc clock(0, n);
-  enc.encode_for(1, clock);
-  for (auto _ : state) {
-    clock.tick_send();
-    benchmark::DoNotOptimize(enc.encode_for(1, clock));
-  }
-  state.SetItemsProcessed(state.iterations());
 }
 
 }  // namespace
 
-BENCHMARK(BM_DiffEncode)->Arg(4)->Arg(32)->Arg(256);
-
 int main(int argc, char** argv) {
-  // Pull our own --out= flag before google-benchmark sees the argv.
   std::string out_file;
-  int kept = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out_file = argv[i] + 6;
     } else {
-      argv[kept++] = argv[i];
+      std::fprintf(stderr, "bench_diff_piggyback: unknown flag '%s'\n",
+                   argv[i]);
+      return 2;
     }
   }
-  argc = kept;
 
-  const std::vector<Row> rows = print_table();
+  const std::vector<Row> rows = run_rows();
+  print_table(rows);
   if (!out_file.empty()) {
-    if (const int rc = write_json(out_file, rows); rc != 0) return rc;
+    std::ofstream os(out_file, std::ios::binary);
+    if (!os) {
+      std::fprintf(stderr, "bench_diff_piggyback: cannot open '%s'\n",
+                   out_file.c_str());
+      return 2;
+    }
+    write_json(os, rows);
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  for (const Row& r : rows) {
+    if (r.report.fidelity_mismatches != 0) return 1;
+  }
   return 0;
 }

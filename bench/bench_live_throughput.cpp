@@ -13,13 +13,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iostream>
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
+#include "runtime_rows.h"
 #include "src/harness/failure_plan.h"
-#include "src/harness/table_printer.h"
 #include "src/live/live_runtime.h"
 #include "src/util/json.h"
 
@@ -27,30 +25,8 @@ using namespace optrec;
 
 namespace {
 
-constexpr ProtocolKind kProtocols[] = {
-    ProtocolKind::kDamaniGarg,
-    ProtocolKind::kPessimistic,
-    ProtocolKind::kCoordinated,
-    ProtocolKind::kCascading,
-};
-
-struct Row {
-  const char* protocol = "";
-  const char* phase = "";
-  std::size_t producers = 0;  // per-channel fan-in: n - 1
-  bool quiesced = false;
-  std::uint64_t delivered = 0;
-  SimTime wall_us = 0;
-  double msgs_per_sec = 0;
-  bench::LatencySummary latency;
-  double piggyback_per_msg = 0;
-  double recovery_mean_us = 0;
-  double recovery_max_us = 0;
-  std::uint64_t rollbacks = 0;
-};
-
-Row run_one(ProtocolKind protocol, std::size_t n, std::uint64_t seed,
-            std::size_t crashes) {
+bench::RuntimeRow run_one(ProtocolKind protocol, std::size_t n,
+                          std::uint64_t seed, std::size_t crashes) {
   LiveConfig config;
   config.n = n;
   config.seed = seed;
@@ -70,29 +46,9 @@ Row run_one(ProtocolKind protocol, std::size_t n, std::uint64_t seed,
 
   LiveRuntime runtime(config);
   const LiveResult result = runtime.run();
-
-  Row row;
-  row.protocol = protocol_name(protocol);
-  row.phase = crashes > 0 ? "crashes" : "failure_free";
-  row.producers = n - 1;
-  row.quiesced = result.quiesced;
-  row.delivered = result.metrics.messages_delivered;
-  row.wall_us = result.wall_time;
-  const double wall_s = static_cast<double>(result.wall_time) / 1e6;
-  row.msgs_per_sec =
-      wall_s > 0 ? static_cast<double>(row.delivered) / wall_s : 0.0;
-  row.latency = bench::LatencySummary::of(result.delivery_latency_us);
-  row.piggyback_per_msg = result.metrics.piggyback_per_message();
-  row.recovery_mean_us = result.metrics.restart_latency.mean();
-  row.recovery_max_us = result.metrics.restart_latency.max();
-  row.rollbacks = result.metrics.rollbacks;
-  return row;
-}
-
-std::string fmt(double v, int prec = 1) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", prec, v);
-  return buf;
+  return bench::runtime_row(protocol, crashes > 0 ? "crashes" : "failure_free",
+                            n, result.quiesced, result.wall_time,
+                            result.metrics, result.delivery_latency_us);
 }
 
 }  // namespace
@@ -124,8 +80,8 @@ int main(int argc, char** argv) {
   std::printf("bench_live_throughput: n=%zu seed=%llu crashes=%zu\n\n", n,
               (unsigned long long)seed, crashes);
 
-  std::vector<Row> rows;
-  for (ProtocolKind protocol : kProtocols) {
+  std::vector<bench::RuntimeRow> rows;
+  for (ProtocolKind protocol : bench::kRuntimeProtocols) {
     rows.push_back(run_one(protocol, n, seed, 0));
     rows.push_back(run_one(protocol, n, seed, crashes));
   }
@@ -133,35 +89,15 @@ int main(int argc, char** argv) {
   // sees n-1 producers, so n = 2/5/17 puts 1/4/16 concurrent pushers on
   // every channel — the contention axis bench_channel measures in
   // isolation, here end to end through the full protocol stack.
-  std::vector<Row> fanin_rows;
+  std::vector<bench::RuntimeRow> fanin_rows;
   for (std::size_t fanin_n : {std::size_t{2}, std::size_t{5},
                               std::size_t{17}}) {
-    Row row = run_one(ProtocolKind::kDamaniGarg, fanin_n, seed, 0);
+    bench::RuntimeRow row =
+        run_one(ProtocolKind::kDamaniGarg, fanin_n, seed, 0);
     row.phase = "fanin";
     fanin_rows.push_back(row);
   }
-
-  TablePrinter table({"protocol", "phase", "msgs/s", "p50 us", "p90 us",
-                      "p99 us", "piggyback B/msg", "recovery ms", "rollbacks",
-                      "quiesced"});
-  for (const Row& r : rows) {
-    table.add_row({r.protocol, r.phase, fmt(r.msgs_per_sec, 0),
-                   fmt(r.latency.p50, 0), fmt(r.latency.p90, 0),
-                   fmt(r.latency.p99, 0), fmt(r.piggyback_per_msg),
-                   fmt(r.recovery_mean_us / 1000.0, 2),
-                   std::to_string(r.rollbacks), r.quiesced ? "yes" : "NO"});
-  }
-  table.print(std::cout);
-
-  std::printf("\nchannel fan-in sweep (dg, failure-free):\n");
-  TablePrinter fanin_table({"producers/chan", "msgs/s", "p50 us", "p90 us",
-                            "p99 us", "quiesced"});
-  for (const Row& r : fanin_rows) {
-    fanin_table.add_row({std::to_string(r.producers), fmt(r.msgs_per_sec, 0),
-                         fmt(r.latency.p50, 0), fmt(r.latency.p90, 0),
-                         fmt(r.latency.p99, 0), r.quiesced ? "yes" : "NO"});
-  }
-  fanin_table.print(std::cout);
+  bench::print_runtime_tables(rows, fanin_rows);
   rows.insert(rows.end(), fanin_rows.begin(), fanin_rows.end());
 
   std::ofstream os(out_file, std::ios::binary);
@@ -179,35 +115,10 @@ int main(int argc, char** argv) {
   w.kv("crashes", std::uint64_t{crashes});
   w.kv("workload", "counter");
   w.end_object();
-  w.key("results").begin_array();
-  for (const Row& r : rows) {
-    w.begin_object();
-    w.kv("protocol", r.protocol);
-    w.kv("phase", r.phase);
-    w.kv("producers_per_channel", std::uint64_t{r.producers});
-    w.kv("quiesced", r.quiesced);
-    w.kv("messages_delivered", r.delivered);
-    w.kv("wall_time_us", r.wall_us);
-    w.kv("msgs_per_sec", r.msgs_per_sec);
-    bench::write_latency_fields(w, "delivery_latency", r.latency);
-    w.kv("piggyback_bytes_per_msg", r.piggyback_per_msg);
-    w.kv("recovery_mean_us", r.recovery_mean_us);
-    w.kv("recovery_max_us", r.recovery_max_us);
-    w.kv("rollbacks", r.rollbacks);
-    w.end_object();
-  }
-  w.end_array();
+  bench::write_runtime_rows(w, rows);
   w.end_object();
   os << "\n";
   os.flush();
   std::printf("\nwrote %s\n", out_file.c_str());
-
-  for (const Row& r : rows) {
-    if (!r.quiesced) {
-      std::fprintf(stderr, "FAIL: %s/%s did not quiesce\n", r.protocol,
-                   r.phase);
-      return 1;
-    }
-  }
-  return 0;
+  return bench::quiescence_gate(rows);
 }

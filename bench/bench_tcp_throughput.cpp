@@ -27,9 +27,8 @@
 #include <thread>
 #include <vector>
 
-#include "bench_util.h"
+#include "runtime_rows.h"
 #include "src/harness/failure_plan.h"
-#include "src/harness/table_printer.h"
 #include "src/tcp/tcp_cluster.h"
 #include "src/util/json.h"
 
@@ -37,30 +36,15 @@ using namespace optrec;
 
 namespace {
 
-constexpr ProtocolKind kProtocols[] = {
-    ProtocolKind::kDamaniGarg,
-    ProtocolKind::kPessimistic,
-    ProtocolKind::kCoordinated,
-    ProtocolKind::kCascading,
-};
+using Row = bench::RuntimeRow;
 
-struct Row {
-  const char* protocol = "";
-  const char* phase = "";
-  std::size_t producers = 0;  // per-channel fan-in: n - 1
-  bool quiesced = false;
-  std::uint64_t delivered = 0;
-  SimTime wall_us = 0;
-  double msgs_per_sec = 0;
-  bench::LatencySummary latency;
-  double piggyback_per_msg = 0;
-  double recovery_mean_us = 0;
-  double recovery_max_us = 0;
-  std::uint64_t rollbacks = 0;
-  std::uint64_t frames_tx = 0;
-  std::uint64_t bytes_tx = 0;
-  std::uint64_t token_retries = 0;
-};
+Row with_tcp(Row row, const TcpTransport::TcpStats& tcp) {
+  row.tcp = true;
+  row.frames_tx = tcp.frames_tx;
+  row.bytes_tx = tcp.bytes_tx;
+  row.token_retries = tcp.token_retries;
+  return row;
+}
 
 Row run_one(ProtocolKind protocol, std::size_t n, std::size_t nodes,
             std::uint64_t seed, std::size_t crashes) {
@@ -85,63 +69,34 @@ Row run_one(ProtocolKind protocol, std::size_t n, std::size_t nodes,
 
   TcpCluster cluster(config);
   const TcpClusterResult result = cluster.run();
-
-  Row row;
-  row.protocol = protocol_name(protocol);
-  row.phase = crashes > 0 ? "crashes" : "failure_free";
-  row.producers = n - 1;
-  row.quiesced = result.quiesced;
-  row.delivered = result.metrics.messages_delivered;
-  row.wall_us = result.wall_time;
-  const double wall_s = static_cast<double>(result.wall_time) / 1e6;
-  row.msgs_per_sec =
-      wall_s > 0 ? static_cast<double>(row.delivered) / wall_s : 0.0;
-  row.latency = bench::LatencySummary::of(result.delivery_latency_us);
-  row.piggyback_per_msg = result.metrics.piggyback_per_message();
-  row.recovery_mean_us = result.metrics.restart_latency.mean();
-  row.recovery_max_us = result.metrics.restart_latency.max();
-  row.rollbacks = result.metrics.rollbacks;
-  row.frames_tx = result.tcp.frames_tx;
-  row.bytes_tx = result.tcp.bytes_tx;
-  row.token_retries = result.tcp.token_retries;
-  return row;
+  return with_tcp(
+      bench::runtime_row(protocol, crashes > 0 ? "crashes" : "failure_free", n,
+                         result.quiesced, result.wall_time, result.metrics,
+                         result.delivery_latency_us),
+      result.tcp);
 }
 
-std::string fmt(double v, int prec = 1) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", prec, v);
-  return buf;
-}
-
-Row row_of_node_results(const char* protocol, const char* phase,
+Row row_of_node_results(ProtocolKind protocol, const char* phase,
                         std::size_t n,
                         const std::vector<TcpNodeResult>& nodes) {
-  Row row;
-  row.protocol = protocol;
-  row.phase = phase;
-  row.producers = n - 1;
-  row.quiesced = true;
+  bool quiesced = true;
+  SimTime wall_us = 0;
   Metrics metrics;
   telemetry::FixedHistogram latency;
+  TcpTransport::TcpStats tcp;
   for (const TcpNodeResult& node : nodes) {
-    row.quiesced = row.quiesced && node.quiesced;
-    row.wall_us = std::max(row.wall_us, node.wall_time);
+    quiesced = quiesced && node.quiesced;
+    wall_us = std::max(wall_us, node.wall_time);
     metrics.merge_from(node.metrics);
     latency.merge_from(node.delivery_latency_us);
-    row.frames_tx += node.tcp.frames_tx;
-    row.bytes_tx += node.tcp.bytes_tx;
-    row.token_retries += node.tcp.token_retries;
+    tcp.frames_tx += node.tcp.frames_tx;
+    tcp.bytes_tx += node.tcp.bytes_tx;
+    tcp.token_retries += node.tcp.token_retries;
   }
-  row.delivered = metrics.messages_delivered;
-  const double wall_s = static_cast<double>(row.wall_us) / 1e6;
-  row.msgs_per_sec =
-      wall_s > 0 ? static_cast<double>(row.delivered) / wall_s : 0.0;
-  row.latency = bench::LatencySummary::of(latency);
-  row.piggyback_per_msg = metrics.piggyback_per_message();
-  row.recovery_mean_us = metrics.restart_latency.mean();
-  row.recovery_max_us = metrics.restart_latency.max();
-  row.rollbacks = metrics.rollbacks;
-  return row;
+  return with_tcp(
+      bench::runtime_row(protocol, phase, n, quiesced, wall_us, metrics,
+                         latency),
+      tcp);
 }
 
 /// Run the fleet a topology file describes on its fixed ports: all nodes in
@@ -185,7 +140,7 @@ Row run_topology(const TcpTopology& topo, const std::string& node_arg,
     threads.emplace_back([&, i] { results[i] = nodes[i]->run(); });
   }
   for (std::thread& t : threads) t.join();
-  return row_of_node_results(protocol_name(protocol),
+  return row_of_node_results(protocol,
                              node_arg == "all" ? "topology" : "topology_node",
                              topo.n, results);
 }
@@ -236,22 +191,12 @@ int main(int argc, char** argv) {
   std::vector<Row> fanin_rows;
   if (!topology_file.empty()) {
     TcpTopology topo;
-    {
-      std::ifstream in(topology_file, std::ios::binary);
-      if (!in) {
-        std::fprintf(stderr, "bench_tcp_throughput: cannot open '%s'\n",
-                     topology_file.c_str());
-        return 2;
-      }
-      std::ostringstream text;
-      text << in.rdbuf();
-      try {
-        topo = TcpTopology::parse(text.str());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "bench_tcp_throughput: bad topology: %s\n",
-                     e.what());
-        return 2;
-      }
+    try {
+      topo = TcpTopology::load(topology_file);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "bench_tcp_throughput: bad topology: %s\n",
+                   e.what());
+      return 2;
     }
     for (const TcpNodeSpec& spec : topo.nodes) {
       if (spec.port == 0) {
@@ -299,7 +244,7 @@ int main(int argc, char** argv) {
   std::printf("bench_tcp_throughput: n=%zu nodes=%zu seed=%llu crashes=%zu\n\n",
               n, nodes, (unsigned long long)seed, crashes);
 
-  for (ProtocolKind protocol : kProtocols) {
+  for (ProtocolKind protocol : bench::kRuntimeProtocols) {
     rows.push_back(run_one(protocol, n, nodes, seed, 0));
     rows.push_back(run_one(protocol, n, nodes, seed, crashes));
   }
@@ -315,31 +260,8 @@ int main(int argc, char** argv) {
   }
   }
 
-  TablePrinter table({"protocol", "phase", "msgs/s", "p50 us", "p90 us",
-                      "p99 us", "piggyback B/msg", "recovery ms", "rollbacks",
-                      "tok-retry", "quiesced"});
-  for (const Row& r : rows) {
-    table.add_row({r.protocol, r.phase, fmt(r.msgs_per_sec, 0),
-                   fmt(r.latency.p50, 0), fmt(r.latency.p90, 0),
-                   fmt(r.latency.p99, 0), fmt(r.piggyback_per_msg),
-                   fmt(r.recovery_mean_us / 1000.0, 2),
-                   std::to_string(r.rollbacks),
-                   std::to_string(r.token_retries), r.quiesced ? "yes" : "NO"});
-  }
-  table.print(std::cout);
-
-  if (!fanin_rows.empty()) {
-    std::printf("\nchannel fan-in sweep (dg, failure-free):\n");
-    TablePrinter fanin_table({"producers/chan", "msgs/s", "p50 us", "p90 us",
-                              "p99 us", "quiesced"});
-    for (const Row& r : fanin_rows) {
-      fanin_table.add_row({std::to_string(r.producers), fmt(r.msgs_per_sec, 0),
-                           fmt(r.latency.p50, 0), fmt(r.latency.p90, 0),
-                           fmt(r.latency.p99, 0), r.quiesced ? "yes" : "NO"});
-    }
-    fanin_table.print(std::cout);
-    rows.insert(rows.end(), fanin_rows.begin(), fanin_rows.end());
-  }
+  bench::print_runtime_tables(rows, fanin_rows);
+  rows.insert(rows.end(), fanin_rows.begin(), fanin_rows.end());
 
   std::ofstream os(out_file, std::ios::binary);
   if (!os) {
@@ -362,38 +284,10 @@ int main(int argc, char** argv) {
     w.kv("node", node_arg);
   }
   w.end_object();
-  w.key("results").begin_array();
-  for (const Row& r : rows) {
-    w.begin_object();
-    w.kv("protocol", r.protocol);
-    w.kv("phase", r.phase);
-    w.kv("producers_per_channel", std::uint64_t{r.producers});
-    w.kv("quiesced", r.quiesced);
-    w.kv("messages_delivered", r.delivered);
-    w.kv("wall_time_us", r.wall_us);
-    w.kv("msgs_per_sec", r.msgs_per_sec);
-    bench::write_latency_fields(w, "delivery_latency", r.latency);
-    w.kv("piggyback_bytes_per_msg", r.piggyback_per_msg);
-    w.kv("recovery_mean_us", r.recovery_mean_us);
-    w.kv("recovery_max_us", r.recovery_max_us);
-    w.kv("rollbacks", r.rollbacks);
-    w.kv("tcp_frames_tx", r.frames_tx);
-    w.kv("tcp_bytes_tx", r.bytes_tx);
-    w.kv("tcp_token_retries", r.token_retries);
-    w.end_object();
-  }
-  w.end_array();
+  bench::write_runtime_rows(w, rows);
   w.end_object();
   os << "\n";
   os.flush();
   std::printf("\nwrote %s\n", out_file.c_str());
-
-  for (const Row& r : rows) {
-    if (!r.quiesced) {
-      std::fprintf(stderr, "FAIL: %s/%s did not quiesce\n", r.protocol,
-                   r.phase);
-      return 1;
-    }
-  }
-  return 0;
+  return bench::quiescence_gate(rows);
 }

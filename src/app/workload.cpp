@@ -64,4 +64,13 @@ std::string WorkloadSpec::name() const {
   return "?";
 }
 
+WorkloadKind workload_from_name(const std::string& name) {
+  for (WorkloadKind kind :
+       {WorkloadKind::kCounter, WorkloadKind::kPingPong, WorkloadKind::kBank,
+        WorkloadKind::kGossip, WorkloadKind::kService}) {
+    if (WorkloadSpec{kind}.name() == name) return kind;
+  }
+  throw std::invalid_argument("unknown workload '" + name + "'");
+}
+
 }  // namespace optrec

@@ -33,4 +33,7 @@ struct WorkloadSpec {
   std::string name() const;
 };
 
+/// Inverse of WorkloadSpec::name(); throws std::invalid_argument.
+WorkloadKind workload_from_name(const std::string& name);
+
 }  // namespace optrec

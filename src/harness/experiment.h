@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "src/harness/run_flags.h"
 #include "src/harness/scenario.h"
 
 namespace optrec {
@@ -28,10 +29,9 @@ struct ExperimentResult {
 
 ExperimentResult run_experiment(const ScenarioConfig& config);
 
-/// Serialize the full run outcome — Metrics (including RunningStats), network
-/// stats, quiescence, oracle verdict — as one JSON object (newline-terminated
-/// single line; pipe through `python3 -m json.tool` to pretty-print).
-std::string result_json(const ScenarioConfig& config,
-                        const ExperimentResult& result);
+/// The simulator's RunReport (backend "sim") for finish_run() and
+/// run_json(). Points into `result`, which must outlive it.
+RunReport run_report(const ScenarioConfig& config,
+                     const ExperimentResult& result);
 
 }  // namespace optrec

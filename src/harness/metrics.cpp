@@ -21,6 +21,18 @@ double Metrics::piggyback_per_message() const {
          static_cast<double>(app_messages_sent);
 }
 
+std::uint64_t Metrics::progress_signature() const {
+  std::uint64_t sig = 0;
+  for (const std::uint64_t v :
+       {app_messages_sent, messages_delivered, messages_discarded_obsolete,
+        messages_discarded_duplicate, messages_postponed, postponed_released,
+        messages_replayed, messages_requeued_after_rollback, crashes, restarts,
+        rollbacks, tokens_processed, retransmissions}) {
+    sig = signature_mix(sig, v);
+  }
+  return sig;
+}
+
 void Metrics::merge_from(const Metrics& other) {
   app_messages_sent += other.app_messages_sent;
   control_messages_sent += other.control_messages_sent;

@@ -20,6 +20,11 @@ namespace optrec {
 /// Identifies one failure event: (process, version that failed).
 using FailureId = std::pair<ProcessId, Version>;
 
+/// Fold one more word into a quiescence progress signature.
+inline std::uint64_t signature_mix(std::uint64_t sig, std::uint64_t v) {
+  return sig * 1000003u + v;
+}
+
 struct Metrics {
   // --- message path
   std::uint64_t app_messages_sent = 0;
@@ -91,6 +96,11 @@ struct Metrics {
 
   /// Mean piggyback bytes per application message sent.
   double piggyback_per_message() const;
+
+  /// Mix of the application-relevant counters: any progress a run can make
+  /// changes it. Every backend's quiescence detector waits for it (folded
+  /// with the transport's drop count) to hold still across a settle window.
+  std::uint64_t progress_signature() const;
 
   /// Fold another Metrics object into this one (counters add, stats merge,
   /// attribution maps union). The live runtime gives each worker thread a

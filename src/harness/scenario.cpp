@@ -57,26 +57,8 @@ void Scenario::start_all() {
 }
 
 std::uint64_t Scenario::progress_signature() const {
-  // Any application-relevant progress shows up in one of these counters.
-  std::uint64_t sig = 0;
-  const auto mix = [&sig](std::uint64_t v) {
-    sig = sig * 1000003u + v;
-  };
-  mix(metrics_.app_messages_sent);
-  mix(metrics_.messages_delivered);
-  mix(metrics_.messages_discarded_obsolete);
-  mix(metrics_.messages_discarded_duplicate);
-  mix(metrics_.messages_postponed);
-  mix(metrics_.postponed_released);
-  mix(metrics_.messages_replayed);
-  mix(metrics_.messages_requeued_after_rollback);
-  mix(metrics_.crashes);
-  mix(metrics_.restarts);
-  mix(metrics_.rollbacks);
-  mix(metrics_.tokens_processed);
-  mix(metrics_.retransmissions);
-  mix(net_.stats().messages_dropped);
-  return sig;
+  return signature_mix(metrics_.progress_signature(),
+                       net_.stats().messages_dropped);
 }
 
 bool Scenario::all_up() const {

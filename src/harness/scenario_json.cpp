@@ -7,15 +7,6 @@ namespace optrec {
 
 namespace {
 
-WorkloadKind workload_from_name(const std::string& name) {
-  if (name == "counter") return WorkloadKind::kCounter;
-  if (name == "pingpong") return WorkloadKind::kPingPong;
-  if (name == "bank") return WorkloadKind::kBank;
-  if (name == "gossip") return WorkloadKind::kGossip;
-  if (name == "service") return WorkloadKind::kService;
-  throw std::invalid_argument("unknown workload '" + name + "'");
-}
-
 bool bool_or(const JsonValue& obj, const std::string& k, bool fallback) {
   const JsonValue* v = obj.find(k);
   return v != nullptr ? v->as_bool() : fallback;

@@ -1,238 +1,72 @@
 #include "src/live/live_runtime.h"
 
-#include <algorithm>
-#include <chrono>
 #include <stdexcept>
-#include <utility>
-
-#include "src/wire/wire_codec.h"
 
 namespace optrec {
 
 namespace {
 
-/// Same application-relevant counter mix as Scenario::progress_signature,
-/// computed over one worker's private Metrics (on its own thread) and
-/// published as a single atomic word.
-std::uint64_t local_signature(const Metrics& m) {
-  std::uint64_t sig = 0;
-  const auto mix = [&sig](std::uint64_t v) { sig = sig * 1000003u + v; };
-  mix(m.app_messages_sent);
-  mix(m.messages_delivered);
-  mix(m.messages_discarded_obsolete);
-  mix(m.messages_discarded_duplicate);
-  mix(m.messages_postponed);
-  mix(m.postponed_released);
-  mix(m.messages_replayed);
-  mix(m.messages_requeued_after_rollback);
-  mix(m.crashes);
-  mix(m.restarts);
-  mix(m.rollbacks);
-  mix(m.tokens_processed);
-  mix(m.retransmissions);
-  return sig;
+WorkerHost::Spec host_spec(const LiveConfig& c, CausalityOracle* oracle,
+                           TraceRecorder* trace) {
+  WorkerHost::Spec spec;
+  spec.protocol = c.protocol;
+  spec.n = c.n;
+  spec.seed = c.seed;
+  spec.workload = c.workload;
+  spec.process = c.process;
+  spec.oracle = oracle;
+  spec.trace = trace;
+  spec.max_block = c.max_block;
+  spec.retry_interval = c.faults.retry_interval;
+  return spec;
 }
 
 }  // namespace
 
 LiveRuntime::LiveRuntime(LiveConfig config)
     : config_(config),
-      transport_(clock_, config.n, config.seed, config.faults) {
+      transport_(clock_, config.n, config.seed, config.faults),
+      oracle_(config.enable_oracle ? std::make_unique<CausalityOracle>()
+                                   : nullptr),
+      trace_(config.enable_trace ? std::make_unique<TraceRecorder>()
+                                 : nullptr),
+      host_(clock_, transport_, transport_.counters(),
+            [this](ProcessId pid) { return &transport_.channel(pid); },
+            host_spec(config_, oracle_.get(), trace_.get())) {
   if (config_.n < 2) throw std::invalid_argument("LiveRuntime: n must be >= 2");
-  if (config_.enable_oracle) oracle_ = std::make_unique<CausalityOracle>();
-  if (config_.enable_trace) {
-    trace_ = std::make_unique<TraceRecorder>();
-    transport_.set_trace(trace_.get());
-  }
-  const AppFactory factory = config_.workload.make_factory();
-  Rng seeder(config_.seed ^ 0x9e3779b97f4a7c15ull);
-  workers_.reserve(config_.n);
-  for (ProcessId pid = 0; pid < config_.n; ++pid) {
-    auto w = std::make_unique<Worker>(seeder.next_u64());
-    w->pid = pid;
-    w->timers = std::make_unique<WorkerTimers>(clock_);
-    w->proc = make_protocol_process(
-        config_.protocol, RuntimeEnv(clock_, *w->timers, transport_), pid,
-        config_.n, factory(pid, config_.n), config_.process, w->metrics,
-        oracle_.get());
-    w->proc->set_trace(trace_.get());
-    workers_.push_back(std::move(w));
-  }
-}
-
-LiveRuntime::~LiveRuntime() {
-  // Emergency shutdown for runs abandoned mid-flight (run() normally joins
-  // everything itself).
-  for (auto& w : workers_) {
-    if (!w->joined) {
-      LiveFrame f;
-      f.kind = LiveFrame::Kind::kStop;
-      transport_.channel(w->pid).push(std::move(f));
-    }
-  }
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) w->thread.join();
-  }
+  transport_.set_trace(trace_.get());
 }
 
 ProcessBase& LiveRuntime::process(ProcessId pid) {
-  return *workers_.at(pid)->proc;
-}
-
-void LiveRuntime::sync_mirrors(Worker& w) {
-  w.up.store(w.proc->is_up(), std::memory_order_release);
-  w.pending.store(w.proc->pending_count(), std::memory_order_release);
-  w.signature.store(local_signature(w.metrics), std::memory_order_release);
-}
-
-void LiveRuntime::spawn(Worker& w) {
-  w.joined = false;
-  w.state.store(WorkerState::kRunning, std::memory_order_release);
-  w.thread = std::thread([this, &w] { worker_main(w); });
-}
-
-void LiveRuntime::worker_main(Worker& w) {
-  const auto exit_as = [this, &w](WorkerState state) {
-    w.state.store(state, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lock(exit_mu_);
-      exited_.push_back(w.pid);
-    }
-    exit_cv_.notify_all();
-  };
-
-  if (!w.started) {
-    w.proc->start();
-    w.started = true;
-    sync_mirrors(w);
-  }
-  LiveChannel& channel = transport_.channel(w.pid);
-  for (;;) {
-    w.timers->fire_due();
-    sync_mirrors(w);
-    const SimTime wait_until =
-        std::min(w.timers->next_deadline(), clock_.now() + config_.max_block);
-    std::optional<LiveFrame> frame = channel.pop_ready(clock_, wait_until,
-                                                       w.rng);
-    if (!frame) continue;
-
-    if (frame->kind == LiveFrame::Kind::kStop) {
-      exit_as(WorkerState::kExitedStop);
-      return;
-    }
-    if (frame->kind == LiveFrame::Kind::kCrash) {
-      crashes_pending_.fetch_sub(1, std::memory_order_acq_rel);
-      if (!w.proc->is_up()) continue;  // crash() would no-op while down
-      w.proc->crash();  // wipes volatile state, schedules the restart timer
-      sync_mirrors(w);
-      exit_as(WorkerState::kExitedCrash);
-      return;  // genuine thread death; the supervisor respawns us
-    }
-
-    // kWire. While down, park the frame and retry later — the reliable
-    // transport of the paper's model (see Network::deliver_message).
-    if (!w.proc->is_up()) {
-      transport_.note_retry(frame->token);
-      frame->not_before =
-          clock_.now() + transport_.faults().retry_interval;
-      channel.push(std::move(*frame));
-      continue;
-    }
-    const Frame decoded = decode_frame(frame->wire.bytes());
-    w.latency_us.observe(
-        static_cast<double>(clock_.now() - frame->sent_at));
-    if (decoded.type == FrameType::kMessage) {
-      w.proc->on_message(decoded.message);
-      // Count the delivery only after the handler ran: its sends are
-      // already in flight, so the quiescence detector never sees a
-      // transient "nothing in flight" mid-handler.
-      transport_.note_delivered_message(decoded.message.kind ==
-                                        MessageKind::kApp);
-    } else {
-      w.proc->on_token(decoded.token);
-      transport_.note_delivered_token();
-    }
-    sync_mirrors(w);
-  }
-}
-
-void LiveRuntime::drain_exited(bool respawn_crashed, SimTime wait) {
-  std::vector<ProcessId> batch;
-  {
-    std::unique_lock<std::mutex> lock(exit_mu_);
-    if (exited_.empty() && wait > 0) {
-      exit_cv_.wait_for(lock, std::chrono::microseconds(wait),
-                        [this] { return !exited_.empty(); });
-    }
-    batch.swap(exited_);
-  }
-  for (ProcessId pid : batch) {
-    Worker& w = *workers_.at(pid);
-    if (w.thread.joinable()) w.thread.join();
-    w.joined = true;
-    if (respawn_crashed &&
-        w.state.load(std::memory_order_acquire) == WorkerState::kExitedCrash) {
-      spawn(w);
-    }
-  }
-}
-
-bool LiveRuntime::all_joined() const {
-  for (const auto& w : workers_) {
-    if (!w->joined) return false;
-  }
-  return true;
+  return *host_.workers().at(pid)->proc;
 }
 
 bool LiveRuntime::quiet_now() const {
-  if (crashes_pending_.load(std::memory_order_acquire) != 0) return false;
-  if (transport_.app_messages_in_flight() != 0) return false;
-  if (transport_.tokens_in_flight() != 0) return false;
-  for (const auto& w : workers_) {
-    if (w->state.load(std::memory_order_acquire) != WorkerState::kRunning) {
-      return false;
-    }
-    if (!w->up.load(std::memory_order_acquire)) return false;
-    if (w->pending.load(std::memory_order_acquire) != 0) return false;
-  }
-  return true;
-}
-
-std::uint64_t LiveRuntime::progress_signature() const {
-  std::uint64_t sig = 0;
-  for (const auto& w : workers_) {
-    sig = sig * 1000003u + w->signature.load(std::memory_order_acquire);
-  }
-  return sig * 1000003u + transport_.stats().messages_dropped;
+  const DeliveryCounters& c = transport_.counters();
+  return c.app_messages_in_flight() == 0 && c.tokens_in_flight() == 0 &&
+         host_.quiet();
 }
 
 LiveResult LiveRuntime::run() {
   if (ran_) throw std::logic_error("LiveRuntime::run: may only be called once");
   ran_ = true;
 
-  crashes_pending_.store(config_.crashes.size(), std::memory_order_release);
-  for (const CrashEvent& c : config_.crashes) {
-    LiveFrame f;
-    f.kind = LiveFrame::Kind::kCrash;
-    f.not_before = c.at;
-    f.sent_at = c.at;
-    transport_.channel(c.pid).push(std::move(f));
-  }
-  for (auto& w : workers_) spawn(*w);
+  for (const CrashEvent& c : config_.crashes) host_.schedule_crash(c.pid, c.at);
+  host_.spawn_all();
 
   bool quiesced = false;
   bool have_sig = false;
   std::uint64_t last_sig = 0;
   SimTime sig_since = 0;
   for (;;) {
-    drain_exited(/*respawn_crashed=*/true, config_.settle_slice);
+    host_.drain_exited(/*respawn_crashed=*/true, config_.settle_slice);
     const SimTime now = clock_.now();
     if (now >= config_.time_cap) break;
     if (!quiet_now()) {
       have_sig = false;
       continue;
     }
-    const std::uint64_t sig = progress_signature();
+    const std::uint64_t sig = host_.progress_signature();
     if (!have_sig || sig != last_sig) {
       have_sig = true;
       last_sig = sig;
@@ -244,24 +78,13 @@ LiveResult LiveRuntime::run() {
       break;
     }
   }
-
-  for (auto& w : workers_) {
-    LiveFrame f;
-    f.kind = LiveFrame::Kind::kStop;
-    transport_.channel(w->pid).push(std::move(f));
-  }
-  while (!all_joined()) {
-    drain_exited(/*respawn_crashed=*/false, millis(50));
-  }
+  host_.stop_all();
 
   LiveResult result;
   result.quiesced = quiesced;
   result.wall_time = clock_.now();
-  for (auto& w : workers_) {
-    result.metrics.merge_from(w->metrics);
-    result.delivery_latency_us.merge_from(w->latency_us);
-  }
-  result.net = transport_.stats();
+  host_.merge_into(result.metrics, result.delivery_latency_us);
+  result.net = transport_.counters().stats();
   return result;
 }
 

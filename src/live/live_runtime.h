@@ -1,48 +1,33 @@
 // Live multi-threaded runtime: the protocol off the simulator.
 //
-// Runs each recovery process as a real OS thread against the same protocol
-// code the simulator hosts (ProcessBase subclasses, selected through
-// src/harness/protocol_factory). Each worker owns its process object, a
-// private timer queue, a private Metrics block, and the consumer end of its
-// MPSC LiveChannel; the shared pieces — LiveClock, LiveTransport, the
-// causality oracle, the trace recorder — are thread-safe by construction.
-//
-// Failure injection is real: a kCrash control frame makes the worker call
-// ProcessBase::crash() and then EXIT ITS THREAD. The supervisor joins the
-// dead thread and respawns a fresh one, which resumes the worker loop and
-// fires the pending restart timer — so recovery runs through a genuine
-// thread death and rebirth, not a simulated flag flip.
+// Runs each recovery process as a real OS thread (src/live/worker_host.h:
+// private timers and metrics, crash = thread death + supervisor respawn)
+// against the same protocol code the simulator hosts. The shared pieces —
+// LiveClock, LiveTransport, the causality oracle, the trace recorder — are
+// thread-safe by construction.
 //
 // Quiescence mirrors Scenario::run(): all planned crashes consumed, every
 // process up, nothing application-relevant in flight (app messages, tokens,
 // protocol-held messages), and the progress signature stable across a
-// settle slice. Workers publish is_up/pending/signature mirrors as atomics
-// after every step so the supervisor never touches process internals while
-// threads run. Post-join, per-worker metrics and latency samples are merged
-// and the oracle/trace are safe to query.
+// settle slice. Post-join, per-worker metrics and latency samples are
+// merged and the oracle/trace are safe to query.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "src/app/workload.h"
 #include "src/harness/failure_plan.h"
 #include "src/harness/metrics.h"
 #include "src/harness/protocol_factory.h"
-#include "src/live/live_channel.h"
 #include "src/live/live_clock.h"
 #include "src/live/live_transport.h"
-#include "src/live/worker_timers.h"
+#include "src/live/worker_host.h"
 #include "src/runtime/process_base.h"
 #include "src/telemetry/histogram.h"
 #include "src/trace/trace_event.h"
 #include "src/truth/causality_oracle.h"
-#include "src/util/stats.h"
 
 namespace optrec {
 
@@ -81,7 +66,6 @@ struct LiveResult {
 class LiveRuntime {
  public:
   explicit LiveRuntime(LiveConfig config);
-  ~LiveRuntime();
 
   LiveRuntime(const LiveRuntime&) = delete;
   LiveRuntime& operator=(const LiveRuntime&) = delete;
@@ -97,55 +81,20 @@ class LiveRuntime {
   TraceRecorder* trace() { return trace_.get(); }
   LiveTransport& transport() { return transport_; }
   const LiveClock& clock() const { return clock_; }
-  std::size_t size() const { return workers_.size(); }
+  std::size_t size() const { return host_.workers().size(); }
   ProcessBase& process(ProcessId pid);
   const LiveConfig& config() const { return config_; }
 
  private:
-  enum class WorkerState : int { kRunning = 0, kExitedCrash, kExitedStop };
-
-  struct Worker {
-    explicit Worker(std::uint64_t rng_seed) : rng(rng_seed) {}
-
-    ProcessId pid = 0;
-    std::unique_ptr<WorkerTimers> timers;
-    std::unique_ptr<ProcessBase> proc;
-    Metrics metrics;           // worker-private; merged post-join
-    telemetry::FixedHistogram latency_us;  // worker-private; merged post-join
-    Rng rng;                   // channel-pick randomness, worker-thread only
-    std::thread thread;
-    bool started = false;      // proc->start() ran (spawn/join handoff)
-    bool joined = true;        // supervisor-side bookkeeping
-
-    // Supervisor-visible mirrors, refreshed by the worker after each step.
-    std::atomic<bool> up{false};
-    std::atomic<std::uint64_t> pending{0};
-    std::atomic<std::uint64_t> signature{0};
-    std::atomic<WorkerState> state{WorkerState::kRunning};
-  };
-
-  void worker_main(Worker& w);
-  void sync_mirrors(Worker& w);
-  void spawn(Worker& w);
-  /// Wait up to `wait` for worker exits, then join them; crashed workers
-  /// are respawned when `respawn_crashed`.
-  void drain_exited(bool respawn_crashed, SimTime wait);
-  bool all_joined() const;
   bool quiet_now() const;
-  std::uint64_t progress_signature() const;
 
   LiveConfig config_;
   LiveClock clock_;
   LiveTransport transport_;
   std::unique_ptr<CausalityOracle> oracle_;
   std::unique_ptr<TraceRecorder> trace_;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::atomic<std::uint64_t> crashes_pending_{0};
+  WorkerHost host_;  // declared last: its workers stop before the rest dies
   bool ran_ = false;
-
-  std::mutex exit_mu_;
-  std::condition_variable exit_cv_;
-  std::vector<ProcessId> exited_;
 };
 
 }  // namespace optrec

@@ -77,7 +77,7 @@ void LiveTransport::push_wire(ProcessId src, ProcessId dst, FrameRef wire,
   f.token = token;
   f.sent_at = clock_.now();
   f.not_before = link_clear_at(src, dst, f.sent_at + delay);
-  frames_pushed_.fetch_add(1, std::memory_order_acq_rel);
+  counters_.note_pushed();
   channels_.at(dst)->push(std::move(f));
 }
 
@@ -112,37 +112,22 @@ MsgId LiveTransport::send(Message msg) {
     throw std::out_of_range("send: unknown destination");
   }
   msg.id = next_msg_id_.fetch_add(1, std::memory_order_relaxed);
-  messages_sent_.fetch_add(1, std::memory_order_relaxed);
-  message_bytes_.fetch_add(message_wire_bytes(msg), std::memory_order_relaxed);
-  if (trace_) {
-    TraceEvent e;
-    e.at = clock_.now();
-    e.type = TraceEventType::kSend;
-    e.pid = msg.src;
-    e.clock = msg.clock.size() > msg.src ? msg.clock.entry(msg.src)
-                                         : FtvcEntry{msg.src_version, 0};
-    e.peer = msg.dst;
-    e.msg_id = msg.id;
-    e.send_seq = msg.send_seq;
-    e.msg_version = msg.src_version;
-    if (msg.kind == MessageKind::kControl) e.detail |= kTraceSendControl;
-    if (msg.retransmission) e.detail |= kTraceSendRetransmission;
-    e.mclock = msg.clock.entries();
-    trace_->emit(std::move(e));
-  }
+  DeliveryCounters::add(counters_.messages_sent);
+  DeliveryCounters::add(counters_.message_bytes, message_wire_bytes(msg));
+  if (trace_) trace_->emit(send_event(clock_.now(), msg));
   Rng& rng = send_rng_.at(msg.src);
   const bool app = msg.kind == MessageKind::kApp;
   if (app) {
-    app_messages_sent_.fetch_add(1, std::memory_order_relaxed);
+    DeliveryCounters::add(counters_.app_messages_sent);
     if (rng.chance(faults_.drop_prob)) {
-      messages_dropped_.fetch_add(1, std::memory_order_relaxed);
+      DeliveryCounters::add(counters_.messages_dropped);
       return msg.id;
     }
   }
   // Encode once into a pooled buffer; a duplicate delivery shares the ref.
   FrameRef wire = FramePool::global().wrap(encode_message_frame(msg));
   if (app && rng.chance(faults_.duplicate_prob)) {
-    messages_duplicated_.fetch_add(1, std::memory_order_relaxed);
+    DeliveryCounters::add(counters_.messages_duplicated);
     push_wire(msg.src, msg.dst, wire, app, /*token=*/false, draw_delay(rng));
   }
   const SimTime delay = draw_delay(rng);
@@ -151,25 +136,10 @@ MsgId LiveTransport::send(Message msg) {
 }
 
 void LiveTransport::broadcast_token(const Token& token) {
-  token_broadcasts_.fetch_add(1, std::memory_order_relaxed);
-  if (trace_) {
-    TraceEvent e;
-    e.at = clock_.now();
-    e.type = TraceEventType::kTokenBroadcast;
-    e.pid = token.from;
-    e.clock = token.failed;
-    e.ref = token.failed;
-    if (token.origin_pid != kNoProcess) {
-      e.origin = token.origin_pid;
-      e.origin_ver = token.origin_ver;
-    } else {
-      e.origin = token.from;
-      e.origin_ver = token.failed.ver;
-    }
-    trace_->emit(std::move(e));
-  }
+  DeliveryCounters::add(counters_.token_broadcasts);
+  if (trace_) trace_->emit(token_broadcast_event(clock_.now(), token));
   // Account + draw everything on the announcing worker (cheap), then let
-  // the fan-out thread do the O(n) encode-once pushes. tokens_sent_ is
+  // the fan-out thread do the O(n) encode-once pushes. tokens_sent is
   // bumped here, before the handoff, so tokens_in_flight() covers frames
   // that are queued for fan-out but not yet pushed.
   PendingBroadcast b;
@@ -178,8 +148,8 @@ void LiveTransport::broadcast_token(const Token& token) {
   const std::size_t bytes = token_wire_bytes(token);
   for (ProcessId dst = 0; dst < endpoints_.size(); ++dst) {
     if (dst == token.from || endpoints_[dst] == nullptr) continue;
-    tokens_sent_.fetch_add(1, std::memory_order_relaxed);
-    token_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+    DeliveryCounters::add(counters_.tokens_sent);
+    DeliveryCounters::add(counters_.token_bytes, bytes);
     b.dst_delays.emplace_back(dst, draw_delay(rng));
   }
   if (b.dst_delays.empty()) return;
@@ -192,44 +162,11 @@ void LiveTransport::broadcast_token(const Token& token) {
 }
 
 void LiveTransport::send_token(ProcessId dst, const Token& token) {
-  tokens_sent_.fetch_add(1, std::memory_order_relaxed);
-  token_bytes_.fetch_add(token_wire_bytes(token), std::memory_order_relaxed);
+  DeliveryCounters::add(counters_.tokens_sent);
+  DeliveryCounters::add(counters_.token_bytes, token_wire_bytes(token));
   Rng& rng = send_rng_.at(token.from);
   push_wire(token.from, dst, FramePool::global().wrap(encode_token_frame(token)),
             /*app=*/false, /*token=*/true, draw_delay(rng));
-}
-
-void LiveTransport::note_delivered_message(bool app) {
-  messages_delivered_.fetch_add(1, std::memory_order_relaxed);
-  if (app) app_messages_delivered_.fetch_add(1, std::memory_order_relaxed);
-  frames_handled_.fetch_add(1, std::memory_order_acq_rel);
-}
-
-void LiveTransport::note_delivered_token() {
-  tokens_delivered_.fetch_add(1, std::memory_order_relaxed);
-  frames_handled_.fetch_add(1, std::memory_order_acq_rel);
-}
-
-void LiveTransport::note_retry(bool token) {
-  if (!token) messages_retried_.fetch_add(1, std::memory_order_relaxed);
-}
-
-Network::Stats LiveTransport::stats() const {
-  Network::Stats s;
-  s.messages_sent = messages_sent_.load(std::memory_order_relaxed);
-  s.messages_delivered = messages_delivered_.load(std::memory_order_relaxed);
-  s.app_messages_sent = app_messages_sent_.load(std::memory_order_relaxed);
-  s.app_messages_delivered =
-      app_messages_delivered_.load(std::memory_order_relaxed);
-  s.messages_dropped = messages_dropped_.load(std::memory_order_relaxed);
-  s.messages_duplicated = messages_duplicated_.load(std::memory_order_relaxed);
-  s.messages_retried = messages_retried_.load(std::memory_order_relaxed);
-  s.tokens_sent = tokens_sent_.load(std::memory_order_relaxed);
-  s.tokens_delivered = tokens_delivered_.load(std::memory_order_relaxed);
-  s.token_broadcasts = token_broadcasts_.load(std::memory_order_relaxed);
-  s.message_bytes = message_bytes_.load(std::memory_order_relaxed);
-  s.token_bytes = token_bytes_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace optrec

@@ -18,8 +18,9 @@
 //     without stalling behind the unicast loop (ROADMAP: sharded token
 //     broadcast). Token in-flight counts are bumped synchronously, so
 //     quiescence can never observe a not-yet-fanned-out broadcast as done.
-//   * note_*() delivery accounting runs on the receiving worker.
-//   * stats() snapshots atomics and may run anywhere, any time.
+//   * Delivery accounting (counters(), src/live/delivery_counters.h) is
+//     atomics only: the receiving worker notes deliveries, and stats()
+//     snapshots may run anywhere, any time.
 // As in the simulator, application messages and tokens are retried while
 // the receiver is down (reliable transport): the worker loop requeues the
 // undecoded frame with retry_interval backoff. Information loss comes only
@@ -38,10 +39,10 @@
 #include <vector>
 
 #include "src/harness/failure_plan.h"
+#include "src/live/delivery_counters.h"
 #include "src/live/live_channel.h"
 #include "src/live/live_clock.h"
 #include "src/net/message.h"
-#include "src/net/network.h"
 #include "src/runtime/env.h"
 #include "src/trace/trace_event.h"
 #include "src/util/ids.h"
@@ -87,44 +88,9 @@ class LiveTransport : public Transport {
   Endpoint* endpoint(ProcessId pid) const { return endpoints_.at(pid); }
   const LiveFaultConfig& faults() const { return faults_; }
 
-  // --- worker-side delivery accounting -------------------------------
-  void note_delivered_message(bool app);
-  void note_delivered_token();
-  /// Receiver was down; the frame went back into the channel. Mirrors the
-  /// simulator: message retries are counted, token retries are silent.
-  void note_retry(bool token);
-
-  /// Wire frames pushed but not yet handed to an endpoint (includes frames
-  /// parked for a down receiver).
-  std::uint64_t frames_in_flight() const {
-    return frames_pushed_.load(std::memory_order_acquire) -
-           frames_handled_.load(std::memory_order_acquire);
-  }
-
-  /// Application messages accepted but not yet handed to an endpoint; zero
-  /// is a necessary condition for quiescence (Network has the same query).
-  /// Loads delivered/dropped before sent/duplicated so a racing snapshot
-  /// errs toward "still in flight", never toward a false zero.
-  std::uint64_t app_messages_in_flight() const {
-    const std::uint64_t delivered =
-        app_messages_delivered_.load(std::memory_order_acquire);
-    const std::uint64_t dropped =
-        messages_dropped_.load(std::memory_order_acquire);
-    const std::uint64_t sent =
-        app_messages_sent_.load(std::memory_order_acquire);
-    const std::uint64_t dup =
-        messages_duplicated_.load(std::memory_order_acquire);
-    return sent + dup - delivered - dropped;
-  }
-  std::uint64_t tokens_in_flight() const {
-    const std::uint64_t delivered =
-        tokens_delivered_.load(std::memory_order_acquire);
-    return tokens_sent_.load(std::memory_order_acquire) - delivered;
-  }
-
-  /// Counter snapshot, shaped like Network::Stats so reporting code treats
-  /// the two backends alike.
-  Network::Stats stats() const;
+  /// Delivery accounting (worker host, quiescence, stats).
+  DeliveryCounters& counters() { return counters_; }
+  const DeliveryCounters& counters() const { return counters_; }
 
  private:
   /// One queued broadcast: the frame is encoded once into a shared
@@ -162,22 +128,7 @@ class LiveTransport : public Transport {
   std::thread fanout_thread_;
 
   std::atomic<MsgId> next_msg_id_{1};
-  std::atomic<std::uint64_t> frames_pushed_{0};
-  std::atomic<std::uint64_t> frames_handled_{0};
-
-  // Counter block: relaxed atomics, snapshotted by stats().
-  std::atomic<std::uint64_t> messages_sent_{0};
-  std::atomic<std::uint64_t> messages_delivered_{0};
-  std::atomic<std::uint64_t> app_messages_sent_{0};
-  std::atomic<std::uint64_t> app_messages_delivered_{0};
-  std::atomic<std::uint64_t> messages_dropped_{0};
-  std::atomic<std::uint64_t> messages_duplicated_{0};
-  std::atomic<std::uint64_t> messages_retried_{0};
-  std::atomic<std::uint64_t> tokens_sent_{0};
-  std::atomic<std::uint64_t> tokens_delivered_{0};
-  std::atomic<std::uint64_t> token_broadcasts_{0};
-  std::atomic<std::uint64_t> message_bytes_{0};
-  std::atomic<std::uint64_t> token_bytes_{0};
+  DeliveryCounters counters_;
 };
 
 }  // namespace optrec

@@ -46,24 +46,7 @@ MsgId Network::send(Message msg) {
   ++stats_.messages_sent;
   stats_.message_bytes += message_wire_bytes(msg);
   if (message_tap_) message_tap_(msg);
-  if (trace_) {
-    TraceEvent e;
-    e.at = sim_.now();
-    e.type = TraceEventType::kSend;
-    e.pid = msg.src;
-    // The sender's identity at the send: its own entry of the piggybacked
-    // clock (protocols without an FTVC expose only the incarnation number).
-    e.clock = msg.clock.size() > msg.src ? msg.clock.entry(msg.src)
-                                         : FtvcEntry{msg.src_version, 0};
-    e.peer = msg.dst;
-    e.msg_id = msg.id;
-    e.send_seq = msg.send_seq;
-    e.msg_version = msg.src_version;
-    if (msg.kind == MessageKind::kControl) e.detail |= kTraceSendControl;
-    if (msg.retransmission) e.detail |= kTraceSendRetransmission;
-    e.mclock = msg.clock.entries();
-    trace_->emit(std::move(e));
-  }
+  if (trace_) trace_->emit(send_event(sim_.now(), msg));
   if (msg.kind == MessageKind::kApp) {
     ++stats_.app_messages_sent;
     // Loss injection targets application traffic only; control traffic and
@@ -118,22 +101,7 @@ void Network::deliver_message(Message msg) {
 void Network::broadcast_token(const Token& token) {
   ++stats_.token_broadcasts;
   if (token_tap_) token_tap_(token);
-  if (trace_) {
-    TraceEvent e;
-    e.at = sim_.now();
-    e.type = TraceEventType::kTokenBroadcast;
-    e.pid = token.from;
-    e.clock = token.failed;
-    e.ref = token.failed;
-    if (token.origin_pid != kNoProcess) {
-      e.origin = token.origin_pid;
-      e.origin_ver = token.origin_ver;
-    } else {
-      e.origin = token.from;
-      e.origin_ver = token.failed.ver;
-    }
-    trace_->emit(std::move(e));
-  }
+  if (trace_) trace_->emit(token_broadcast_event(sim_.now(), token));
   for (ProcessId dst = 0; dst < endpoints_.size(); ++dst) {
     if (dst == token.from || endpoints_[dst] == nullptr) continue;
     send_token(dst, token);

@@ -11,8 +11,10 @@
 // Explicit loss injection is available through drop_prob.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/net/message.h"
@@ -104,6 +106,24 @@ class Network : public Transport {
     std::uint64_t token_broadcasts = 0;
     std::uint64_t message_bytes = 0;      // wire bytes of app+control sends
     std::uint64_t token_bytes = 0;
+
+    /// Every counter with its name, in declaration order: the one list the
+    /// JSON writer, the /metrics exporter and cluster sums iterate.
+    using Field = std::pair<const char*, std::uint64_t Stats::*>;
+    static constexpr std::array<Field, 12> kFields{{
+        {"messages_sent", &Stats::messages_sent},
+        {"messages_delivered", &Stats::messages_delivered},
+        {"app_messages_sent", &Stats::app_messages_sent},
+        {"app_messages_delivered", &Stats::app_messages_delivered},
+        {"messages_dropped", &Stats::messages_dropped},
+        {"messages_duplicated", &Stats::messages_duplicated},
+        {"messages_retried", &Stats::messages_retried},
+        {"tokens_sent", &Stats::tokens_sent},
+        {"tokens_delivered", &Stats::tokens_delivered},
+        {"token_broadcasts", &Stats::token_broadcasts},
+        {"message_bytes", &Stats::message_bytes},
+        {"token_bytes", &Stats::token_bytes},
+    }};
   };
   const Stats& stats() const { return stats_; }
 

@@ -1,10 +1,11 @@
-// Fleet-scale stateful delta piggyback codec (src/scale/ tentpole, part 1).
+// Fleet-scale stateful delta piggyback codec: the repo's one clock-delta
+// codec.
 //
-// The FIFO diff codec in src/clocks/diff_codec.h shrinks the FTVC piggyback
-// by sending only changed entries, but it is an offline/test-only state
-// machine: a single reordered or dropped frame silently applies a diff to
-// the wrong base. This codec makes the same idea safe on a real transport by
-// making every frame *self-describing about its base*:
+// Sending only the FTVC entries that changed since the previous frame
+// shrinks the piggyback toward the paper's single-timestamp ideal (§7), but
+// a naive diff stream silently applies a diff to the wrong base after a
+// single reordered or dropped frame. This codec makes the idea safe on a
+// real transport by making every frame *self-describing about its base*:
 //
 //   * every stateful frame carries a per-stream sequence number `seq`;
 //   * a delta frame names the exact base it was computed against
@@ -28,10 +29,10 @@
 //     in-flight frames may be lost or reordered and every delivered frame
 //     still decodes exactly.
 //
-// The unit of encoding is a whole message frame (like DiffWireEncoder): all
-// Message fields are serialized verbatim and only the clock field is
-// delta-compressed, so `decode_from(encode_for(msg))` reproduces a Message
-// whose stateless re-encoding is byte-identical to encode_message_frame(msg).
+// The unit of encoding is a whole message frame: all Message fields are
+// serialized verbatim and only the clock field is delta-compressed, so
+// `decode_from(encode_for(msg))` reproduces a Message whose stateless
+// re-encoding is byte-identical to encode_message_frame(msg).
 #pragma once
 
 #include <cstdint>
@@ -47,8 +48,8 @@
 namespace optrec::scale {
 
 /// Frame tag for delta message frames. Distinct from FrameType::kMessage
-/// (1), kToken (2), and the wire codec's internal kDiffMessageTag (3); the
-/// TCP layer uses the tag byte to route a nested frame to the delta decoder.
+/// (1) and kToken (2); the TCP layer uses the tag byte to route a nested
+/// frame to the delta decoder.
 constexpr std::uint8_t kDeltaMessageTag = 4;
 
 /// Base-advance discipline; see file comment.

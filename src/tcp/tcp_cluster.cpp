@@ -10,18 +10,9 @@ namespace optrec {
 namespace {
 
 void add_net(Network::Stats& into, const Network::Stats& from) {
-  into.messages_sent += from.messages_sent;
-  into.messages_delivered += from.messages_delivered;
-  into.app_messages_sent += from.app_messages_sent;
-  into.app_messages_delivered += from.app_messages_delivered;
-  into.messages_dropped += from.messages_dropped;
-  into.messages_duplicated += from.messages_duplicated;
-  into.messages_retried += from.messages_retried;
-  into.tokens_sent += from.tokens_sent;
-  into.tokens_delivered += from.tokens_delivered;
-  into.token_broadcasts += from.token_broadcasts;
-  into.message_bytes += from.message_bytes;
-  into.token_bytes += from.token_bytes;
+  for (const Network::Stats::Field& f : Network::Stats::kFields) {
+    into.*f.second += from.*f.second;
+  }
 }
 
 void add_tcp(TcpTransport::TcpStats& into,

@@ -4,100 +4,84 @@
 #include <chrono>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <utility>
 
 #include "src/util/json.h"
-#include "src/wire/wire_codec.h"
 
 namespace optrec {
 
 namespace {
 
-/// Same counter mix as LiveRuntime / Scenario::progress_signature, computed
-/// over one worker's private Metrics and published as one atomic word.
-std::uint64_t local_signature(const Metrics& m) {
-  std::uint64_t sig = 0;
-  const auto mix = [&sig](std::uint64_t v) { sig = sig * 1000003u + v; };
-  mix(m.app_messages_sent);
-  mix(m.messages_delivered);
-  mix(m.messages_discarded_obsolete);
-  mix(m.messages_discarded_duplicate);
-  mix(m.messages_postponed);
-  mix(m.postponed_released);
-  mix(m.messages_replayed);
-  mix(m.messages_requeued_after_rollback);
-  mix(m.crashes);
-  mix(m.restarts);
-  mix(m.rollbacks);
-  mix(m.tokens_processed);
-  mix(m.retransmissions);
-  return sig;
+TcpNodeConfig checked(TcpNodeConfig c) {
+  c.topology.validate();
+  if (c.node >= c.topology.nodes.size()) {
+    throw std::invalid_argument("TcpNode: node id out of range");
+  }
+  if (c.topology.n < 2) throw std::invalid_argument("TcpNode: n must be >= 2");
+  // A serving node MUST gate replies behind the Damani-Garg output-commit
+  // point; without stability tracking output_commit_gated() is false and a
+  // reply produced in a later-rolled-back interval would escape to clients.
+  if (c.serve) c.process.enable_stability_tracking = true;
+  return c;
+}
+
+WorkerHost::Spec host_spec(const TcpNodeConfig& c,
+                           telemetry::MetricsRegistry* registry) {
+  WorkerHost::Spec spec;
+  spec.protocol = c.protocol;
+  spec.n = c.topology.n;
+  spec.seed = c.seed;
+  spec.workload = c.workload;
+  spec.process = c.process;
+  spec.oracle = c.oracle;
+  spec.trace = c.trace;
+  spec.registry = registry;
+  spec.max_block = c.max_block;
+  spec.retry_interval = c.topology.faults.retry_interval;
+  return spec;
 }
 
 }  // namespace
 
 TcpNode::TcpNode(TcpNodeConfig config)
-    : config_(std::move(config)),
+    : config_(checked(std::move(config))),
       transport_(clock_, config_.topology, config_.node, config_.seed,
-                 config_.epoch) {
-  const TcpTopology& topo = config_.topology;
-  topo.validate();
-  if (config_.node >= topo.nodes.size()) {
-    throw std::invalid_argument("TcpNode: node id out of range");
-  }
-  if (topo.n < 2) throw std::invalid_argument("TcpNode: n must be >= 2");
+                 config_.epoch),
+      host_(clock_, transport_, transport_.counters(),
+            [this](ProcessId pid) {
+              return transport_.is_local(pid) ? &transport_.channel(pid)
+                                              : nullptr;
+            },
+            host_spec(config_, &registry_)) {
   transport_.set_trace(config_.trace);
-
-  // A serving node MUST gate replies behind the Damani-Garg output-commit
-  // point; without stability tracking output_commit_gated() is false and a
-  // reply produced in a later-rolled-back interval would escape to clients.
-  if (config_.serve) config_.process.enable_stability_tracking = true;
-
-  const AppFactory factory = config_.workload.make_factory();
-  // Draw a seed for every pid in pid order so a worker's RNG stream is a
-  // function of (seed, pid), not of node placement.
-  Rng seeder(config_.seed ^ 0x9e3779b97f4a7c15ull);
-  for (ProcessId pid = 0; pid < topo.n; ++pid) {
-    const std::uint64_t rng_seed = seeder.next_u64();
-    if (!transport_.is_local(pid)) continue;
-    auto w = std::make_unique<Worker>(rng_seed);
-    w->pid = pid;
-    w->timers = std::make_unique<WorkerTimers>(clock_);
-    w->proc = make_protocol_process(
-        config_.protocol, RuntimeEnv(clock_, *w->timers, transport_), pid,
-        topo.n, factory(pid, topo.n), config_.process, w->metrics,
-        config_.oracle);
-    w->proc->set_trace(config_.trace);
-    w->gauges = std::make_unique<telemetry::ProcessGauges>(registry_, pid);
-    w->latency_live = &registry_.histogram(
-        "optrec_delivery_latency_us", "Send-to-handler delivery latency",
-        {{"pid", std::to_string(pid)}});
-    if (!config_.data_dir.empty()) {
-      DurableOptions dopts;
-      dopts.dir = config_.data_dir + "/p" + std::to_string(pid);
-      w->durable = std::make_unique<DurableBackend>(std::move(dopts));
-      // Warm recovery rebuilds the exact pre-kill storage, which the shared
-      // oracle cannot follow across incarnations — in-process clusters with
-      // an oracle attached always recover cold.
-      if (config_.recover && !config_.recover_cold &&
-          config_.oracle == nullptr) {
-        w->recovery = w->durable->recover_into(w->proc->storage());
-        w->warm = w->recovery.warm;
-      }
-      if (!w->warm) w->durable->start_fresh();
-      w->proc->storage().attach_sink(w->durable.get());
-      w->flush_latency_live = &registry_.histogram(
-          "optrec_wal_flush_latency_us", "WAL group-commit fsync latency",
-          {{"pid", std::to_string(pid)}});
-      telemetry::AtomicHistogram* hist = w->flush_latency_live;
-      w->durable->set_flush_latency_hook([hist](std::uint64_t us) {
-        hist->observe(static_cast<double>(us));
-      });
-    }
-    workers_.push_back(std::move(w));
+  if (!config_.data_dir.empty()) {
+    for (const auto& w : host_.workers()) attach_durable(*w);
   }
   setup_telemetry();
   setup_service();
+}
+
+void TcpNode::attach_durable(WorkerHost::Worker& w) {
+  const std::string pid = std::to_string(w.pid);
+  DurableOptions dopts;
+  dopts.dir = config_.data_dir + "/p" + pid;
+  w.durable = std::make_unique<DurableBackend>(std::move(dopts));
+  // Warm recovery rebuilds the exact pre-kill storage, which the shared
+  // oracle cannot follow across incarnations — in-process clusters with an
+  // oracle attached always recover cold.
+  if (config_.recover && !config_.recover_cold && config_.oracle == nullptr) {
+    w.recovery = w.durable->recover_into(w.proc->storage());
+    w.warm = w.recovery.warm;
+  }
+  if (!w.warm) w.durable->start_fresh();
+  w.proc->storage().attach_sink(w.durable.get());
+  telemetry::AtomicHistogram* hist = &registry_.histogram(
+      "optrec_wal_flush_latency_us", "WAL group-commit fsync latency",
+      {{"pid", pid}});
+  w.durable->set_flush_latency_hook(
+      [hist](std::uint64_t us) { hist->observe(static_cast<double>(us)); });
 }
 
 void TcpNode::setup_service() {
@@ -147,11 +131,8 @@ void TcpNode::setup_service() {
       "Request-to-commit latency of gated client replies");
   registry_.add_collector([this](std::vector<telemetry::Sample>& out) {
     const auto add = [&out](const char* name, std::uint64_t v) {
-      telemetry::Sample sample;
-      sample.name = name;
-      sample.kind = telemetry::SampleKind::kCounter;
-      sample.value = static_cast<double>(v);
-      out.push_back(std::move(sample));
+      out.push_back(
+          telemetry::scalar_sample(name, telemetry::SampleKind::kCounter, v));
     };
     add("optrec_service_connections_total", frontend_->connections_accepted());
     add("optrec_service_requests_total", frontend_->requests_received());
@@ -161,7 +142,7 @@ void TcpNode::setup_service() {
     add("optrec_service_wrong_node_total", frontend_->wrong_node_replies());
     add("optrec_service_protocol_errors_total", frontend_->protocol_errors());
   });
-  for (auto& w : workers_) {
+  for (const auto& w : host_.workers()) {
     w->proc->set_output_listener(
         [this, &gated, &released, &gate_latency](OutputEvent event,
                                                  const CommittedOutput& out) {
@@ -183,16 +164,13 @@ void TcpNode::setup_telemetry() {
   // Transport counters export through pull collectors — the transport
   // already keeps them as atomics, so scrapes read them without any hot-
   // path double bookkeeping.
-  telemetry::register_network_stats(registry_,
-                                    [this] { return transport_.stats(); });
+  telemetry::register_network_stats(
+      registry_, [this] { return transport_.counters().stats(); });
   registry_.add_collector([this](std::vector<telemetry::Sample>& out) {
     const TcpTransport::TcpStats s = transport_.tcp_stats();
     const auto add = [&out](const char* name, std::uint64_t v) {
-      telemetry::Sample sample;
-      sample.name = name;
-      sample.kind = telemetry::SampleKind::kCounter;
-      sample.value = static_cast<double>(v);
-      out.push_back(std::move(sample));
+      out.push_back(
+          telemetry::scalar_sample(name, telemetry::SampleKind::kCounter, v));
     };
     add("optrec_tcp_connects_total", s.connects);
     add("optrec_tcp_accepts_total", s.accepts);
@@ -223,31 +201,23 @@ void TcpNode::setup_telemetry() {
     add("optrec_frame_pool_misses_total", ps.misses);
     add("optrec_frame_pool_recycled_total", ps.recycled);
     add("optrec_frame_pool_discarded_total", ps.discarded);
-    const auto gauge = [&out](const char* name, std::uint32_t node,
-                              std::size_t v) {
-      telemetry::Sample sample;
-      sample.name = name;
-      sample.labels = {{"peer", std::to_string(node)}};
-      sample.kind = telemetry::SampleKind::kGauge;
-      sample.value = static_cast<double>(v);
-      out.push_back(std::move(sample));
+    const auto gauge = [&out](const char* name, const char* label,
+                              std::uint32_t id, std::uint64_t v) {
+      out.push_back(telemetry::scalar_sample(
+          name, telemetry::SampleKind::kGauge, v,
+          {{label, std::to_string(id)}}));
     };
     // Per-peer outbound ring occupancy + high water (lock-free reads).
     for (const auto& [node, depth] : transport_.queue_depths()) {
-      gauge("optrec_tcp_outbound_queue_depth", node, depth);
+      gauge("optrec_tcp_outbound_queue_depth", "peer", node, depth);
     }
     for (const auto& [node, hw] : transport_.queue_high_waters()) {
-      gauge("optrec_tcp_outbound_queue_high_water", node, hw);
+      gauge("optrec_tcp_outbound_queue_high_water", "peer", node, hw);
     }
     // Per-process inbox ring high water (lock-free, same scrape).
-    for (const auto& w : workers_) {
-      telemetry::Sample sample;
-      sample.name = "optrec_channel_ring_high_water";
-      sample.labels = {{"pid", std::to_string(w->pid)}};
-      sample.kind = telemetry::SampleKind::kGauge;
-      sample.value = static_cast<double>(
-          transport_.channel(w->pid).ring_high_water());
-      out.push_back(std::move(sample));
+    for (const auto& w : host_.workers()) {
+      gauge("optrec_channel_ring_high_water", "pid", w->pid,
+            transport_.channel(w->pid).ring_high_water());
     }
   });
   transport_.set_io_histograms(
@@ -269,16 +239,11 @@ void TcpNode::setup_telemetry() {
     registry_.add_collector([this](std::vector<telemetry::Sample>& out) {
       const auto add = [&out](const char* name, const std::string& pid,
                               telemetry::SampleKind kind, std::uint64_t v) {
-        telemetry::Sample sample;
-        sample.name = name;
-        sample.labels = {{"pid", pid}};
-        sample.kind = kind;
-        sample.value = static_cast<double>(v);
-        out.push_back(std::move(sample));
+        out.push_back(telemetry::scalar_sample(name, kind, v, {{"pid", pid}}));
       };
       constexpr auto kCounter = telemetry::SampleKind::kCounter;
       constexpr auto kGauge = telemetry::SampleKind::kGauge;
-      for (const auto& w : workers_) {
+      for (const auto& w : host_.workers()) {
         if (!w->durable) continue;
         const std::string pid = std::to_string(w->pid);
         const DurableStatsSnapshot s = w->durable->stats();
@@ -366,7 +331,7 @@ void TcpNode::setup_telemetry() {
 NodeStatsBlock TcpNode::stats_block() const {
   NodeStatsBlock b;
   telemetry::FixedHistogram latency;
-  for (const auto& w : workers_) {
+  for (const auto& w : host_.workers()) {
     b.app_sent += w->gauges->sent();
     b.delivered += w->gauges->delivered();
     b.orphaned += w->gauges->orphaned();
@@ -376,7 +341,7 @@ NodeStatsBlock TcpNode::stats_block() const {
     b.tokens += w->gauges->tokens_processed();
     b.replayed += w->gauges->replayed();
     b.checkpoints += w->gauges->checkpoints();
-    latency.merge_from(w->latency_live->snapshot());
+    latency.merge_from(w->latency->snapshot());
   }
   b.bytes_tx = transport_.tcp_stats().bytes_tx;
   b.latency_p50_us = static_cast<std::uint64_t>(latency.percentile(0.50));
@@ -386,162 +351,14 @@ NodeStatsBlock TcpNode::stats_block() const {
 
 TcpNode::~TcpNode() {
   // Emergency shutdown for runs abandoned mid-flight (run() normally joins
-  // everything itself).
-  for (auto& w : workers_) {
-    if (!w->joined) {
-      LiveFrame f;
-      f.kind = LiveFrame::Kind::kStop;
-      transport_.channel(w->pid).push(std::move(f));
-    }
-  }
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) w->thread.join();
-  }
+  // everything itself): workers first, then the IO thread.
+  host_.stop_all();
   transport_.stop();
 }
 
-void TcpNode::sync_mirrors(Worker& w) {
-  w.up.store(w.proc->is_up(), std::memory_order_release);
-  w.pending.store(w.proc->pending_count(), std::memory_order_release);
-  w.signature.store(local_signature(w.metrics), std::memory_order_release);
-  // Mirror the worker-private Metrics into the registry at the same cadence
-  // (relaxed stores; the telemetry endpoint reads them from the IO thread).
-  w.gauges->update(w.metrics);
-  w.gauges->set_up(w.proc->is_up());
-  if (w.durable) {
-    w.stable_mem.store(w.proc->storage().stable_bytes(),
-                       std::memory_order_relaxed);
-  }
-}
-
-void TcpNode::spawn(Worker& w) {
-  w.joined = false;
-  w.state.store(WorkerState::kRunning, std::memory_order_release);
-  w.thread = std::thread([this, &w] { worker_main(w); });
-}
-
-void TcpNode::worker_main(Worker& w) {
-  const auto exit_as = [this, &w](WorkerState state) {
-    w.state.store(state, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lock(exit_mu_);
-      exited_.push_back(w.pid);
-    }
-    exit_cv_.notify_all();
-  };
-
-  if (!w.started) {
-    // A warm worker's storage was rebuilt from disk pre-spawn; boot through
-    // the restart path (announce failure at the restored point, replay the
-    // stable log) instead of the fresh-process path.
-    if (w.warm) {
-      w.proc->start_recovered();
-    } else {
-      w.proc->start();
-    }
-    w.started = true;
-    sync_mirrors(w);
-  }
-  LiveChannel& channel = transport_.channel(w.pid);
-  for (;;) {
-    w.timers->fire_due();
-    sync_mirrors(w);
-    const SimTime wait_until =
-        std::min(w.timers->next_deadline(), clock_.now() + config_.max_block);
-    std::optional<LiveFrame> frame =
-        channel.pop_ready(clock_, wait_until, w.rng);
-    if (!frame) continue;
-
-    if (frame->kind == LiveFrame::Kind::kStop) {
-      exit_as(WorkerState::kExitedStop);
-      return;
-    }
-    if (frame->kind == LiveFrame::Kind::kCrash) {
-      crashes_pending_.fetch_sub(1, std::memory_order_acq_rel);
-      if (!w.proc->is_up()) continue;  // crash() would no-op while down
-      w.proc->crash();  // wipes volatile state, schedules the restart timer
-      sync_mirrors(w);
-      exit_as(WorkerState::kExitedCrash);
-      return;  // genuine thread death; the supervisor respawns us
-    }
-
-    // kWire. While down, park the frame and retry later — the reliable
-    // transport of the paper's model.
-    if (!w.proc->is_up()) {
-      transport_.note_retry(frame->token);
-      frame->not_before = clock_.now() + transport_.faults().retry_interval;
-      channel.push(std::move(*frame));
-      continue;
-    }
-    const Frame decoded = decode_frame(frame->wire.bytes());
-    const double lat = static_cast<double>(clock_.now() - frame->sent_at);
-    w.latency_us.observe(lat);
-    w.latency_live->observe(lat);
-    if (decoded.type == FrameType::kMessage) {
-      w.proc->on_message(decoded.message);
-      // Count the delivery only after the handler ran, so the quiescence
-      // claim never sees a transient "nothing in flight" mid-handler.
-      transport_.note_delivered_message(decoded.message.kind ==
-                                        MessageKind::kApp);
-    } else {
-      w.proc->on_token(decoded.token);
-      transport_.note_delivered_token();
-    }
-    sync_mirrors(w);
-  }
-}
-
-void TcpNode::drain_exited(bool respawn_crashed, SimTime wait) {
-  std::vector<ProcessId> batch;
-  {
-    std::unique_lock<std::mutex> lock(exit_mu_);
-    if (exited_.empty() && wait > 0) {
-      exit_cv_.wait_for(lock, std::chrono::microseconds(wait),
-                        [this] { return !exited_.empty(); });
-    }
-    batch.swap(exited_);
-  }
-  for (ProcessId pid : batch) {
-    for (auto& w : workers_) {
-      if (w->pid != pid) continue;
-      if (w->thread.joinable()) w->thread.join();
-      w->joined = true;
-      if (respawn_crashed && w->state.load(std::memory_order_acquire) ==
-                                 WorkerState::kExitedCrash) {
-        spawn(*w);
-      }
-      break;
-    }
-  }
-}
-
-bool TcpNode::all_joined() const {
-  for (const auto& w : workers_) {
-    if (!w->joined) return false;
-  }
-  return true;
-}
-
 bool TcpNode::local_quiet() const {
-  if (crashes_pending_.load(std::memory_order_acquire) != 0) return false;
-  for (const auto& w : workers_) {
-    if (w->state.load(std::memory_order_acquire) != WorkerState::kRunning) {
-      return false;
-    }
-    if (!w->up.load(std::memory_order_acquire)) return false;
-    if (w->pending.load(std::memory_order_acquire) != 0) return false;
-  }
-  if (transport_.frames_in_flight() != 0) return false;
-  if (transport_.outbound_pending() != 0) return false;
-  return true;
-}
-
-std::uint64_t TcpNode::local_signature_word() const {
-  std::uint64_t sig = 0;
-  for (const auto& w : workers_) {
-    sig = sig * 1000003u + w->signature.load(std::memory_order_acquire);
-  }
-  return sig * 1000003u + transport_.stats().messages_dropped;
+  return host_.quiet() && transport_.counters().frames_in_flight() == 0 &&
+         transport_.outbound_pending() == 0;
 }
 
 void TcpNode::coordinate_shutdown(std::uint8_t exit_code, SimTime grace) {
@@ -552,7 +369,7 @@ void TcpNode::coordinate_shutdown(std::uint8_t exit_code, SimTime grace) {
     if (clock_.now() >= deadline) return;
     // Keep respawning crashed workers while the broadcast settles; the
     // cluster is quiet, but restart timers may still be running down.
-    drain_exited(/*respawn_crashed=*/true, millis(5));
+    host_.drain_exited(/*respawn_crashed=*/true, millis(5));
   }
 }
 
@@ -563,32 +380,18 @@ TcpNodeResult TcpNode::run() {
   // Build the crash plan: scheduled events for LOCAL pids, plus — in
   // recover mode — an immediate crash of every local process, announcing
   // the killed incarnation's failure to the cluster.
-  for (const CrashEvent& c : config_.crashes) {
-    if (!transport_.is_local(c.pid)) continue;
-    LiveFrame f;
-    f.kind = LiveFrame::Kind::kCrash;
-    f.not_before = c.at;
-    f.sent_at = c.at;
-    transport_.channel(c.pid).push(std::move(f));
-    crashes_pending_.fetch_add(1, std::memory_order_acq_rel);
-  }
+  for (const CrashEvent& c : config_.crashes) host_.schedule_crash(c.pid, c.at);
   if (config_.recover) {
-    for (const auto& w : workers_) {
+    for (const auto& w : host_.workers()) {
       // Warm workers already announce their failure (at the restored point)
       // from start_recovered(); only pids with no usable durable state get
       // the crash-announce-all treatment.
-      if (w->warm) continue;
-      LiveFrame f;
-      f.kind = LiveFrame::Kind::kCrash;
-      f.not_before = millis(1);
-      f.sent_at = millis(1);
-      transport_.channel(w->pid).push(std::move(f));
-      crashes_pending_.fetch_add(1, std::memory_order_acq_rel);
+      if (!w->warm) host_.schedule_crash(w->pid, millis(1));
     }
   }
 
   transport_.start();
-  for (auto& w : workers_) spawn(*w);
+  host_.spawn_all();
 
   const bool coordinator = config_.node == 0;
   const SimTime staleness =
@@ -603,7 +406,7 @@ TcpNodeResult TcpNode::run() {
   bool last_sent_quiet = false;
 
   for (;;) {
-    drain_exited(/*respawn_crashed=*/true, config_.status_interval);
+    host_.drain_exited(/*respawn_crashed=*/true, config_.status_interval);
     const SimTime now = clock_.now();
 
     std::uint8_t code = 0;
@@ -619,7 +422,7 @@ TcpNodeResult TcpNode::run() {
     }
 
     const bool quiet = local_quiet();
-    const std::uint64_t sig = local_signature_word();
+    const std::uint64_t sig = host_.progress_signature();
     quiet_gauge_->set(quiet ? 1 : 0);
 
     if (!coordinator) {
@@ -657,7 +460,7 @@ TcpNodeResult TcpNode::run() {
           all_quiet = false;
           break;
         }
-        combined = combined * 1000003u + slot->first.signature;
+        combined = signature_mix(combined, slot->first.signature);
       }
     }
     if (!all_quiet) {
@@ -685,14 +488,7 @@ TcpNodeResult TcpNode::run() {
                         exit_code == 0 ? seconds(2) : millis(300));
   }
 
-  for (auto& w : workers_) {
-    LiveFrame f;
-    f.kind = LiveFrame::Kind::kStop;
-    transport_.channel(w->pid).push(std::move(f));
-  }
-  while (!all_joined()) {
-    drain_exited(/*respawn_crashed=*/false, millis(50));
-  }
+  host_.stop_all();
 
   // Give queued control traffic (shutdown acks, final token acks) a short
   // window to reach the wire before sockets close.
@@ -706,9 +502,8 @@ TcpNodeResult TcpNode::run() {
   result.exit_code = exit_code;
   result.quiesced = quiesced;
   result.wall_time = clock_.now();
-  for (auto& w : workers_) {
-    result.metrics.merge_from(w->metrics);
-    result.delivery_latency_us.merge_from(w->latency_us);
+  host_.merge_into(result.metrics, result.delivery_latency_us);
+  for (const auto& w : host_.workers()) {
     if (!w->durable) continue;
     auto& d = result.durable;
     d.enabled = true;
@@ -730,7 +525,7 @@ TcpNodeResult TcpNode::run() {
     d.compactions += s.compactions;
     d.recovery_us = std::max(d.recovery_us, s.recovery_us);
   }
-  result.net = transport_.stats();
+  result.net = transport_.counters().stats();
   result.tcp = transport_.tcp_stats();
   if (frontend_) {
     auto& s = result.service;

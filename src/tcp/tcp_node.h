@@ -1,7 +1,7 @@
 // TcpNode: one node's share of a TCP-backed recovery fleet.
 //
 // Hosts the protocol processes the topology assigns to this node, each as
-// a real OS thread (the same worker loop as src/live/LiveRuntime: private
+// a real OS thread (the same src/live/worker_host.h as LiveRuntime: private
 // timers, private metrics, crash = thread death + supervisor respawn),
 // wired to a TcpTransport instead of an in-process LiveTransport. A
 // cluster is one TcpNode per machine/process plus the topology file; the
@@ -32,11 +32,8 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "src/app/workload.h"
@@ -44,9 +41,8 @@
 #include "src/harness/failure_plan.h"
 #include "src/harness/metrics.h"
 #include "src/harness/protocol_factory.h"
-#include "src/live/live_channel.h"
 #include "src/live/live_clock.h"
-#include "src/live/worker_timers.h"
+#include "src/live/worker_host.h"
 #include "src/runtime/process_base.h"
 #include "src/service/service_frontend.h"
 #include "src/tcp/tcp_transport.h"
@@ -207,51 +203,11 @@ class TcpNode {
   NodeStatsBlock stats_block() const;
 
  private:
-  enum class WorkerState : int { kRunning = 0, kExitedCrash, kExitedStop };
-
-  struct Worker {
-    explicit Worker(std::uint64_t rng_seed) : rng(rng_seed) {}
-
-    ProcessId pid = 0;
-    std::unique_ptr<WorkerTimers> timers;
-    std::unique_ptr<ProcessBase> proc;
-    Metrics metrics;
-    telemetry::FixedHistogram latency_us;  // worker-private; merged post-join
-    /// Registry mirrors, owned by this worker: gauges take the private
-    /// Metrics on every sync, the atomic histogram takes each delivery
-    /// latency, so mid-run scrapes see live values without touching
-    /// worker-private state.
-    std::unique_ptr<telemetry::ProcessGauges> gauges;
-    telemetry::AtomicHistogram* latency_live = nullptr;  // registry-owned
-    /// File-backed persistence (null without a data dir). Its counters are
-    /// atomics, so the scrape path reads them directly.
-    std::unique_ptr<DurableBackend> durable;
-    /// Set when --recover restored this worker from disk; worker_main then
-    /// boots via start_recovered() and run() skips its crash-announce.
-    bool warm = false;
-    RecoveryResult recovery;
-    telemetry::AtomicHistogram* flush_latency_live = nullptr;
-    /// In-memory stable_bytes(), mirrored each sync for the scrape thread.
-    std::atomic<std::uint64_t> stable_mem{0};
-    Rng rng;
-    std::thread thread;
-    bool started = false;
-    bool joined = true;
-
-    std::atomic<bool> up{false};
-    std::atomic<std::uint64_t> pending{0};
-    std::atomic<std::uint64_t> signature{0};
-    std::atomic<WorkerState> state{WorkerState::kRunning};
-  };
-
-  void worker_main(Worker& w);
-  void sync_mirrors(Worker& w);
-  void spawn(Worker& w);
-  void drain_exited(bool respawn_crashed, SimTime wait);
-  bool all_joined() const;
+  /// Back a worker with file storage under the data dir; on --recover,
+  /// rebuild its storage from disk first and flag it warm.
+  void attach_durable(WorkerHost::Worker& w);
   /// Every local condition of the node's quiet claim.
   bool local_quiet() const;
-  std::uint64_t local_signature_word() const;
   /// Coordinator: run the shutdown broadcast until every peer acked or the
   /// grace deadline passes.
   void coordinate_shutdown(std::uint8_t exit_code, SimTime grace);
@@ -270,13 +226,8 @@ class TcpNode {
   /// never collide with log-rebuilt duplicate-filter keys.
   std::atomic<std::uint64_t> inject_seq_{0};
   telemetry::Gauge* quiet_gauge_ = nullptr;
-  std::vector<std::unique_ptr<Worker>> workers_;  // local processes only
-  std::atomic<std::uint64_t> crashes_pending_{0};
+  WorkerHost host_;  // local processes only; mirrors into registry_
   bool ran_ = false;
-
-  std::mutex exit_mu_;
-  std::condition_variable exit_cv_;
-  std::vector<ProcessId> exited_;
 };
 
 }  // namespace optrec

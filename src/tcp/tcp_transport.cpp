@@ -164,7 +164,7 @@ void TcpTransport::push_local(ProcessId src, ProcessId dst, FrameRef wire,
   f.token = token;
   f.sent_at = clock_.now();
   f.not_before = f.sent_at + delay;
-  frames_pushed_.fetch_add(1, std::memory_order_acq_rel);
+  counters_.note_pushed();
   channels_.at(dst)->push(std::move(f));
 }
 
@@ -215,50 +215,16 @@ bool TcpTransport::queue_to_peer(std::uint32_t node, OutMsg msg) {
   return true;
 }
 
-void TcpTransport::emit_send_trace(const Message& msg) {
-  TraceEvent e;
-  e.at = clock_.now();
-  e.type = TraceEventType::kSend;
-  e.pid = msg.src;
-  e.clock = msg.clock.size() > msg.src ? msg.clock.entry(msg.src)
-                                       : FtvcEntry{msg.src_version, 0};
-  e.peer = msg.dst;
-  e.msg_id = msg.id;
-  e.send_seq = msg.send_seq;
-  e.msg_version = msg.src_version;
-  if (msg.kind == MessageKind::kControl) e.detail |= kTraceSendControl;
-  if (msg.retransmission) e.detail |= kTraceSendRetransmission;
-  e.mclock = msg.clock.entries();
-  trace_->emit(std::move(e));
-}
-
-void TcpTransport::emit_token_trace(const Token& token) {
-  TraceEvent e;
-  e.at = clock_.now();
-  e.type = TraceEventType::kTokenBroadcast;
-  e.pid = token.from;
-  e.clock = token.failed;
-  e.ref = token.failed;
-  if (token.origin_pid != kNoProcess) {
-    e.origin = token.origin_pid;
-    e.origin_ver = token.origin_ver;
-  } else {
-    e.origin = token.from;
-    e.origin_ver = token.failed.ver;
-  }
-  trace_->emit(std::move(e));
-}
-
 MsgId TcpTransport::inject_local(Message msg, SimTime delay) {
   if (msg.dst >= topo_.n || !is_local(msg.dst)) {
     throw std::invalid_argument("inject_local: dst not hosted on this node");
   }
   msg.id = (static_cast<MsgId>(node_id_ + 1) << 40) |
            next_msg_id_.fetch_add(1, std::memory_order_relaxed);
-  messages_sent_.fetch_add(1, std::memory_order_relaxed);
-  app_messages_sent_.fetch_add(1, std::memory_order_relaxed);
-  message_bytes_.fetch_add(message_wire_bytes(msg), std::memory_order_relaxed);
-  if (trace_) emit_send_trace(msg);
+  DeliveryCounters::add(counters_.messages_sent);
+  DeliveryCounters::add(counters_.app_messages_sent);
+  DeliveryCounters::add(counters_.message_bytes, message_wire_bytes(msg));
+  if (trace_) trace_->emit(send_event(clock_.now(), msg));
   FrameRef wire = FramePool::global().wrap(encode_message_frame(msg));
   push_local(msg.src, msg.dst, std::move(wire), /*app=*/true, /*token=*/false,
              delay);
@@ -275,16 +241,16 @@ MsgId TcpTransport::send(Message msg) {
   // (40 bits of messages per node before wrap — plenty).
   msg.id = (static_cast<MsgId>(node_id_ + 1) << 40) |
            next_msg_id_.fetch_add(1, std::memory_order_relaxed);
-  messages_sent_.fetch_add(1, std::memory_order_relaxed);
-  message_bytes_.fetch_add(message_wire_bytes(msg), std::memory_order_relaxed);
-  if (trace_) emit_send_trace(msg);
+  DeliveryCounters::add(counters_.messages_sent);
+  DeliveryCounters::add(counters_.message_bytes, message_wire_bytes(msg));
+  if (trace_) trace_->emit(send_event(clock_.now(), msg));
 
   Rng& rng = *send_rng_.at(msg.src);
   const bool app = msg.kind == MessageKind::kApp;
   if (app) {
-    app_messages_sent_.fetch_add(1, std::memory_order_relaxed);
+    DeliveryCounters::add(counters_.app_messages_sent);
     if (rng.chance(topo_.faults.drop_prob)) {
-      messages_dropped_.fetch_add(1, std::memory_order_relaxed);
+      DeliveryCounters::add(counters_.messages_dropped);
       return msg.id;
     }
   }
@@ -310,11 +276,11 @@ MsgId TcpTransport::send(Message msg) {
       m.delta = d;
       m.delta_delay = delay;
       if (!queue_to_peer(dst_node, std::move(m))) {
-        messages_dropped_.fetch_add(1, std::memory_order_relaxed);
+        DeliveryCounters::add(counters_.messages_dropped);
       }
     };
     if (app && rng.chance(topo_.faults.duplicate_prob)) {
-      messages_duplicated_.fetch_add(1, std::memory_order_relaxed);
+      DeliveryCounters::add(counters_.messages_duplicated);
       queue_delta(draw_delay(rng));
     }
     queue_delta(draw_delay(rng));
@@ -336,12 +302,12 @@ MsgId TcpTransport::send(Message msg) {
     if (!queue_to_peer(dst_node, wire_msg(e, std::move(w), app))) {
       // Backpressure loss is transport loss: account it like a drop so
       // merged cluster stats still balance.
-      messages_dropped_.fetch_add(1, std::memory_order_relaxed);
+      DeliveryCounters::add(counters_.messages_dropped);
     }
   };
 
   if (app && rng.chance(topo_.faults.duplicate_prob)) {
-    messages_duplicated_.fetch_add(1, std::memory_order_relaxed);
+    DeliveryCounters::add(counters_.messages_duplicated);
     deliver(wire, draw_delay(rng));
   }
   deliver(std::move(wire), draw_delay(rng));
@@ -366,8 +332,8 @@ void TcpTransport::send_token_tracked(std::uint32_t dst_node, Envelope e,
 }
 
 void TcpTransport::broadcast_token(const Token& token) {
-  token_broadcasts_.fetch_add(1, std::memory_order_relaxed);
-  if (trace_) emit_token_trace(token);
+  DeliveryCounters::add(counters_.token_broadcasts);
+  if (trace_) trace_->emit(token_broadcast_event(clock_.now(), token));
   Rng& rng = *send_rng_.at(token.from);
   const std::size_t bytes = token_wire_bytes(token);
   // One encode for the whole broadcast: every local channel frame and
@@ -380,8 +346,8 @@ void TcpTransport::broadcast_token(const Token& token) {
   bool remote = false;
   for (ProcessId dst = 0; dst < topo_.n; ++dst) {
     if (dst == token.from) continue;
-    tokens_sent_.fetch_add(1, std::memory_order_relaxed);
-    token_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+    DeliveryCounters::add(counters_.tokens_sent);
+    DeliveryCounters::add(counters_.token_bytes, bytes);
     const SimTime delay = draw_delay(rng);
     const std::uint32_t dst_node = topo_.node_of(dst);
     if (dst_node == node_id_) {
@@ -408,8 +374,8 @@ void TcpTransport::broadcast_token_hierarchical(const Token& token,
   bool remote = false;
   for (ProcessId dst = 0; dst < topo_.n; ++dst) {
     if (dst == token.from) continue;
-    tokens_sent_.fetch_add(1, std::memory_order_relaxed);
-    token_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+    DeliveryCounters::add(counters_.tokens_sent);
+    DeliveryCounters::add(counters_.token_bytes, bytes);
     const SimTime delay = draw_delay(rng);
     if (topo_.node_of(dst) == node_id_) {
       push_local(token.from, dst, wire, /*app=*/false, /*token=*/true, delay);
@@ -468,8 +434,8 @@ void TcpTransport::start_relay_locked(const scale::RelayAssignment& chunk,
 }
 
 void TcpTransport::send_token(ProcessId dst, const Token& token) {
-  tokens_sent_.fetch_add(1, std::memory_order_relaxed);
-  token_bytes_.fetch_add(token_wire_bytes(token), std::memory_order_relaxed);
+  DeliveryCounters::add(counters_.tokens_sent);
+  DeliveryCounters::add(counters_.token_bytes, token_wire_bytes(token));
   Rng& rng = *send_rng_.at(token.from);
   const SimTime delay = draw_delay(rng);
   FrameRef wire = FramePool::global().wrap(encode_token_frame(token));
@@ -484,21 +450,6 @@ void TcpTransport::send_token(ProcessId dst, const Token& token) {
                                    /*token=*/true, delay),
                      std::move(wire));
   wake();
-}
-
-void TcpTransport::note_delivered_message(bool app) {
-  messages_delivered_.fetch_add(1, std::memory_order_relaxed);
-  if (app) app_messages_delivered_.fetch_add(1, std::memory_order_relaxed);
-  frames_handled_.fetch_add(1, std::memory_order_acq_rel);
-}
-
-void TcpTransport::note_delivered_token() {
-  tokens_delivered_.fetch_add(1, std::memory_order_relaxed);
-  frames_handled_.fetch_add(1, std::memory_order_acq_rel);
-}
-
-void TcpTransport::note_retry(bool token) {
-  if (!token) messages_retried_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::uint64_t TcpTransport::outbound_pending() const {
@@ -563,24 +514,6 @@ bool TcpTransport::shutdown_received(std::uint8_t* code) const {
   if (!shutdown_flag_.load(std::memory_order_acquire)) return false;
   *code = shutdown_code_.load(std::memory_order_acquire);
   return true;
-}
-
-Network::Stats TcpTransport::stats() const {
-  Network::Stats s;
-  s.messages_sent = messages_sent_.load(std::memory_order_relaxed);
-  s.messages_delivered = messages_delivered_.load(std::memory_order_relaxed);
-  s.app_messages_sent = app_messages_sent_.load(std::memory_order_relaxed);
-  s.app_messages_delivered =
-      app_messages_delivered_.load(std::memory_order_relaxed);
-  s.messages_dropped = messages_dropped_.load(std::memory_order_relaxed);
-  s.messages_duplicated = messages_duplicated_.load(std::memory_order_relaxed);
-  s.messages_retried = messages_retried_.load(std::memory_order_relaxed);
-  s.tokens_sent = tokens_sent_.load(std::memory_order_relaxed);
-  s.tokens_delivered = tokens_delivered_.load(std::memory_order_relaxed);
-  s.token_broadcasts = token_broadcasts_.load(std::memory_order_relaxed);
-  s.message_bytes = message_bytes_.load(std::memory_order_relaxed);
-  s.token_bytes = token_bytes_.load(std::memory_order_relaxed);
-  return s;
 }
 
 TcpTransport::TcpStats TcpTransport::tcp_stats() const {
@@ -977,7 +910,7 @@ void TcpTransport::process_envelope(Peer& p, Envelope& e) {
           unix_now > e.sent_unix_us ? unix_now - e.sent_unix_us : 0;
       f.sent_at = now > elapsed ? now - elapsed : 0;
       f.not_before = now + e.delay_us;
-      frames_pushed_.fetch_add(1, std::memory_order_acq_rel);
+      counters_.note_pushed();
       channels_[e.dst_pid]->push(std::move(f));
       return;
     }

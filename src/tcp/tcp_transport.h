@@ -53,9 +53,9 @@
 //     atomic counters.
 //   * The quiescence surface (send_status/peer_statuses/broadcast_shutdown/
 //     shutdown_received) is for the node supervisor thread.
-//   * queue_depths()/outbound_pending()/tcp_stats() read only atomics —
-//     the /metrics scrape path never contends with senders or the IO
-//     thread.
+//   * queue_depths()/outbound_pending()/tcp_stats()/counters() read only
+//     atomics — the /metrics scrape path never contends with senders or
+//     the IO thread.
 #pragma once
 
 #include <atomic>
@@ -72,10 +72,10 @@
 #include <utility>
 #include <vector>
 
+#include "src/live/delivery_counters.h"
 #include "src/live/live_channel.h"
 #include "src/live/live_clock.h"
 #include "src/net/message.h"
-#include "src/net/network.h"
 #include "src/runtime/env.h"
 #include "src/scale/delta_codec.h"
 #include "src/scale/overlay.h"
@@ -193,17 +193,13 @@ class TcpTransport : public Transport {
   Endpoint* endpoint(ProcessId pid) const { return endpoints_.at(pid); }
   const TcpFaultConfig& faults() const { return topo_.faults; }
 
-  // --- worker-side delivery accounting (mirrors LiveTransport) --------
-  void note_delivered_message(bool app);
-  void note_delivered_token();
-  void note_retry(bool token);
+  /// Delivery accounting. Counts are local-view: sends initiated here,
+  /// frames pushed into LOCAL channels (remote-received ones included) and
+  /// deliveries handled here — summing every node's stats() yields cluster
+  /// totals with nothing double-counted.
+  DeliveryCounters& counters() { return counters_; }
+  const DeliveryCounters& counters() const { return counters_; }
 
-  /// Frames pushed into LOCAL channels but not yet handled (includes
-  /// remote-received and parked-for-down-receiver frames).
-  std::uint64_t frames_in_flight() const {
-    return frames_pushed_.load(std::memory_order_acquire) -
-           frames_handled_.load(std::memory_order_acquire);
-  }
   /// Outbound work not yet on the wire: queued frames, staged write-buffer
   /// bytes, unacked tokens. Zero is a necessary condition for this node's
   /// "quiet" claim.
@@ -224,10 +220,6 @@ class TcpTransport : public Transport {
   /// True once a kShutdown arrived; *code receives its exit code.
   bool shutdown_received(std::uint8_t* code) const;
 
-  /// Counter snapshot shaped like Network::Stats. Counts are local-view:
-  /// sends initiated here, deliveries handled here — summing every node's
-  /// snapshot yields cluster totals with nothing double-counted.
-  Network::Stats stats() const;
   TcpStats tcp_stats() const;
   /// Outbound frames queued per remote node. Lock-free: reads each peer
   /// ring's occupancy atomic, so the /metrics scrape never blocks senders.
@@ -380,8 +372,6 @@ class TcpTransport : public Transport {
   OutMsg wire_msg(const Envelope& e, FrameRef payload, bool app);
   Envelope wire_envelope(ProcessId src, ProcessId dst, bool app, bool token,
                          SimTime delay);
-  void emit_send_trace(const Message& msg);
-  void emit_token_trace(const Token& token);
   void send_token_tracked(std::uint32_t dst_node, Envelope e,
                           FrameRef payload);
 
@@ -491,22 +481,7 @@ class TcpTransport : public Transport {
   std::atomic<std::uint8_t> shutdown_code_{0};
 
   std::atomic<MsgId> next_msg_id_{1};
-  std::atomic<std::uint64_t> frames_pushed_{0};
-  std::atomic<std::uint64_t> frames_handled_{0};
-
-  // Network::Stats counters.
-  std::atomic<std::uint64_t> messages_sent_{0};
-  std::atomic<std::uint64_t> messages_delivered_{0};
-  std::atomic<std::uint64_t> app_messages_sent_{0};
-  std::atomic<std::uint64_t> app_messages_delivered_{0};
-  std::atomic<std::uint64_t> messages_dropped_{0};
-  std::atomic<std::uint64_t> messages_duplicated_{0};
-  std::atomic<std::uint64_t> messages_retried_{0};
-  std::atomic<std::uint64_t> tokens_sent_{0};
-  std::atomic<std::uint64_t> tokens_delivered_{0};
-  std::atomic<std::uint64_t> token_broadcasts_{0};
-  std::atomic<std::uint64_t> message_bytes_{0};
-  std::atomic<std::uint64_t> token_bytes_{0};
+  DeliveryCounters counters_;
 
   // TcpStats counters.
   std::atomic<std::uint64_t> connects_{0};

@@ -1,5 +1,6 @@
 #include "src/tcp/topology.h"
 
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -201,6 +202,14 @@ TcpTopology TcpTopology::from_json(const JsonValue& v) {
 
 TcpTopology TcpTopology::parse(std::string_view text) {
   return from_json(JsonValue::parse(text));
+}
+
+TcpTopology TcpTopology::load(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open '" + path + "'");
+  std::ostringstream text;
+  text << in.rdbuf();
+  return parse(text.str());
 }
 
 std::string TcpTopology::to_json() const {

@@ -122,6 +122,9 @@ struct TcpTopology {
   /// Parse a JSON document; throws std::runtime_error (parse) or
   /// std::invalid_argument (shape).
   static TcpTopology parse(std::string_view text);
+  /// parse() the file at `path`; an unreadable file throws
+  /// std::runtime_error too.
+  static TcpTopology load(const std::string& path);
   std::string to_json() const;
 };
 

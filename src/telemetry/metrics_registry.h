@@ -72,6 +72,17 @@ struct Sample {
   std::uint64_t count = 0;
 };
 
+/// A scalar counter or gauge sample, as collectors emit them.
+inline Sample scalar_sample(std::string name, SampleKind kind,
+                            std::uint64_t value, Labels labels = {}) {
+  Sample s;
+  s.name = std::move(name);
+  s.labels = std::move(labels);
+  s.kind = kind;
+  s.value = static_cast<double>(value);
+  return s;
+}
+
 class MetricsRegistry {
  public:
   /// Look up or create. Help text is recorded on first registration; the

@@ -81,25 +81,10 @@ void register_network_stats(MetricsRegistry& registry,
                             std::function<Network::Stats()> snap) {
   registry.add_collector([snap = std::move(snap)](std::vector<Sample>& out) {
     const Network::Stats s = snap();
-    const auto add = [&out](const char* name, std::uint64_t v) {
-      Sample sample;
-      sample.name = name;
-      sample.kind = SampleKind::kCounter;
-      sample.value = static_cast<double>(v);
-      out.push_back(std::move(sample));
-    };
-    add("optrec_net_messages_sent_total", s.messages_sent);
-    add("optrec_net_messages_delivered_total", s.messages_delivered);
-    add("optrec_net_app_messages_sent_total", s.app_messages_sent);
-    add("optrec_net_app_messages_delivered_total", s.app_messages_delivered);
-    add("optrec_net_messages_dropped_total", s.messages_dropped);
-    add("optrec_net_messages_duplicated_total", s.messages_duplicated);
-    add("optrec_net_messages_retried_total", s.messages_retried);
-    add("optrec_net_tokens_sent_total", s.tokens_sent);
-    add("optrec_net_tokens_delivered_total", s.tokens_delivered);
-    add("optrec_net_token_broadcasts_total", s.token_broadcasts);
-    add("optrec_net_message_bytes_total", s.message_bytes);
-    add("optrec_net_token_bytes_total", s.token_bytes);
+    for (const auto& [name, field] : Network::Stats::kFields) {
+      out.push_back(scalar_sample(std::string("optrec_net_") + name + "_total",
+                                  SampleKind::kCounter, s.*field));
+    }
   });
 }
 

@@ -76,49 +76,13 @@
 
 #include "src/explore/durability_case.h"
 #include "src/explore/explorer.h"
+#include "src/harness/run_flags.h"
 #include "src/harness/scenario_json.h"
 #include "src/util/json.h"
 
 using namespace optrec;
 
 namespace {
-
-bool parse_flag(const char* arg, const char* name, std::string* value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '\0') {
-    *value = "";
-    return true;
-  }
-  if (arg[len] == '=') {
-    *value = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-[[noreturn]] void die(const std::string& message) {
-  std::fprintf(stderr, "optrec_explore: %s\n", message.c_str());
-  std::exit(2);
-}
-
-std::uint64_t parse_u64(const std::string& value, const char* flag) {
-  char* end = nullptr;
-  const std::uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    die(std::string("bad value for ") + flag + ": '" + value + "'");
-  }
-  return parsed;
-}
-
-WorkloadKind parse_workload(const std::string& name) {
-  if (name == "counter") return WorkloadKind::kCounter;
-  if (name == "pingpong") return WorkloadKind::kPingPong;
-  if (name == "bank") return WorkloadKind::kBank;
-  if (name == "gossip") return WorkloadKind::kGossip;
-  if (name == "service") return WorkloadKind::kService;
-  die("unknown workload '" + name + "'");
-}
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -280,71 +244,71 @@ int main(int argc, char** argv) {
   bool expect_violation = false;
   bool quiet = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (parse_flag(arg, "--protocol", &value)) {
-      try {
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const char* arg = argv[i];
+      if (parse_flag(arg, "--protocol", &value)) {
         options.gen.base.protocol = protocol_from_name(value);
-      } catch (const std::exception& e) {
-        die(e.what());
+      } else if (parse_flag(arg, "--workload", &value)) {
+        options.gen.base.workload.kind = workload_from_name(value);
+      } else if (parse_flag(arg, "--n", &value)) {
+        options.gen.base.n = parse_u64(value, "--n");
+      } else if (parse_flag(arg, "--runs", &value)) {
+        options.runs = parse_u64(value, "--runs");
+      } else if (parse_flag(arg, "--seed", &value)) {
+        options.seed = parse_u64(value, "--seed");
+      } else if (parse_flag(arg, "--jobs", &value)) {
+        options.jobs = parse_u64(value, "--jobs");
+      } else if (parse_flag(arg, "--time-budget", &value)) {
+        options.time_budget_seconds = std::strtod(value.c_str(), nullptr);
+      } else if (parse_flag(arg, "--max-crashes", &value)) {
+        options.gen.max_crashes = parse_u64(value, "--max-crashes");
+      } else if (parse_flag(arg, "--max-partitions", &value)) {
+        options.gen.max_partitions = parse_u64(value, "--max-partitions");
+      } else if (parse_switch(arg, "--retransmit")) {
+        options.gen.base.process.retransmit_on_failure = true;
+      } else if (parse_switch(arg, "--stability")) {
+        options.gen.base.process.enable_stability_tracking = true;
+      } else if (parse_switch(arg, "--no-dup")) {
+        options.gen.max_dup_prob = 0.0;
+      } else if (parse_switch(arg, "--no-shrink")) {
+        options.shrink = false;
+      } else if (parse_flag(arg, "--shrink-budget", &value)) {
+        options.shrink_budget = parse_u64(value, "--shrink-budget");
+      } else if (parse_flag(arg, "--max-repros", &value)) {
+        options.max_repros = parse_u64(value, "--max-repros");
+      } else if (parse_flag(arg, "--out", &value)) {
+        if (value.empty()) die("--out wants a directory");
+        out_dir = value;
+      } else if (parse_flag(arg, "--bench-out", &value)) {
+        if (value.empty()) die("--bench-out wants a file name");
+        bench_out = value;
+      } else if (parse_flag(arg, "--mutate", &value)) {
+        mutate = value;
+      } else if (parse_switch(arg, "--durability")) {
+        durability = true;
+      } else if (parse_flag(arg, "--ops", &value)) {
+        dur.ops = static_cast<std::uint32_t>(parse_u64(value, "--ops"));
+        if (dur.ops < 4) die("--ops must be >= 4");
+      } else if (parse_flag(arg, "--garble", &value)) {
+        dur.garble_prob = parse_probability(value, "--garble");
+      } else if (parse_flag(arg, "--corrupt-prob", &value)) {
+        dur.corrupt_prob = parse_probability(value, "--corrupt-prob");
+      } else if (parse_switch(arg, "--expect-violation")) {
+        expect_violation = true;
+      } else if (parse_flag(arg, "--repro", &value)) {
+        if (value.empty()) die("--repro wants a file name");
+        repro_file = value;
+      } else if (parse_switch(arg, "--print-case")) {
+        print_case = true;
+      } else if (parse_switch(arg, "--quiet")) {
+        quiet = true;
+      } else {
+        die(std::string("unknown flag '") + arg + "' (see header comment)");
       }
-    } else if (parse_flag(arg, "--workload", &value)) {
-      options.gen.base.workload.kind = parse_workload(value);
-    } else if (parse_flag(arg, "--n", &value)) {
-      options.gen.base.n = parse_u64(value, "--n");
-    } else if (parse_flag(arg, "--runs", &value)) {
-      options.runs = parse_u64(value, "--runs");
-    } else if (parse_flag(arg, "--seed", &value)) {
-      options.seed = parse_u64(value, "--seed");
-    } else if (parse_flag(arg, "--jobs", &value)) {
-      options.jobs = parse_u64(value, "--jobs");
-    } else if (parse_flag(arg, "--time-budget", &value)) {
-      options.time_budget_seconds = std::strtod(value.c_str(), nullptr);
-    } else if (parse_flag(arg, "--max-crashes", &value)) {
-      options.gen.max_crashes = parse_u64(value, "--max-crashes");
-    } else if (parse_flag(arg, "--max-partitions", &value)) {
-      options.gen.max_partitions = parse_u64(value, "--max-partitions");
-    } else if (parse_flag(arg, "--retransmit", &value)) {
-      options.gen.base.process.retransmit_on_failure = true;
-    } else if (parse_flag(arg, "--stability", &value)) {
-      options.gen.base.process.enable_stability_tracking = true;
-    } else if (parse_flag(arg, "--no-dup", &value)) {
-      options.gen.max_dup_prob = 0.0;
-    } else if (parse_flag(arg, "--no-shrink", &value)) {
-      options.shrink = false;
-    } else if (parse_flag(arg, "--shrink-budget", &value)) {
-      options.shrink_budget = parse_u64(value, "--shrink-budget");
-    } else if (parse_flag(arg, "--max-repros", &value)) {
-      options.max_repros = parse_u64(value, "--max-repros");
-    } else if (parse_flag(arg, "--out", &value)) {
-      if (value.empty()) die("--out wants a directory");
-      out_dir = value;
-    } else if (parse_flag(arg, "--bench-out", &value)) {
-      if (value.empty()) die("--bench-out wants a file name");
-      bench_out = value;
-    } else if (parse_flag(arg, "--mutate", &value)) {
-      mutate = value;
-    } else if (parse_flag(arg, "--durability", &value)) {
-      durability = true;
-    } else if (parse_flag(arg, "--ops", &value)) {
-      dur.ops = static_cast<std::uint32_t>(parse_u64(value, "--ops"));
-      if (dur.ops < 4) die("--ops must be >= 4");
-    } else if (parse_flag(arg, "--garble", &value)) {
-      dur.garble_prob = std::strtod(value.c_str(), nullptr);
-    } else if (parse_flag(arg, "--corrupt-prob", &value)) {
-      dur.corrupt_prob = std::strtod(value.c_str(), nullptr);
-    } else if (parse_flag(arg, "--expect-violation", &value)) {
-      expect_violation = true;
-    } else if (parse_flag(arg, "--repro", &value)) {
-      if (value.empty()) die("--repro wants a file name");
-      repro_file = value;
-    } else if (parse_flag(arg, "--print-case", &value)) {
-      print_case = true;
-    } else if (parse_flag(arg, "--quiet", &value)) {
-      quiet = true;
-    } else {
-      die(std::string("unknown flag '") + arg + "' (see header comment)");
     }
+  } catch (const std::exception& e) {  // UsageError, unknown names
+    die(e.what());
   }
 
   if (options.gen.base.n < 2) die("--n must be >= 2");

@@ -74,6 +74,7 @@
 #include "src/service/service_msg.h"
 #include "src/tcp/topology.h"
 #include "src/telemetry/histogram.h"
+#include "src/harness/run_flags.h"
 #include "src/util/json.h"
 #include "src/util/rng.h"
 
@@ -81,34 +82,6 @@ using namespace optrec;
 using namespace optrec::service;
 
 namespace {
-
-bool parse_flag(const char* arg, const char* name, std::string* value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '\0') {
-    *value = "";
-    return true;
-  }
-  if (arg[len] == '=') {
-    *value = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-[[noreturn]] void die(const std::string& message) {
-  std::fprintf(stderr, "optrec_loadgen: %s\n", message.c_str());
-  std::exit(2);
-}
-
-std::uint64_t parse_u64(const std::string& value, const char* flag) {
-  char* end = nullptr;
-  const std::uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    die(std::string("bad value for ") + flag + ": '" + value + "'");
-  }
-  return parsed;
-}
 
 struct Config {
   std::string topology_file;
@@ -518,48 +491,52 @@ AuditResult run_audit(const Config& config, const TcpTopology& topo,
 int main(int argc, char** argv) {
   Config config;
   std::string value;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (parse_flag(arg, "--topology", &value)) {
-      config.topology_file = value;
-    } else if (parse_flag(arg, "--clients", &value)) {
-      config.clients = parse_u64(value, "--clients");
-    } else if (parse_flag(arg, "--keys", &value)) {
-      config.keys = parse_u64(value, "--keys");
-    } else if (parse_flag(arg, "--accounts", &value)) {
-      config.accounts = parse_u64(value, "--accounts");
-    } else if (parse_flag(arg, "--initial-balance", &value)) {
-      config.initial_balance = parse_u64(value, "--initial-balance");
-    } else if (parse_flag(arg, "--duration-ms", &value)) {
-      config.duration_ms = parse_u64(value, "--duration-ms");
-    } else if (parse_flag(arg, "--timeout-ms", &value)) {
-      config.timeout_ms = parse_u64(value, "--timeout-ms");
-    } else if (parse_flag(arg, "--grace-ms", &value)) {
-      config.grace_ms = parse_u64(value, "--grace-ms");
-    } else if (parse_flag(arg, "--audit-timeout-ms", &value)) {
-      config.audit_timeout_ms = parse_u64(value, "--audit-timeout-ms");
-    } else if (parse_flag(arg, "--mix", &value)) {
-      std::array<std::uint32_t, 4> mix = {0, 0, 0, 0};
-      std::istringstream is(value);
-      std::string part;
-      std::size_t k = 0;
-      while (std::getline(is, part, ':') && k < 4) {
-        mix[k++] = static_cast<std::uint32_t>(parse_u64(part, "--mix"));
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const char* arg = argv[i];
+      if (parse_flag(arg, "--topology", &value)) {
+        config.topology_file = value;
+      } else if (parse_flag(arg, "--clients", &value)) {
+        config.clients = parse_u64(value, "--clients");
+      } else if (parse_flag(arg, "--keys", &value)) {
+        config.keys = parse_u64(value, "--keys");
+      } else if (parse_flag(arg, "--accounts", &value)) {
+        config.accounts = parse_u64(value, "--accounts");
+      } else if (parse_flag(arg, "--initial-balance", &value)) {
+        config.initial_balance = parse_u64(value, "--initial-balance");
+      } else if (parse_flag(arg, "--duration-ms", &value)) {
+        config.duration_ms = parse_u64(value, "--duration-ms");
+      } else if (parse_flag(arg, "--timeout-ms", &value)) {
+        config.timeout_ms = parse_u64(value, "--timeout-ms");
+      } else if (parse_flag(arg, "--grace-ms", &value)) {
+        config.grace_ms = parse_u64(value, "--grace-ms");
+      } else if (parse_flag(arg, "--audit-timeout-ms", &value)) {
+        config.audit_timeout_ms = parse_u64(value, "--audit-timeout-ms");
+      } else if (parse_flag(arg, "--mix", &value)) {
+        std::array<std::uint32_t, 4> mix = {0, 0, 0, 0};
+        std::istringstream is(value);
+        std::string part;
+        std::size_t k = 0;
+        while (std::getline(is, part, ':') && k < 4) {
+          mix[k++] = static_cast<std::uint32_t>(parse_u64(part, "--mix"));
+        }
+        if (k < 3) die("--mix wants PUT:GET:TRANSFER[:BALANCE]");
+        config.mix = mix;
+      } else if (parse_flag(arg, "--seed", &value)) {
+        config.seed = parse_u64(value, "--seed");
+      } else if (parse_flag(arg, "--kill-at-ms", &value)) {
+        config.kill_at_ms.push_back(parse_u64(value, "--kill-at-ms"));
+      } else if (parse_flag(arg, "--json", &value)) {
+        config.emit_json = true;
+        config.json_file = value;
+      } else if (parse_switch(arg, "--verbose")) {
+        config.verbose = true;
+      } else {
+        die(std::string("unknown flag '") + arg + "' (see header comment)");
       }
-      if (k < 3) die("--mix wants PUT:GET:TRANSFER[:BALANCE]");
-      config.mix = mix;
-    } else if (parse_flag(arg, "--seed", &value)) {
-      config.seed = parse_u64(value, "--seed");
-    } else if (parse_flag(arg, "--kill-at-ms", &value)) {
-      config.kill_at_ms.push_back(parse_u64(value, "--kill-at-ms"));
-    } else if (parse_flag(arg, "--json", &value)) {
-      config.emit_json = true;
-      config.json_file = value;
-    } else if (parse_flag(arg, "--verbose", &value)) {
-      config.verbose = true;
-    } else {
-      die(std::string("unknown flag '") + arg + "' (see header comment)");
     }
+  } catch (const UsageError& e) {
+    die(e.what());
   }
   if (config.topology_file.empty()) die("--topology=FILE is required");
   if (config.clients == 0) die("--clients must be >= 1");
@@ -571,16 +548,10 @@ int main(int argc, char** argv) {
   }
 
   TcpTopology topo;
-  {
-    std::ifstream in(config.topology_file, std::ios::binary);
-    if (!in) die("cannot open topology '" + config.topology_file + "'");
-    std::ostringstream text;
-    text << in.rdbuf();
-    try {
-      topo = TcpTopology::parse(text.str());
-    } catch (const std::exception& e) {
-      die(std::string("bad topology: ") + e.what());
-    }
+  try {
+    topo = TcpTopology::load(config.topology_file);
+  } catch (const std::exception& e) {
+    die(std::string("bad topology: ") + e.what());
   }
   for (const TcpNodeSpec& spec : topo.nodes) {
     if (spec.service_port == 0) {

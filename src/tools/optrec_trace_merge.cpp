@@ -17,42 +17,19 @@
 //
 // A summary JSON (events, nodes, matches, violations) always goes to
 // stdout. Exit codes: 0 ok, 2 usage/io error, 3 violations with --strict.
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "src/harness/run_flags.h"
 #include "src/telemetry/recovery_timeline.h"
 #include "src/telemetry/trace_merge.h"
 #include "src/trace/trace_sink.h"
 #include "src/util/json.h"
 
 using namespace optrec;
-
-namespace {
-
-bool parse_flag(const char* arg, const char* name, std::string* value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '\0') {
-    *value = "";
-    return true;
-  }
-  if (arg[len] == '=') {
-    *value = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-[[noreturn]] void die(const std::string& message) {
-  std::fprintf(stderr, "optrec_trace_merge: %s\n", message.c_str());
-  std::exit(2);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> inputs;

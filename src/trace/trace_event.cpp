@@ -76,4 +76,36 @@ std::string TraceEvent::describe() const {
   return os.str();
 }
 
+TraceEvent send_event(SimTime at, const Message& msg) {
+  TraceEvent e;
+  e.at = at;
+  e.type = TraceEventType::kSend;
+  e.pid = msg.src;
+  // The sender's identity at the send: its own entry of the piggybacked
+  // clock (protocols without an FTVC expose only the incarnation number).
+  e.clock = msg.clock.size() > msg.src ? msg.clock.entry(msg.src)
+                                       : FtvcEntry{msg.src_version, 0};
+  e.peer = msg.dst;
+  e.msg_id = msg.id;
+  e.send_seq = msg.send_seq;
+  e.msg_version = msg.src_version;
+  if (msg.kind == MessageKind::kControl) e.detail |= kTraceSendControl;
+  if (msg.retransmission) e.detail |= kTraceSendRetransmission;
+  e.mclock = msg.clock.entries();
+  return e;
+}
+
+TraceEvent token_broadcast_event(SimTime at, const Token& token) {
+  TraceEvent e;
+  e.at = at;
+  e.type = TraceEventType::kTokenBroadcast;
+  e.pid = token.from;
+  e.clock = token.failed;
+  e.ref = token.failed;
+  const bool relayed = token.origin_pid != kNoProcess;
+  e.origin = relayed ? token.origin_pid : token.from;
+  e.origin_ver = relayed ? token.origin_ver : token.failed.ver;
+  return e;
+}
+
 }  // namespace optrec

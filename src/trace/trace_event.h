@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/clocks/ftvc.h"
+#include "src/net/message.h"
 #include "src/sim/time.h"
 #include "src/util/ids.h"
 
@@ -116,6 +117,12 @@ struct TraceEvent {
 // kSend detail bits.
 inline constexpr std::uint64_t kTraceSendControl = 1;
 inline constexpr std::uint64_t kTraceSendRetransmission = 2;
+
+/// The kSend event every transport records for an accepted send at `at`.
+TraceEvent send_event(SimTime at, const Message& msg);
+/// The kTokenBroadcast event every transport records for a failure
+/// announcement, attributed to the failure that originated it.
+TraceEvent token_broadcast_event(SimTime at, const Token& token);
 
 /// Order-sensitive 64-bit digest over every field of every event. Two runs
 /// with equal digests executed the same causal story; the determinism

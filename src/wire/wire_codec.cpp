@@ -4,13 +4,6 @@
 
 namespace optrec {
 
-namespace {
-/// Internal frame tag for the FIFO differential-clock variant. Kept out of
-/// the public FrameType: diff frames only make sense between a paired
-/// DiffWireEncoder/Decoder, never on the stateless path.
-constexpr std::uint8_t kDiffMessageTag = 3;
-}  // namespace
-
 Bytes encode_message_frame(const Message& msg) {
   Writer w;
   w.put_u8(static_cast<std::uint8_t>(FrameType::kMessage));
@@ -74,42 +67,6 @@ std::size_t token_wire_bytes(const Token& token) {
 
 std::size_t message_piggyback_bytes(const Message& msg) {
   return message_wire_bytes(msg) - msg.payload.size();
-}
-
-Bytes DiffWireEncoder::encode_message(const Message& msg) {
-  Writer w;
-  w.put_u8(kDiffMessageTag);
-  w.put_u8(static_cast<std::uint8_t>(msg.kind));
-  w.put_u32(msg.src);
-  w.put_u32(msg.dst);
-  w.put_u32(msg.src_version);
-  w.put_u64(msg.send_seq);
-  w.put_bool(msg.retransmission);
-  w.put_bytes(clocks_.encode_for(msg.dst, msg.clock));
-  w.put_bytes(msg.payload);
-  w.put_u64(msg.sender_state);
-  w.put_u64(msg.id);
-  return w.take();
-}
-
-Message DiffWireDecoder::decode_message(const Bytes& wire) {
-  Reader r(wire);
-  if (r.get_u8() != kDiffMessageTag) {
-    throw DecodeError("not a diff message frame");
-  }
-  Message m;
-  m.kind = static_cast<MessageKind>(r.get_u8());
-  m.src = r.get_u32();
-  m.dst = r.get_u32();
-  m.src_version = r.get_u32();
-  m.send_seq = r.get_u64();
-  m.retransmission = r.get_bool();
-  m.clock = clocks_.decode_from(m.src, r.get_bytes());
-  m.payload = r.get_bytes();
-  m.sender_state = r.get_u64();
-  m.id = r.get_u64();
-  if (!r.at_end()) throw DecodeError("trailing bytes after frame");
-  return m;
 }
 
 }  // namespace optrec

@@ -17,14 +17,13 @@
 // transport would actually put on the wire.
 //
 // Stateless by design: every frame decodes on its own, which is what a
-// non-FIFO transport needs. For FIFO transports, DiffWireEncoder/-Decoder
-// swap the full FTVC for a differential one (src/clocks/diff_codec),
+// non-FIFO transport needs. Per-connection streams can swap the full FTVC
+// for a delta against the previous frame (src/scale/delta_codec.h),
 // approaching the paper's single-timestamp ideal (Section 7).
 #pragma once
 
 #include <cstddef>
 
-#include "src/clocks/diff_codec.h"
 #include "src/net/message.h"
 #include "src/util/bytes.h"
 
@@ -84,34 +83,5 @@ std::size_t token_wire_bytes(const Token& token);
 /// number the paper's O(n) overhead claim is about, and what
 /// Metrics::piggyback_bytes accumulates.
 std::size_t message_piggyback_bytes(const Message& msg);
-
-/// FIFO-transport variant: message frames carry a differential FTVC.
-/// Requires per-(sender,receiver) FIFO delivery and the invalidate/reset
-/// discipline documented in src/clocks/diff_codec.h. Token frames are
-/// unchanged (tokens always carry full information).
-class DiffWireEncoder {
- public:
-  explicit DiffWireEncoder(std::size_t n) : clocks_(n) {}
-
-  Bytes encode_message(const Message& msg);
-  /// Next message to `dst` (or everyone) carries a full clock again.
-  void invalidate(ProcessId dst) { clocks_.invalidate(dst); }
-  void invalidate_all() { clocks_.invalidate_all(); }
-
- private:
-  DiffFtvcEncoder clocks_;
-};
-
-class DiffWireDecoder {
- public:
-  explicit DiffWireDecoder(std::size_t n) : clocks_(n) {}
-
-  Message decode_message(const Bytes& wire);
-  /// Drop the clock base cached for `src` (its incarnation changed).
-  void reset(ProcessId src) { clocks_.reset(src); }
-
- private:
-  DiffFtvcDecoder clocks_;
-};
 
 }  // namespace optrec

@@ -50,7 +50,8 @@ TEST_P(DeterminismSweep, IdenticalMetricsAndTraceDigestAcrossRuns) {
 
   EXPECT_EQ(first.quiesced, second.quiesced);
   EXPECT_EQ(first.end_time, second.end_time);
-  EXPECT_EQ(result_json(config, first), result_json(config, second));
+  EXPECT_EQ(run_json(run_report(config, first)),
+            run_json(run_report(config, second)));
 
   ASSERT_FALSE(first.trace.empty());
   EXPECT_EQ(first.trace.size(), second.trace.size());

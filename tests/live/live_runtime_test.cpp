@@ -249,7 +249,7 @@ TEST(LiveTransportTest, BroadcastFanoutDeliversToAllPeersOffCallerThread) {
 
   // tokens_sent is bumped before the handoff, so in-flight is immediately
   // visible even if the fan-out thread has not run yet.
-  EXPECT_EQ(transport.stats().tokens_sent, kN - 1);
+  EXPECT_EQ(transport.counters().stats().tokens_sent, kN - 1);
   Rng rng(9);
   for (ProcessId pid = 0; pid < kN; ++pid) {
     if (pid == token.from) continue;
@@ -261,9 +261,9 @@ TEST(LiveTransportTest, BroadcastFanoutDeliversToAllPeersOffCallerThread) {
     ASSERT_EQ(decoded.type, FrameType::kToken);
     EXPECT_EQ(decoded.token.from, token.from);
     EXPECT_EQ(decoded.token.failed, token.failed);
-    transport.note_delivered_token();
+    transport.counters().note_delivered_token();
   }
-  EXPECT_EQ(transport.tokens_in_flight(), 0u);
+  EXPECT_EQ(transport.counters().tokens_in_flight(), 0u);
   EXPECT_EQ(transport.channel(token.from).size(), 0u);
 }
 

@@ -19,26 +19,10 @@
 #include <string>
 
 #include "src/util/json.h"
+#include "tests/temp_dir.h"
 
 namespace optrec {
 namespace {
-
-namespace fs = std::filesystem;
-
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    std::string tmpl =
-        (fs::temp_directory_path() / "optrec-service-XXXXXX").string();
-    char* made = ::mkdtemp(tmpl.data());
-    EXPECT_NE(made, nullptr);
-    path = tmpl;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
 
 #if defined(OPTREC_NODE_BIN) && defined(OPTREC_LOADGEN_BIN)
 TEST(ServiceKillRecover, OracleStaysCleanAcrossSigkillWarmRespawn) {

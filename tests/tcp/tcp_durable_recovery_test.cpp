@@ -17,27 +17,12 @@
 
 #include "src/tcp/tcp_cluster.h"
 #include "src/util/json.h"
+#include "tests/temp_dir.h"
 
 namespace optrec {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Fresh scratch directory, removed when the guard dies.
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    std::string tmpl =
-        (fs::temp_directory_path() / "optrec-durable-XXXXXX").string();
-    char* made = ::mkdtemp(tmpl.data());
-    EXPECT_NE(made, nullptr);
-    path = tmpl;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
 
 TEST(TcpDurableRecovery, InProcessClusterPersistsDurableState) {
   TempDir tmp;

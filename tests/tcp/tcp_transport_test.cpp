@@ -76,9 +76,9 @@ TEST(TcpTransport, DeliversAppMessagesAcrossNodes) {
     const Frame decoded = decode_frame(frame->wire.bytes());
     ASSERT_EQ(decoded.type, FrameType::kMessage);
     EXPECT_EQ(decoded.message.payload[1], 0x5a);
-    pair.b->note_delivered_message(true);
+    pair.b->counters().note_delivered_message(true);
   }
-  EXPECT_EQ(pair.b->frames_in_flight(), 0u);
+  EXPECT_EQ(pair.b->counters().frames_in_flight(), 0u);
   EXPECT_EQ(pair.a->tcp_stats().protocol_errors, 0u);
   // Both sides: exactly one established connection for the pair.
   EXPECT_EQ(pair.a->tcp_stats().connects, 1u);
@@ -107,7 +107,7 @@ TEST(TcpTransport, RetriedTokensDedupeToSingleDelivery) {
   auto frame = pair.pop(*pair.b, 1);
   ASSERT_TRUE(frame.has_value());
   EXPECT_TRUE(frame->token);
-  pair.b->note_delivered_token();
+  pair.b->counters().note_delivered_token();
   // No second copy ever surfaces.
   EXPECT_FALSE(pair.pop(*pair.b, 1, millis(200)).has_value());
 
@@ -120,7 +120,7 @@ TEST(TcpTransport, RetriedTokensDedupeToSingleDelivery) {
   EXPECT_GE(pair.a->tcp_stats().token_retries, 1u);
   EXPECT_EQ(pair.b->tcp_stats().dup_tokens_dropped,
             pair.b->tcp_stats().frames_rx - 2);  // hello + first copy
-  EXPECT_EQ(pair.b->frames_in_flight(), 0u);
+  EXPECT_EQ(pair.b->counters().frames_in_flight(), 0u);
 }
 
 TEST(TcpTransport, InitiatorBacksOffAndReconnects) {
@@ -157,7 +157,7 @@ TEST(TcpTransport, InitiatorBacksOffAndReconnects) {
     frame = ch.pop_ready(clock, clock.now() + millis(5), rng);
   }
   ASSERT_TRUE(frame.has_value());
-  b.note_delivered_message(true);
+  b.counters().note_delivered_message(true);
   EXPECT_EQ(a.tcp_stats().connects, 1u);
   EXPECT_EQ(b.tcp_stats().accepts, 1u);
 }
@@ -188,7 +188,7 @@ TEST(TcpTransport, BackpressureCapIsExactAndDropsAreAccounted) {
     a.send(app_message(0, 1, static_cast<std::uint8_t>(i)));
   }
   EXPECT_EQ(a.tcp_stats().backpressure_drops, kExtra);
-  EXPECT_EQ(a.stats().messages_dropped, kExtra);
+  EXPECT_EQ(a.counters().stats().messages_dropped, kExtra);
   // The admitted frames sit in node 1's outbound ring.
   const auto depths = a.queue_depths();
   ASSERT_EQ(depths.size(), 1u);
@@ -207,7 +207,7 @@ TEST(TcpTransport, BackpressureCapIsExactAndDropsAreAccounted) {
       frame = ch.pop_ready(clock, clock.now() + millis(5), rng);
     }
     ASSERT_TRUE(frame.has_value()) << "capped frame " << i << " lost";
-    b.note_delivered_message(true);
+    b.counters().note_delivered_message(true);
   }
   a.send(app_message(0, 1, 0x77));
   EXPECT_EQ(a.tcp_stats().backpressure_drops, kExtra)
@@ -218,7 +218,7 @@ TEST(TcpTransport, BackpressureCapIsExactAndDropsAreAccounted) {
     frame = ch.pop_ready(clock, clock.now() + millis(5), rng);
   }
   ASSERT_TRUE(frame.has_value());
-  b.note_delivered_message(true);
+  b.counters().note_delivered_message(true);
 }
 
 TEST(TcpTransport, RespawnedOriginReusedRelayIdsStillDisseminate) {
@@ -260,7 +260,7 @@ TEST(TcpTransport, RespawnedOriginReusedRelayIdsStillDisseminate) {
     auto frame = pop_b(seconds(2));
     ASSERT_TRUE(frame.has_value());
     EXPECT_TRUE(frame->token);
-    b.note_delivered_token();
+    b.counters().note_delivered_token();
     // Wait for the relay ack, so the head has marked the first broadcast's
     // relay id covered before the origin dies.
     const SimTime deadline = clock.now() + seconds(2);
@@ -283,7 +283,7 @@ TEST(TcpTransport, RespawnedOriginReusedRelayIdsStillDisseminate) {
       << "post-respawn broadcast swallowed by the previous incarnation's "
          "relay state";
   EXPECT_TRUE(frame->token);
-  b.note_delivered_token();
+  b.counters().note_delivered_token();
   const Frame decoded = decode_frame(frame->wire.bytes());
   ASSERT_EQ(decoded.type, FrameType::kToken);
   EXPECT_EQ(decoded.token.failed.ver, 2u);
@@ -318,7 +318,7 @@ TEST(TcpTransport, ScriptedPartitionHoldsTrafficUntilHeal) {
   auto frame = pair.pop(*pair.b, 1, seconds(2));
   ASSERT_TRUE(frame.has_value());
   EXPECT_GE(pair.clock.now(), millis(250));
-  pair.b->note_delivered_message(true);
+  pair.b->counters().note_delivered_message(true);
   // The partition must not have torn the connection down.
   EXPECT_EQ(pair.a->tcp_stats().disconnects, 0u);
   EXPECT_EQ(pair.b->tcp_stats().disconnects, 0u);

@@ -1,12 +1,13 @@
 // Wire codec property tests: encode→decode identity for messages, FTVCs,
 // histories, and tokens (randomized sweeps), frame-type safety, byte
-// accounting, the differential FIFO variant, and the paper's O(n) growth
-// claim measured on actual serialized piggybacks.
+// accounting, the delta codec over a FIFO stream, and the paper's O(n)
+// growth claim measured on actual serialized piggybacks.
 #include "src/wire/wire_codec.h"
 
 #include <gtest/gtest.h>
 
 #include "src/history/history.h"
+#include "src/scale/delta_codec.h"
 #include "src/util/rng.h"
 #include "src/util/serialization.h"
 
@@ -196,13 +197,13 @@ TEST(WireCodecTest, PiggybackGrowsLinearlyWithProcessCount) {
 }
 
 TEST(WireCodecTest, DiffVariantRoundTripsOverFifoStream) {
-  // Paired encoder/decoder over a per-(src,dst) FIFO stream: every frame
-  // must reconstruct the exact message, and steady-state frames must be
-  // smaller than stateless ones.
+  // The delta codec over a per-(src,dst) FIFO stream: every frame must
+  // reconstruct the exact message, and steady-state frames must be smaller
+  // than stateless ones.
   const std::size_t n = 6;
   Rng rng(31337);
-  DiffWireEncoder enc(n);
-  DiffWireDecoder dec(n);
+  scale::DeltaWireEncoder enc(n, /*epoch=*/1, scale::DeltaMode::kFifo);
+  scale::DeltaWireDecoder dec(n);
   Ftvc clock(0, n);
   std::size_t diff_total = 0, full_total = 0;
   for (int i = 0; i < 200; ++i) {
@@ -214,15 +215,14 @@ TEST(WireCodecTest, DiffVariantRoundTripsOverFifoStream) {
     m.clock = clock;
     m.payload = Bytes(16, static_cast<std::uint8_t>(i));
     m.sender_state = rng.next_u64();
-    const Bytes wire = enc.encode_message(m);
+    const Bytes wire = enc.encode_for(m.dst, m);
     diff_total += wire.size();
     full_total += encode_message_frame(m).size();
-    const Message out = dec.decode_message(wire);
-    expect_same(m, out);
+    expect_same(m, dec.decode_from(m.src, wire));
     clock.tick_send();
     if (rng.chance(0.1)) {
-      // Simulate a rollback/restart boundary: both sides resynchronize.
-      enc.invalidate(3);
+      // A rollback/restart boundary: both sides resynchronize.
+      enc.reset(3);
       dec.reset(0);
       clock.on_restart();
     }
@@ -232,11 +232,11 @@ TEST(WireCodecTest, DiffVariantRoundTripsOverFifoStream) {
 }
 
 TEST(WireCodecTest, DiffDecoderRejectsStatelessFrames) {
-  DiffWireDecoder dec(4);
+  scale::DeltaWireDecoder dec(4);
   Message m;
   m.src = 0;
   m.dst = 1;
-  EXPECT_THROW(dec.decode_message(encode_message_frame(m)), DecodeError);
+  EXPECT_THROW(dec.decode_from(m.src, encode_message_frame(m)), DecodeError);
 }
 
 }  // namespace
