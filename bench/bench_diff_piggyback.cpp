@@ -3,13 +3,13 @@
 // previous message on the same (sender, receiver) stream.
 //
 // Real Damani-Garg runs, failure-free and with crashes, are replayed
-// through scale::run_fleet_piggyback in DeltaMode::kFifo: every application
-// send is encoded by the sender's per-destination delta stream, decoded by
-// the receiver, and checked byte-exact against the flat frame. The delta
-// column counts everything a stateful frame adds (stream seq, base seq,
-// base checksum, changed entries); a stream's first frame carries the full
-// clock, every later one a delta. Exits 1 if any frame fails the fidelity
-// check.
+// through scale::run_fleet_piggyback: every application send is encoded by
+// the sender's per-destination FIFO delta stream, decoded by the receiver,
+// and checked byte-exact against the flat frame. The delta column counts
+// everything a stateful frame adds (stream seq, base seq, base checksum,
+// changed entries); a stream's first frame carries the full clock, every
+// later one a delta or, when that would not be smaller, the flat frame.
+// Exits 1 if any frame fails the fidelity check.
 //
 //   bench_diff_piggyback [--out=BENCH_diff_piggyback.json]
 #include <cstring>
@@ -49,7 +49,6 @@ std::vector<Row> run_rows() {
         c.depth = depth_for(kind);
         c.all_seed = true;
         c.crashes = crashes;
-        c.mode = scale::DeltaMode::kFifo;
         Row row;
         row.workload.kind = kind;
         row.crashes = crashes;
@@ -84,9 +83,8 @@ void print_table(const std::vector<Row>& rows) {
   std::printf(
       "\nPairwise traffic (pingpong) approaches the §7 single-entry ideal: "
       "the delta stays flat as n grows. Scattered traffic (counter) changes "
-      "most entries between consecutive same-pair messages, so a delta "
-      "(index + entry per change, plus seq/base/checksum) costs more than "
-      "the flat vector.\n\n");
+      "most entries between consecutive same-pair messages, so those frames "
+      "go flat and the stream costs what the flat vector costs.\n\n");
 }
 
 void write_json(std::ostream& os, const std::vector<Row>& rows) {
@@ -95,7 +93,6 @@ void write_json(std::ostream& os, const std::vector<Row>& rows) {
   write_bench_preamble(w, "diff_piggyback");
   w.key("config").begin_object();
   w.kv("protocol", "dg");
-  w.kv("mode", "fifo");
   w.kv("intensity", std::uint64_t{kIntensity});
   w.kv("depth_counter", std::uint64_t{depth_for(WorkloadKind::kCounter)});
   w.kv("depth_pingpong", std::uint64_t{depth_for(WorkloadKind::kPingPong)});

@@ -16,8 +16,9 @@
 //   4. GC sweep — run_fleet_gc across the three Remark-2 aggressiveness
 //      levels: reclaimed counts rise monotonically with the level.
 //
-// A final live row drives a real loopback TcpCluster with both transport
-// features on, so the JSON ties the model to measured socket traffic.
+// A final live row drives a real loopback TcpCluster (whose connections
+// always run the codec and the relay tree), so the JSON ties the model to
+// measured socket traffic.
 //
 // --smoke shrinks the workloads (CI gate on a 1-core runner); the studied
 // sizes stay the same so the 0.35x assertion is made at real fleet width.
@@ -255,8 +256,8 @@ struct LiveRow {
 LiveRow run_live() {
   const std::size_t n = g_smoke ? 16 : 64;
   const std::size_t nodes = g_smoke ? 4 : 16;
-  std::printf("live TCP fleet: %zu processes on %zu loopback nodes, delta "
-              "piggyback + fanout-2 dissemination, one crash...\n",
+  std::printf("live TCP fleet: %zu processes on %zu loopback nodes, one "
+              "crash...\n",
               n, nodes);
   TcpClusterConfig config;
   config.n = n;
@@ -268,8 +269,6 @@ LiveRow run_live() {
   config.process.flush_interval = millis(10);
   config.process.checkpoint_interval = millis(50);
   config.process.retransmit_on_failure = true;
-  config.scale.delta_piggyback = true;
-  config.scale.token_fanout = 2;
   config.crashes.push_back({millis(40), 3});
   config.enable_oracle = true;
   config.time_cap = seconds(120);

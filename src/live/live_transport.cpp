@@ -161,12 +161,4 @@ void LiveTransport::broadcast_token(const Token& token) {
   fanout_cv_.notify_one();
 }
 
-void LiveTransport::send_token(ProcessId dst, const Token& token) {
-  DeliveryCounters::add(counters_.tokens_sent);
-  DeliveryCounters::add(counters_.token_bytes, token_wire_bytes(token));
-  Rng& rng = send_rng_.at(token.from);
-  push_wire(token.from, dst, FramePool::global().wrap(encode_token_frame(token)),
-            /*app=*/false, /*token=*/true, draw_delay(rng));
-}
-
 }  // namespace optrec

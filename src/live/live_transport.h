@@ -9,9 +9,9 @@
 //
 // Thread contract:
 //   * attach() runs on the supervisor thread before workers spawn.
-//   * send()/broadcast_token()/send_token() for source process p run only
-//     on p's worker thread (protocols always send as themselves), so the
-//     per-sender fault RNGs need no locks.
+//   * send()/broadcast_token() for source process p run only on p's worker
+//     thread (protocols always send as themselves), so the per-sender fault
+//     RNGs need no locks.
 //   * broadcast_token() does its accounting and RNG draws on the caller,
 //     then hands the encoded frame to a dedicated fan-out thread which does
 //     the O(n) channel pushes — a recovering process announces its failure
@@ -78,7 +78,6 @@ class LiveTransport : public Transport {
   void attach(ProcessId pid, Endpoint* endpoint) override;
   MsgId send(Message msg) override;
   void broadcast_token(const Token& token) override;
-  void send_token(ProcessId dst, const Token& token) override;
 
   /// Attach a trace recorder (thread-safe emit); null detaches.
   void set_trace(TraceRecorder* trace) { trace_ = trace; }

@@ -102,18 +102,15 @@ void Network::broadcast_token(const Token& token) {
   ++stats_.token_broadcasts;
   if (token_tap_) token_tap_(token);
   if (trace_) trace_->emit(token_broadcast_event(sim_.now(), token));
+  const std::size_t bytes = token_wire_bytes(token);
   for (ProcessId dst = 0; dst < endpoints_.size(); ++dst) {
     if (dst == token.from || endpoints_[dst] == nullptr) continue;
-    send_token(dst, token);
+    ++stats_.tokens_sent;
+    stats_.token_bytes += bytes;
+    const SimTime at =
+        sim_.now() + draw_delay(token.from, dst, /*token=*/true);
+    sim_.schedule_at(at, [this, dst, token]() { deliver_token(dst, token); });
   }
-}
-
-void Network::send_token(ProcessId dst, const Token& token) {
-  ++stats_.tokens_sent;
-  stats_.token_bytes += token_wire_bytes(token);
-  const SimTime at =
-      sim_.now() + draw_delay(token.from, dst, /*token=*/true);
-  sim_.schedule_at(at, [this, dst, token]() { deliver_token(dst, token); });
 }
 
 void Network::deliver_token(ProcessId dst, Token token) {

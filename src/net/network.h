@@ -65,8 +65,6 @@ class Network : public Transport {
 
   /// Reliably deliver `token` to every process except `token.from`.
   void broadcast_token(const Token& token) override;
-  /// Reliably deliver `token` to one process (used by retransmission tests).
-  void send_token(ProcessId dst, const Token& token) override;
 
   /// Test taps: observe every accepted send (post-stamp, with assigned id)
   /// and every token broadcast. Used by scenario tests that hand-deliver

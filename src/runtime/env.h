@@ -65,8 +65,6 @@ class Transport {
 
   /// Reliably deliver `token` to every process except `token.from`.
   virtual void broadcast_token(const Token& token) = 0;
-  /// Reliably deliver `token` to one process.
-  virtual void send_token(ProcessId dst, const Token& token) = 0;
 };
 
 /// The bundle of services a process runs against. A small value object of

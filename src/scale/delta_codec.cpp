@@ -9,7 +9,6 @@ namespace {
 /// Clock body tags inside a kDeltaMessageTag frame.
 constexpr std::uint8_t kClockDelta = 0;
 constexpr std::uint8_t kClockFull = 1;
-constexpr std::uint8_t kClockEmpty = 2;
 
 void write_message_tail(Writer& w, const Message& msg) {
   w.put_u8(static_cast<std::uint8_t>(msg.kind));
@@ -35,6 +34,16 @@ void read_message_tail(Reader& r, Message& m) {
   m.id = r.get_u64();
 }
 
+/// The clock section of the flat frame: Message::encode's has-clock flag
+/// plus Ftvc::encode.
+std::size_t flat_clock_bytes(const Ftvc& clock) {
+  std::size_t n = 1 + varint_size(clock.owner()) + varint_size(clock.size());
+  for (const FtvcEntry& e : clock.entries()) {
+    n += varint_size(e.ver) + varint_size(e.ts);
+  }
+  return n;
+}
+
 }  // namespace
 
 std::uint32_t delta_base_checksum(std::uint64_t epoch, std::uint64_t base_seq,
@@ -51,35 +60,35 @@ std::uint32_t delta_base_checksum(std::uint64_t epoch, std::uint64_t base_seq,
 // Encoder
 // ---------------------------------------------------------------------
 
-DeltaWireEncoder::DeltaWireEncoder(std::size_t streams, std::uint64_t epoch,
-                                   DeltaMode mode, std::size_t window)
-    : streams_(streams), epoch_(epoch), mode_(mode), window_(window) {}
+DeltaWireEncoder::DeltaWireEncoder(std::size_t streams, std::uint64_t epoch)
+    : streams_(streams), epoch_(epoch) {}
 
 Bytes DeltaWireEncoder::encode_for(std::size_t dst, const Message& msg,
-                                   std::size_t flat_size_hint) {
-  Writer w;
-  w.put_u8(kDeltaMessageTag);
+                                   std::size_t* flat_size) {
+  const auto account = [&](std::size_t emitted, std::size_t flat) {
+    stats_.delta_bytes += emitted;
+    stats_.flat_bytes += flat;
+    if (flat_size != nullptr) *flat_size = flat;
+  };
   const auto& entries = msg.clock.entries();
   if (entries.empty()) {
-    w.put_u8(kClockEmpty);
-    write_message_tail(w, msg);
-    return w.take();
+    Bytes flat = encode_message_frame(msg);
+    if (flat_size != nullptr) *flat_size = flat.size();
+    return flat;
   }
 
   Stream& s = streams_.at(dst);
-  const std::uint64_t seq = s.next_seq++;
-  const bool base_ok = s.have_base && s.base.size() == entries.size();
-  const bool window_ok =
-      mode_ == DeltaMode::kFifo || s.in_flight.size() < window_;
-  if (!base_ok || !window_ok) {
+  const std::uint64_t seq = s.next_seq;
+  const bool full = !s.have_base || s.base.size() != entries.size();
+  Writer w;
+  w.put_u8(kDeltaMessageTag);
+  if (full) {
     w.put_u8(kClockFull);
     w.put_u64(seq);
     w.put_u64(epoch_);
     w.put_u32(msg.clock.owner());
     w.put_u32(static_cast<std::uint32_t>(entries.size()));
     for (const FtvcEntry& e : entries) e.encode(w);
-    ++stats_.full_frames;
-    if (!window_ok) s.in_flight.clear();  // stale outstanding acks ignored
   } else {
     w.put_u8(kClockDelta);
     w.put_u64(seq);
@@ -97,42 +106,34 @@ Bytes DeltaWireEncoder::encode_for(std::size_t dst, const Message& msg,
       }
     }
   }
-  if (mode_ == DeltaMode::kFifo) {
-    // Reliable in-order stream: the frame we just emitted is the next base.
-    s.base = entries;
-    s.base_seq = seq;
-    s.have_base = true;
-  } else {
-    // Unreliable: the frame only becomes a base once the receiver acks it.
-    s.in_flight.emplace(seq, entries);
+  // Both frames lead with a one-byte tag and carry the same non-clock
+  // fields, so the clock sections alone decide which one is smaller.
+  const std::size_t clock_bytes = w.size() - 1;
+  const std::size_t flat_clock = flat_clock_bytes(msg.clock);
+  if (!full && clock_bytes >= flat_clock) {
+    // The delta would not save anything: send the stateless frame and keep
+    // the base, so the next delta still decodes against it.
+    Bytes flat = encode_message_frame(msg);
+    account(flat.size(), flat.size());
+    return flat;
   }
   write_message_tail(w, msg);
+  account(w.size(), w.size() - clock_bytes + flat_clock);
 
-  ++stats_.frames;
-  stats_.delta_bytes += w.size();
-  stats_.flat_bytes +=
-      flat_size_hint != 0 ? flat_size_hint : encode_message_frame(msg).size();
-  return w.take();
-}
-
-void DeltaWireEncoder::on_ack(std::size_t dst, std::uint64_t seq) {
-  if (mode_ != DeltaMode::kAcked) return;
-  Stream& s = streams_.at(dst);
-  if (s.have_base && seq <= s.base_seq) return;  // stale receipt
-  const auto it = s.in_flight.find(seq);
-  if (it == s.in_flight.end()) return;  // dropped by a window overrun
-  s.base = std::move(it->second);
+  // Reliable in-order stream: the stateful frame just emitted is the base.
+  ++s.next_seq;
+  s.base = entries;
   s.base_seq = seq;
   s.have_base = true;
-  // Everything at or below the new base can never be a better base.
-  s.in_flight.erase(s.in_flight.begin(), std::next(it));
+  ++stats_.frames;
+  if (full) ++stats_.full_frames;
+  return w.take();
 }
 
 void DeltaWireEncoder::reset(std::size_t dst) {
   Stream& s = streams_.at(dst);
   s.have_base = false;
   s.base.clear();
-  s.in_flight.clear();
   ++stats_.resets;
 }
 
@@ -145,7 +146,6 @@ void DeltaWireEncoder::rebirth(std::uint64_t new_epoch) {
   for (Stream& s : streams_) {
     s.have_base = false;
     s.base.clear();
-    s.in_flight.clear();
     // seqs deliberately NOT reset: a respawned sender that reuses seqs is
     // exactly the hazard the epoch+checksum binding exists to survive, and
     // the regression test drives this path with reused seqs on purpose.
@@ -157,58 +157,48 @@ void DeltaWireEncoder::rebirth(std::uint64_t new_epoch) {
 // Decoder
 // ---------------------------------------------------------------------
 
-DeltaWireDecoder::DeltaWireDecoder(std::size_t streams, std::size_t window)
-    : streams_(streams), window_(window) {}
+DeltaWireDecoder::DeltaWireDecoder(std::size_t streams) : streams_(streams) {}
 
-Message DeltaWireDecoder::decode_from(std::size_t src, const Bytes& wire,
-                                      DeltaAck* ack) {
+Message DeltaWireDecoder::decode_from(std::size_t src, const Bytes& wire) {
+  if (wire.empty() || wire[0] != kDeltaMessageTag) {
+    // A flat fallback frame: stateless, the stream base is untouched.
+    Frame f = decode_frame(wire);
+    if (f.type != FrameType::kMessage) {
+      throw DecodeError("delta stream: not a message frame");
+    }
+    return std::move(f.message);
+  }
   Reader r(wire);
-  if (r.get_u8() != kDeltaMessageTag) {
-    throw DecodeError("not a delta message frame");
-  }
-  Message m;
+  r.get_u8();  // kDeltaMessageTag
   const std::uint8_t clock_tag = r.get_u8();
-  if (clock_tag == kClockEmpty) {
-    m.clock = Ftvc{};
-    read_message_tail(r, m);
-    if (!r.at_end()) throw DecodeError("trailing bytes after delta frame");
-    if (ack != nullptr) *ack = DeltaAck{};
-    return m;
-  }
-
   Stream& s = streams_.at(src);
   const std::uint64_t seq = r.get_u64();
+  std::uint64_t epoch = s.epoch;
+  ProcessId owner = s.owner;
   std::vector<FtvcEntry> entries;
   if (clock_tag == kClockFull) {
-    const std::uint64_t epoch = r.get_u64();
-    const ProcessId owner = r.get_u32();
+    // Self-contained: a new sender incarnation (or first contact) simply
+    // replaces the base, so a respawned sender reusing seqs lands here
+    // before any of its deltas can touch the stale one.
+    epoch = r.get_u64();
+    owner = r.get_u32();
     const std::uint32_t n = r.get_u32();
     if (n > wire.size()) throw DecodeError("delta frame: impossible count");
     entries.resize(n);
     for (auto& e : entries) e = FtvcEntry::decode(r);
-    if (!s.active || s.epoch != epoch) {
-      // New sender incarnation (or first contact): hard reset. A respawned
-      // sender reusing seqs lands here before any of its deltas can touch
-      // the stale cache.
-      s.cache.clear();
-      s.epoch = epoch;
-      s.active = true;
-    }
-    s.owner = owner;
   } else if (clock_tag == kClockDelta) {
     if (!s.active) {
       throw DeltaResyncRequired("delta frame before any full frame");
     }
     const std::uint64_t base_seq = r.get_u64();
     const std::uint32_t base_check = r.get_u32();
-    const auto it = s.cache.find(base_seq);
-    if (it == s.cache.end()) {
-      throw DeltaResyncRequired("delta base not in cache");
+    if (base_seq != s.base_seq) {
+      throw DeltaResyncRequired("delta names a base the stream does not hold");
     }
-    if (delta_base_checksum(s.epoch, base_seq, it->second) != base_check) {
+    if (delta_base_checksum(s.epoch, base_seq, s.base) != base_check) {
       throw DeltaResyncRequired("delta base checksum mismatch");
     }
-    entries = it->second;
+    entries = s.base;
     const std::uint32_t changed = r.get_u32();
     if (changed > entries.size()) {
       throw DecodeError("delta frame: impossible changed count");
@@ -224,26 +214,23 @@ Message DeltaWireDecoder::decode_from(std::size_t src, const Bytes& wire,
     throw DecodeError("delta frame: unknown clock tag");
   }
 
-  m.clock = Ftvc::with_entries(s.owner, entries);
+  Message m;
+  m.clock = Ftvc::with_entries(owner, entries);
   read_message_tail(r, m);
   if (!r.at_end()) throw DecodeError("trailing bytes after delta frame");
 
-  // Cache AFTER the whole frame parsed clean, so malformed tails cannot
-  // poison the stream state.
-  s.cache[seq] = std::move(entries);
-  while (s.cache.size() > window_) s.cache.erase(s.cache.begin());
-  if (ack != nullptr) {
-    ack->epoch = s.epoch;
-    ack->seq = seq;
-  }
+  // Adopt the new base only AFTER the whole frame parsed clean, so
+  // malformed tails cannot poison the stream state.
+  s.active = true;
+  s.epoch = epoch;
+  s.owner = owner;
+  s.base_seq = seq;
+  s.base = std::move(entries);
   return m;
 }
 
 void DeltaWireDecoder::reset(std::size_t src) {
-  Stream& s = streams_.at(src);
-  s.active = false;
-  s.owner = kNoProcess;
-  s.cache.clear();
+  streams_.at(src) = Stream{};
 }
 
 void DeltaWireDecoder::reset_all() {

@@ -17,17 +17,19 @@
 //     numbers (the known send-seq-reuse hazard) can at worst force a resync,
 //     never corrupt a clock.
 //
-// Two operating modes:
-//   * kFifo — for reliable in-order byte streams (one codec per TCP
-//     connection session). The base is simply the previous frame on the
-//     stream, giving the tightest diffs. Both sides reset their state when
-//     the connection (session) is torn down, so frames staged into a dying
-//     socket can never leave the encoder ahead of the decoder.
-//   * kAcked — for unreliable channels (drops, dups, reorders). The encoder
-//     only diffs against frames the receiver has explicitly acknowledged
-//     (last-acked base + a bounded in-flight window), so any subset of
-//     in-flight frames may be lost or reordered and every delivered frame
-//     still decodes exactly.
+// Streams are FIFO: one codec pair per reliable in-order byte stream (a TCP
+// connection session), and the base is the stream's last stateful frame.
+// Both sides reset their state when the connection (session) is torn down,
+// so frames staged into a dying socket can never leave the encoder ahead of
+// the decoder. Under drops, duplicates or reorders a frame either decodes
+// exactly or throws DeltaResyncRequired; it never yields a wrong clock.
+//
+// The encoder never costs more than the stateless frame it replaces,
+// except for one full frame per stream: whenever a delta would not be
+// smaller, it emits the flat encode_message_frame() image instead. Flat
+// frames leave the stream base untouched, so the next delta still decodes
+// against the last stateful frame. Messages with an empty clock always go
+// flat.
 //
 // The unit of encoding is a whole message frame: all Message fields are
 // serialized verbatim and only the clock field is delta-compressed, so
@@ -36,7 +38,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "src/clocks/ftvc.h"
@@ -48,32 +49,21 @@
 namespace optrec::scale {
 
 /// Frame tag for delta message frames. Distinct from FrameType::kMessage
-/// (1) and kToken (2); the TCP layer uses the tag byte to route a nested
-/// frame to the delta decoder.
+/// (1) and kToken (2), so a stateful frame and a flat fallback frame can
+/// share one stream.
 constexpr std::uint8_t kDeltaMessageTag = 4;
-
-/// Base-advance discipline; see file comment.
-enum class DeltaMode : std::uint8_t { kFifo = 0, kAcked = 1 };
 
 /// Decode failure meaning "I cannot reconstruct this clock from my state":
 /// missing base, checksum mismatch, or a delta before any full frame. The
-/// caller resets/NAKs and the encoder falls back to a full frame. This is
-/// the designed recovery path, not a protocol error.
+/// caller resets both ends and the next frame goes full. This is the
+/// designed recovery path, not a protocol error.
 class DeltaResyncRequired : public DecodeError {
  public:
   explicit DeltaResyncRequired(const std::string& what) : DecodeError(what) {}
 };
 
-/// Receipt the decoder hands back on every stateful decode; the transport
-/// returns it to the encoder (kAcked mode) or ignores it (kFifo). seq == 0
-/// means the frame was stateless (empty clock) and needs no ack.
-struct DeltaAck {
-  std::uint64_t epoch = 0;
-  std::uint64_t seq = 0;
-};
-
-/// Byte accounting, updated by the encoder: what the delta frames cost vs
-/// what the stateless flat frames they replace would have cost.
+/// Byte accounting, updated by the encoder for every frame with a clock:
+/// what the emitted frames cost vs the stateless flat frames they replace.
 struct DeltaCodecStats {
   std::uint64_t frames = 0;       // stateful frames encoded
   std::uint64_t full_frames = 0;  // of which carried the full vector
@@ -93,20 +83,14 @@ std::uint32_t delta_base_checksum(std::uint64_t epoch, std::uint64_t base_seq,
 /// wire, only (epoch, seq, base_seq) do.
 class DeltaWireEncoder {
  public:
-  DeltaWireEncoder(std::size_t streams, std::uint64_t epoch, DeltaMode mode,
-                   std::size_t window = 32);
+  DeltaWireEncoder(std::size_t streams, std::uint64_t epoch);
 
-  /// Encode `msg` on stream `dst`. Emits a full frame when no safe base
-  /// exists (first frame, after reset, window overrun, clock size change);
-  /// a delta frame otherwise. Messages with an empty clock encode stateless.
-  /// `flat_size_hint`, when nonzero, is the caller-known size of the
-  /// stateless flat frame (saves re-encoding it just for the stats).
+  /// Encode `msg` on stream `dst`: a full frame when the stream has no
+  /// base (first frame, after reset, clock size change), else a delta, or
+  /// the flat frame when the delta would not be smaller. `*flat_size`, when
+  /// non-null, receives the size of the flat frame.
   Bytes encode_for(std::size_t dst, const Message& msg,
-                   std::size_t flat_size_hint = 0);
-
-  /// kAcked: the receiver acknowledged frame `seq` on stream `dst`; it
-  /// becomes the new diff base. Stale or unknown seqs are ignored.
-  void on_ack(std::size_t dst, std::uint64_t seq);
+                   std::size_t* flat_size = nullptr);
 
   /// Drop the base for one stream / all streams: the next frame is full.
   /// Called after a resync request, a rollback, or a connection loss.
@@ -117,7 +101,6 @@ class DeltaWireEncoder {
   void rebirth(std::uint64_t new_epoch);
 
   std::uint64_t epoch() const { return epoch_; }
-  DeltaMode mode() const { return mode_; }
   const DeltaCodecStats& stats() const { return stats_; }
 
  private:
@@ -126,33 +109,28 @@ class DeltaWireEncoder {
     bool have_base = false;
     std::uint64_t base_seq = 0;
     std::vector<FtvcEntry> base;
-    /// kAcked: seq -> entry snapshot awaiting acknowledgement.
-    std::map<std::uint64_t, std::vector<FtvcEntry>> in_flight;
   };
 
   std::vector<Stream> streams_;
   std::uint64_t epoch_;
-  DeltaMode mode_;
-  std::size_t window_;
   DeltaCodecStats stats_;
 };
 
-/// Receiver side: one independent stream per source key. Caches the last
-/// `window` decoded entry vectors by seq so kAcked deltas can reference any
-/// recently acknowledged base.
+/// Receiver side: one independent stream per source key, holding the
+/// stream's last stateful frame as the only base.
 class DeltaWireDecoder {
  public:
-  explicit DeltaWireDecoder(std::size_t streams, std::size_t window = 128);
+  explicit DeltaWireDecoder(std::size_t streams);
 
-  /// Reconstruct the Message of a delta frame from stream `src`. Fills
-  /// `*ack` (may be null) with the receipt to return to the encoder.
+  /// Reconstruct the Message of a frame encode_for produced on stream
+  /// `src`: a stateful frame, or a flat message frame (decoded statelessly).
   /// Throws DeltaResyncRequired when the named base is missing or fails its
-  /// checksum (recoverable: caller NAKs, encoder goes full);
-  /// DecodeError/TruncatedError on malformed bytes (not recoverable).
-  Message decode_from(std::size_t src, const Bytes& wire,
-                      DeltaAck* ack = nullptr);
+  /// checksum (recoverable: reset both ends, the next frame goes full);
+  /// DecodeError/TruncatedError on malformed bytes or any frame that is not
+  /// a message (not recoverable).
+  Message decode_from(std::size_t src, const Bytes& wire);
 
-  /// Drop cached state for one stream / all streams (sender incarnation or
+  /// Drop the base for one stream / all streams (sender incarnation or
   /// connection changed).
   void reset(std::size_t src);
   void reset_all();
@@ -162,11 +140,11 @@ class DeltaWireDecoder {
     bool active = false;
     std::uint64_t epoch = 0;
     ProcessId owner = kNoProcess;
-    std::map<std::uint64_t, std::vector<FtvcEntry>> cache;  // by seq
+    std::uint64_t base_seq = 0;
+    std::vector<FtvcEntry> base;
   };
 
   std::vector<Stream> streams_;
-  std::size_t window_;
 };
 
 }  // namespace optrec::scale

@@ -1,6 +1,5 @@
 #include "src/scale/fleet_model.h"
 
-#include <deque>
 #include <utility>
 #include <vector>
 
@@ -28,17 +27,6 @@ double FleetPiggybackReport::piggyback_ratio() const {
   return static_cast<double>(delta_piggyback_bytes) /
          static_cast<double>(flat_piggyback_bytes);
 }
-
-namespace {
-
-/// One pending acknowledgement travelling back to an encoder.
-struct PendingAck {
-  std::size_t src = 0;  // encoder owner (message sender)
-  std::size_t dst = 0;  // encoder stream key (message destination)
-  std::uint64_t seq = 0;
-};
-
-}  // namespace
 
 FleetPiggybackReport run_fleet_piggyback(const FleetPiggybackConfig& config) {
   ScenarioConfig sc;
@@ -70,10 +58,9 @@ FleetPiggybackReport run_fleet_piggyback(const FleetPiggybackConfig& config) {
   encoders.reserve(config.n);
   decoders.reserve(config.n);
   for (std::size_t i = 0; i < config.n; ++i) {
-    encoders.emplace_back(config.n, /*epoch=*/1, config.mode, config.window);
-    decoders.emplace_back(config.n, /*window=*/config.window * 4);
+    encoders.emplace_back(config.n, /*epoch=*/1);
+    decoders.emplace_back(config.n);
   }
-  std::deque<PendingAck> ack_queue;
 
   scenario.net().set_message_tap([&](const Message& msg) {
     if (msg.kind != MessageKind::kApp || msg.clock.size() == 0) return;
@@ -86,20 +73,20 @@ FleetPiggybackReport run_fleet_piggyback(const FleetPiggybackConfig& config) {
     bare.clock = Ftvc{};
     const std::size_t base_size = encode_message_frame(bare).size();
 
-    Bytes wire = encoders[src].encode_for(dst, msg, flat.size());
-    DeltaAck ack;
+    Bytes wire = encoders[src].encode_for(dst, msg);
     Message decoded;
     try {
-      decoded = decoders[dst].decode_from(src, wire, &ack);
+      decoded = decoders[dst].decode_from(src, wire);
     } catch (const DeltaResyncRequired&) {
-      // Designed recovery path: NAK, encoder forgets its base and re-sends
-      // full. Never expected in-model (state is lossless here), but counted
-      // so a bug shows up in the report instead of aborting the bench.
+      // Designed recovery path: both ends forget the base and the frame is
+      // re-sent full. Never expected in-model (state is lossless here), but
+      // counted so a bug shows up in the report instead of aborting the
+      // bench.
       ++report.resyncs;
       encoders[src].reset(dst);
       decoders[dst].reset(src);
-      wire = encoders[src].encode_for(dst, msg, 0);
-      decoded = decoders[dst].decode_from(src, wire, &ack);
+      wire = encoders[src].encode_for(dst, msg);
+      decoded = decoders[dst].decode_from(src, wire);
     }
     if (encode_message_frame(decoded) != flat) ++report.fidelity_mismatches;
 
@@ -109,13 +96,6 @@ FleetPiggybackReport run_fleet_piggyback(const FleetPiggybackConfig& config) {
     report.flat_piggyback_bytes += flat.size() - base_size;
     report.delta_piggyback_bytes +=
         wire.size() > base_size ? wire.size() - base_size : 0;
-
-    if (ack.seq != 0) ack_queue.push_back({src, dst, ack.seq});
-    while (ack_queue.size() > config.ack_lag) {
-      const PendingAck& p = ack_queue.front();
-      encoders[p.src].on_ack(p.dst, p.seq);
-      ack_queue.pop_front();
-    }
   });
 
   report.quiesced = scenario.run();

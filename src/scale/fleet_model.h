@@ -4,9 +4,9 @@
 // models the per-peer delta piggyback codec over the real message traffic:
 // every application send is encoded through a per-sender DeltaWireEncoder,
 // decoded through the receiver's DeltaWireDecoder, and checked byte-exact
-// against the flat encoding. Acks are applied with a configurable lag to
-// model in-flight windows. bench_fleet and tests/scale both drive this; the
-// bench stays a thin JSON emitter.
+// against the flat encoding. Each (sender, receiver) pair is one FIFO
+// stream, exactly as on a TCP connection. bench_fleet and tests/scale both
+// drive this; the bench stays a thin JSON emitter.
 #pragma once
 
 #include <cstddef>
@@ -35,11 +35,6 @@ struct FleetPiggybackConfig {
   std::uint32_t payload_pad = 0;
   /// Crashes injected at random times (0 = failure-free schedule).
   std::size_t crashes = 0;
-  /// Delta codec model: mode, in-flight window (kAcked), and how many
-  /// subsequent frames are modeled in flight before an ack is applied.
-  DeltaMode mode = DeltaMode::kAcked;
-  std::size_t window = 32;
-  std::size_t ack_lag = 4;
   /// Ground-truth checks (causality oracle + trace audit). Costly at large
   /// n; benches enable it for crash schedules.
   bool audit = false;

@@ -1,8 +1,8 @@
-// Hierarchical failure-token dissemination overlay (src/scale/ tentpole,
-// part 2): routing math for the k-ary relay tree the TCP transport uses in
-// place of flat ack-tracked broadcast, plus a deterministic simulator the
-// fleet bench and tests use to characterize message count / depth / fallback
-// behavior at sizes no CI box can run live.
+// Hierarchical failure-token dissemination overlay: routing math for the
+// k-ary relay tree the TCP transport sends every failure token down, plus a
+// deterministic simulator the fleet bench and tests use to characterize
+// message count / depth / fallback behavior at sizes no CI box can run
+// live.
 //
 // Model: a failure token originates at one NODE. The origin covers its own
 // local pids directly, orders the remaining nodes in ring order from itself
@@ -20,7 +20,7 @@
 // re-split and relayed directly, so a dead interior node can delay but
 // never block its descendants. Totals stay O(n) messages with O(log_k n)
 // depth; every node unreachable at send time keeps a pending singleton
-// retry, exactly the flat broadcast's partition behavior.
+// retry until it comes back.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +42,8 @@ std::vector<RelayAssignment> split_subtree(
     const std::vector<std::uint32_t>& nodes, std::uint32_t fanout);
 
 /// The origin's top-level plan for a cluster of `n_nodes`: remote nodes in
-/// ring order from origin+1, split `fanout` ways. fanout < 2 (flat mode) or
-/// a 1-node cluster yields singleton assignments for every remote node.
+/// ring order from origin+1, split `fanout` ways. fanout < 2 or a 1-node
+/// cluster yields singleton assignments for every remote node.
 std::vector<RelayAssignment> plan_broadcast(std::uint32_t origin,
                                             std::uint32_t n_nodes,
                                             std::uint32_t fanout);

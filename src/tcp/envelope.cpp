@@ -65,15 +65,9 @@ Bytes encode_envelope(const Envelope& e) {
       w.put_u32(e.src_pid);
       w.put_u32(e.dst_pid);
       w.put_bool(e.app);
-      w.put_bool(e.token);
-      w.put_u64(e.token_seq);
       w.put_u64(e.sent_unix_us);
       w.put_u64(e.delay_us);
       w.put_bytes(e.wire);
-      break;
-    case EnvelopeKind::kTokenAck:
-      w.put_u64(e.epoch);  // echo of the sender incarnation being acked
-      w.put_u64(e.ack_seq);
       break;
     case EnvelopeKind::kStatus:
       encode_status(w, e.status);
@@ -88,7 +82,6 @@ Bytes encode_envelope(const Envelope& e) {
       w.put_u64(e.epoch);      // origin incarnation
       w.put_u64(e.token_seq);  // origin-unique broadcast seq
       w.put_u64(e.relay_id);
-      w.put_u32(e.fanout);
       w.put_u32(e.src_pid);  // the failed process (token.from)
       w.put_u64(e.delay_us);
       w.put_u32(static_cast<std::uint32_t>(e.subtree.size()));
@@ -97,7 +90,7 @@ Bytes encode_envelope(const Envelope& e) {
       break;
     case EnvelopeKind::kRelayAck:
       w.put_u64(e.epoch);  // echo of the requester incarnation
-      w.put_u64(e.ack_seq);
+      w.put_u64(e.relay_id);
       break;
   }
   return w.take();
@@ -112,7 +105,7 @@ Envelope decode_envelope(const Bytes& body) {
     Reader r(body);
     Envelope e;
     const std::uint8_t kind = r.get_u8();
-    if (kind < 1 || kind > 8) {
+    if (kind < 1 || kind > 7) {
       throw FrameError(FrameError::Kind::kCorrupt,
                        "unknown envelope kind " + std::to_string(kind));
     }
@@ -127,8 +120,6 @@ Envelope decode_envelope(const Bytes& body) {
         e.src_pid = r.get_u32();
         e.dst_pid = r.get_u32();
         e.app = r.get_bool();
-        e.token = r.get_bool();
-        e.token_seq = r.get_u64();
         e.sent_unix_us = r.get_u64();
         e.delay_us = r.get_u64();
         e.wire = r.get_bytes();
@@ -136,10 +127,6 @@ Envelope decode_envelope(const Bytes& body) {
           throw FrameError(FrameError::Kind::kOversized,
                            "nested wire frame exceeds kMaxFrameBytes");
         }
-        break;
-      case EnvelopeKind::kTokenAck:
-        e.epoch = r.get_u64();
-        e.ack_seq = r.get_u64();
         break;
       case EnvelopeKind::kStatus:
         e.status = decode_status(r);
@@ -154,7 +141,6 @@ Envelope decode_envelope(const Bytes& body) {
         e.epoch = r.get_u64();
         e.token_seq = r.get_u64();
         e.relay_id = r.get_u64();
-        e.fanout = r.get_u32();
         e.src_pid = r.get_u32();
         e.delay_us = r.get_u64();
         const std::uint32_t count = r.get_u32();
@@ -173,7 +159,7 @@ Envelope decode_envelope(const Bytes& body) {
       }
       case EnvelopeKind::kRelayAck:
         e.epoch = r.get_u64();
-        e.ack_seq = r.get_u64();
+        e.relay_id = r.get_u64();
         break;
     }
     if (!r.at_end()) {
@@ -218,8 +204,6 @@ Bytes frame_wire_envelope_prefix(const Envelope& e, std::size_t wire_size) {
   w.put_u32(e.src_pid);
   w.put_u32(e.dst_pid);
   w.put_bool(e.app);
-  w.put_bool(e.token);
-  w.put_u64(e.token_seq);
   w.put_u64(e.sent_unix_us);
   w.put_u64(e.delay_us);
   // The length varint put_bytes would have written; the raw wire bytes

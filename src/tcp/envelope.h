@@ -2,10 +2,12 @@
 //
 // A connection carries length-delimited envelopes: [len u32-LE][body],
 // where the body is a varint-encoded record tagged with an EnvelopeKind.
-// Protocol traffic (kWire) nests the exact src/wire/wire_codec frame the
-// in-process backends use — the TCP layer adds only addressing (source
-// node/pid, destination pid), the injected-delay and latency timestamps,
-// and an optional ack-tracked token sequence number.
+// Application traffic (kWire) nests one message frame — the connection's
+// delta codec output (src/scale/delta_codec.h) or the flat src/wire/
+// wire_codec frame the in-process backends use — and the TCP layer adds
+// only addressing (source node/pid, destination pid) plus the
+// injected-delay and latency timestamps. Failure tokens travel in
+// kTokenRelay envelopes down the dissemination tree (src/scale/overlay.h).
 //
 // The codec is hardened the same way decode_frame is: every decode failure
 // is a FrameError (never UB, never an assert), the length prefix is checked
@@ -27,13 +29,12 @@ namespace optrec {
 
 enum class EnvelopeKind : std::uint8_t {
   kHello = 1,        // first envelope on every connection: who is calling
-  kWire = 2,         // one protocol frame (message or token)
-  kTokenAck = 3,     // receipt for an ack-tracked token
-  kStatus = 4,       // node -> coordinator quiescence report
-  kShutdown = 5,     // coordinator -> node: stop with exit_code
-  kShutdownAck = 6,  // node -> coordinator: shutdown order received
-  kTokenRelay = 7,   // hierarchical token dissemination: cover `subtree`
-  kRelayAck = 8,     // receipt: the relay's WHOLE subtree is covered
+  kWire = 2,         // one message frame
+  kStatus = 3,       // node -> coordinator quiescence report
+  kShutdown = 4,     // coordinator -> node: stop with exit_code
+  kShutdownAck = 5,  // node -> coordinator: shutdown order received
+  kTokenRelay = 6,   // failure-token dissemination: cover `subtree`
+  kRelayAck = 7,     // receipt: the relay's WHOLE subtree is covered
 };
 
 /// Protocol/transport counters piggybacked on the status gossip, so the
@@ -57,7 +58,7 @@ struct NodeStatsBlock {
 
 /// One node's quiescence report, sent to the coordinator every status tick.
 /// `quiet` folds every local condition (workers up, nothing pending, no
-/// local frames in flight, outbound queues drained, no unacked tokens);
+/// local frames in flight, outbound queues drained, no unacked relays);
 /// `signature` is the node's progress signature, so the coordinator can
 /// require cluster-wide stability on top of everyone claiming quiet.
 struct NodeStatusReport {
@@ -82,26 +83,20 @@ struct Envelope {
   std::uint32_t src_pid = 0;
   std::uint32_t dst_pid = 0;
   bool app = false;
-  bool token = false;
-  /// Nonzero = retry-until-acked token; receivers dedupe on
-  /// (src_node, epoch, token_seq) and always ack.
-  std::uint64_t token_seq = 0;
   /// CLOCK_REALTIME micros at send, for cross-node latency accounting.
   std::uint64_t sent_unix_us = 0;
   /// Injected delivery delay, applied at the receiver on top of the real
   /// network latency.
   std::uint64_t delay_us = 0;
-  Bytes wire;  // the nested wire_codec frame
+  Bytes wire;  // the nested frame
 
-  // kTokenAck; kRelayAck reuses it for the relay id being receipted.
-  std::uint64_t ack_seq = 0;
-
-  // kTokenRelay (reuses epoch = ORIGIN incarnation, token_seq = origin-
-  // unique broadcast seq for delivery dedupe, src_pid = failed process,
-  // delay_us = injected delay, wire = the nested token frame).
+  // kTokenRelay (reuses epoch = ORIGIN incarnation, src_pid = failed
+  // process, delay_us = injected delay, wire = the nested token frame).
   std::uint32_t origin_node = 0;  // root of the dissemination tree
-  std::uint64_t relay_id = 0;     // requester-unique, echoed by kRelayAck
-  std::uint32_t fanout = 0;       // k-ary split the head must reuse
+  std::uint64_t token_seq = 0;    // origin-unique broadcast seq (dedupe)
+  /// Requester-unique; kRelayAck echoes it with epoch = the requester
+  /// incarnation the relay arrived from.
+  std::uint64_t relay_id = 0;
   /// Node ids this relay must cover; front() is the receiver itself.
   std::vector<std::uint32_t> subtree;
 

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <system_error>
 
@@ -20,11 +19,6 @@ namespace {
   throw std::system_error(errno, std::generic_category(), what);
 }
 
-bool env_forces_poll() {
-  const char* v = std::getenv("OPTREC_TCP_POLL");
-  return v != nullptr && v[0] == '1';
-}
-
 #ifdef __linux__
 std::uint32_t to_epoll_mask(bool read, bool write) {
   std::uint32_t mask = 0;
@@ -35,8 +29,6 @@ std::uint32_t to_epoll_mask(bool read, bool write) {
 #endif
 
 }  // namespace
-
-Poller::Poller() : Poller(env_forces_poll()) {}
 
 Poller::Poller(bool use_poll) {
 #ifdef __linux__

@@ -1,9 +1,7 @@
 // Readiness notification for the TCP event loop: epoll on Linux, poll(2)
-// everywhere else (and on Linux when OPTREC_TCP_POLL=1 is set, so the
-// fallback path stays tested on the primary platform). Level-triggered on
-// both backends — the loop re-arms write interest only while an outbound
-// buffer is nonempty, so level semantics cost nothing and keep the state
-// machine simple.
+// everywhere else. Level-triggered on both backends — the loop re-arms
+// write interest only while an outbound buffer is nonempty, so level
+// semantics cost nothing and keep the state machine simple.
 #pragma once
 
 #include <cstddef>
@@ -14,9 +12,9 @@ namespace optrec {
 
 class Poller {
  public:
-  /// Auto-select: epoll where available unless OPTREC_TCP_POLL=1.
-  Poller();
-  explicit Poller(bool use_poll);
+  /// The platform's backend; `use_poll` forces poll(2) on Linux too (the
+  /// test seam that keeps the fallback covered on the primary platform).
+  explicit Poller(bool use_poll = false);
   ~Poller();
 
   Poller(const Poller&) = delete;

@@ -53,7 +53,6 @@ TcpCluster::TcpCluster(TcpClusterConfig config) : config_(std::move(config)) {
         "requests have no oracle send records)");
   }
   topo_.faults = config_.faults;
-  topo_.scale = config_.scale;
   if (config_.enable_oracle) oracle_ = std::make_unique<CausalityOracle>();
   if (config_.enable_trace) trace_ = std::make_unique<TraceRecorder>();
 

@@ -29,8 +29,6 @@ struct TcpClusterConfig {
   WorkloadSpec workload;
   ProcessConfig process;
   TcpFaultConfig faults;
-  /// Fleet-scale knobs (delta piggyback, hierarchical token relay).
-  TcpScaleConfig scale;
   /// Crash schedule over global pids; each node applies its local share.
   std::vector<CrashEvent> crashes;
   SimTime time_cap = seconds(30);

@@ -28,6 +28,14 @@ constexpr std::size_t kRecvChunk = 64 * 1024;
 /// sendmsg rarely accepts more than a socket buffer anyway.
 constexpr std::size_t kMaxIov = 64;
 
+/// Relay tree fanout over node ids: every node holds at most two
+/// outstanding relays per broadcast, whatever the fleet size.
+constexpr std::uint32_t kTokenFanout = 2;
+
+/// Retries spent on an unresponsive subtree head before the requester
+/// splits the head's subtree and relays around it.
+constexpr std::uint32_t kRelayFallbackRetries = 3;
+
 }  // namespace
 
 TcpTransport::TcpTransport(const LiveClock& clock, const TcpTopology& topo,
@@ -168,33 +176,9 @@ void TcpTransport::push_local(ProcessId src, ProcessId dst, FrameRef wire,
   channels_.at(dst)->push(std::move(f));
 }
 
-Envelope TcpTransport::wire_envelope(ProcessId src, ProcessId dst, bool app,
-                                     bool token, SimTime delay) {
-  Envelope e;
-  e.kind = EnvelopeKind::kWire;
-  e.src_node = node_id_;
-  e.src_pid = src;
-  e.dst_pid = dst;
-  e.app = app;
-  e.token = token;
-  e.sent_unix_us = unix_micros();
-  e.delay_us = delay;
-  return e;
-}
-
 TcpTransport::OutMsg TcpTransport::control_msg(const Envelope& e) {
   OutMsg m;
   m.head = FramePool::global().wrap(frame_envelope(e));
-  return m;
-}
-
-TcpTransport::OutMsg TcpTransport::wire_msg(const Envelope& e,
-                                            FrameRef payload, bool app) {
-  OutMsg m;
-  m.head =
-      FramePool::global().wrap(frame_wire_envelope_prefix(e, payload.size()));
-  m.payload = std::move(payload);
-  m.app = app;
   return m;
 }
 
@@ -255,121 +239,54 @@ MsgId TcpTransport::send(Message msg) {
     }
   }
   const std::uint32_t dst_node = topo_.node_of(msg.dst);
-  const bool local = dst_node == node_id_;
+  const bool dup = app && rng.chance(topo_.faults.duplicate_prob);
+  if (dup) DeliveryCounters::add(counters_.messages_duplicated);
 
-  if (!local && topo_.scale.delta_piggyback) {
-    // Defer encoding to the IO thread: the frame must be delta-encoded in
-    // exactly the order it enters the connection's stream, which only the
-    // single stager (flush_peer) can guarantee. No flat encode happens at
-    // all on this path.
-    const MsgId id = msg.id;
-    auto d = std::make_shared<DeltaSend>();
-    d->src_pid = msg.src;
-    d->dst_pid = msg.dst;
-    d->sent_unix_us = unix_micros();
-    d->flat_size = message_wire_bytes(msg);
-    d->app = app;
-    d->msg = std::move(msg);
-    const auto queue_delta = [&](SimTime delay) {
-      OutMsg m;
-      m.app = app;
-      m.delta = d;
-      m.delta_delay = delay;
-      if (!queue_to_peer(dst_node, std::move(m))) {
-        DeliveryCounters::add(counters_.messages_dropped);
-      }
-    };
-    if (app && rng.chance(topo_.faults.duplicate_prob)) {
-      DeliveryCounters::add(counters_.messages_duplicated);
-      queue_delta(draw_delay(rng));
+  if (dst_node == node_id_) {
+    // Encode once into a pooled buffer; a duplicate shares the ref.
+    FrameRef wire = FramePool::global().wrap(encode_message_frame(msg));
+    if (dup) {
+      push_local(msg.src, msg.dst, wire, app, /*token=*/false,
+                 draw_delay(rng));
     }
-    queue_delta(draw_delay(rng));
-    wake();
-    return id;
+    push_local(msg.src, msg.dst, std::move(wire), app, /*token=*/false,
+               draw_delay(rng));
+    return msg.id;
   }
 
-  // Encode once into a pooled buffer; duplicates and the remote head/
-  // payload split all share it.
-  FrameRef wire = FramePool::global().wrap(encode_message_frame(msg));
-
-  const auto deliver = [&](FrameRef w, SimTime delay) {
-    if (local) {
-      push_local(msg.src, msg.dst, std::move(w), app, /*token=*/false, delay);
-      return;
-    }
-    const Envelope e =
-        wire_envelope(msg.src, msg.dst, app, /*token=*/false, delay);
-    if (!queue_to_peer(dst_node, wire_msg(e, std::move(w), app))) {
+  // Defer encoding to the IO thread: the frame must be delta-encoded in
+  // exactly the order it enters the connection's stream, which only the
+  // single stager (flush_peer) can guarantee.
+  const MsgId id = msg.id;
+  auto d = std::make_shared<DeltaSend>();
+  d->sent_unix_us = unix_micros();
+  d->msg = std::move(msg);
+  const auto queue = [&](SimTime delay) {
+    OutMsg m;
+    m.app = app;
+    m.delta = d;
+    m.delta_delay = delay;
+    if (!queue_to_peer(dst_node, std::move(m))) {
       // Backpressure loss is transport loss: account it like a drop so
       // merged cluster stats still balance.
       DeliveryCounters::add(counters_.messages_dropped);
     }
   };
-
-  if (app && rng.chance(topo_.faults.duplicate_prob)) {
-    DeliveryCounters::add(counters_.messages_duplicated);
-    deliver(wire, draw_delay(rng));
-  }
-  deliver(std::move(wire), draw_delay(rng));
-  if (!local) wake();
-  return msg.id;
-}
-
-void TcpTransport::send_token_tracked(std::uint32_t dst_node, Envelope e,
-                                      FrameRef payload) {
-  e.token_seq = next_token_seq_.fetch_add(1, std::memory_order_relaxed);
-  OutMsg m = wire_msg(e, std::move(payload), /*app=*/false);
-  {
-    std::lock_guard<std::mutex> lock(tokens_mu_);
-    PendingTokenSend pending;
-    pending.node = dst_node;
-    pending.msg = m;  // ref clones; retries share the same buffers
-    pending.next_retry = clock_.now() + topo_.faults.token_retry;
-    unacked_tokens_.emplace(e.token_seq, std::move(pending));
-  }
-  unacked_count_.fetch_add(1, std::memory_order_acq_rel);
-  queue_to_peer(dst_node, std::move(m));
+  if (dup) queue(draw_delay(rng));
+  queue(draw_delay(rng));
+  wake();
+  return id;
 }
 
 void TcpTransport::broadcast_token(const Token& token) {
   DeliveryCounters::add(counters_.token_broadcasts);
   if (trace_) trace_->emit(token_broadcast_event(clock_.now(), token));
   Rng& rng = *send_rng_.at(token.from);
-  const std::size_t bytes = token_wire_bytes(token);
-  // One encode for the whole broadcast: every local channel frame and
-  // every remote envelope payload is a clone of this ref.
+  // One encode for the whole broadcast: every local channel frame is a
+  // clone of this ref. The logical broadcast still addresses every remote
+  // pid, so cluster-summed Network stats balance, but the wire carries one
+  // relay per top-level subtree.
   FrameRef wire = FramePool::global().wrap(encode_token_frame(token));
-  if (topo_.scale.token_fanout >= 2 && topo_.nodes.size() > 1) {
-    broadcast_token_hierarchical(token, wire, rng);
-    return;
-  }
-  bool remote = false;
-  for (ProcessId dst = 0; dst < topo_.n; ++dst) {
-    if (dst == token.from) continue;
-    DeliveryCounters::add(counters_.tokens_sent);
-    DeliveryCounters::add(counters_.token_bytes, bytes);
-    const SimTime delay = draw_delay(rng);
-    const std::uint32_t dst_node = topo_.node_of(dst);
-    if (dst_node == node_id_) {
-      push_local(token.from, dst, wire, /*app=*/false, /*token=*/true, delay);
-    } else {
-      remote = true;
-      send_token_tracked(dst_node,
-                         wire_envelope(token.from, dst, /*app=*/false,
-                                       /*token=*/true, delay),
-                         wire);
-    }
-  }
-  if (remote) wake();
-}
-
-void TcpTransport::broadcast_token_hierarchical(const Token& token,
-                                                const FrameRef& wire,
-                                                Rng& rng) {
-  // The logical broadcast still addresses every remote pid — the counters
-  // stay flat-mode-compatible so cluster-summed Network stats balance — but
-  // the wire carries one relay per top-level subtree instead of one tracked
-  // send per remote node.
   const std::size_t bytes = token_wire_bytes(token);
   bool remote = false;
   for (ProcessId dst = 0; dst < topo_.n; ++dst) {
@@ -385,19 +302,17 @@ void TcpTransport::broadcast_token_hierarchical(const Token& token,
   }
   if (!remote) return;
   const auto plan = scale::plan_broadcast(
-      node_id_, static_cast<std::uint32_t>(topo_.nodes.size()),
-      topo_.scale.token_fanout);
+      node_id_, static_cast<std::uint32_t>(topo_.nodes.size()), kTokenFanout);
   Envelope tmpl;
   tmpl.kind = EnvelopeKind::kTokenRelay;
   tmpl.src_node = node_id_;
   tmpl.origin_node = node_id_;
   tmpl.epoch = epoch_;
-  tmpl.token_seq = next_token_seq_.fetch_add(1, std::memory_order_relaxed);
-  tmpl.fanout = topo_.scale.token_fanout;
   tmpl.src_pid = token.from;
   tmpl.wire = Bytes(wire.data(), wire.data() + wire.size());
   {
     std::lock_guard<std::mutex> lock(tokens_mu_);
+    tmpl.token_seq = next_token_seq_++;
     const std::uint64_t agg_id = next_agg_id_++;
     RelayAgg agg;
     agg.pending = plan.size();
@@ -433,32 +348,12 @@ void TcpTransport::start_relay_locked(const scale::RelayAssignment& chunk,
   queue_to_peer(chunk.head, std::move(first));
 }
 
-void TcpTransport::send_token(ProcessId dst, const Token& token) {
-  DeliveryCounters::add(counters_.tokens_sent);
-  DeliveryCounters::add(counters_.token_bytes, token_wire_bytes(token));
-  Rng& rng = *send_rng_.at(token.from);
-  const SimTime delay = draw_delay(rng);
-  FrameRef wire = FramePool::global().wrap(encode_token_frame(token));
-  const std::uint32_t dst_node = topo_.node_of(dst);
-  if (dst_node == node_id_) {
-    push_local(token.from, dst, std::move(wire), /*app=*/false, /*token=*/true,
-               delay);
-    return;
-  }
-  send_token_tracked(dst_node,
-                     wire_envelope(token.from, dst, /*app=*/false,
-                                   /*token=*/true, delay),
-                     std::move(wire));
-  wake();
-}
-
 std::uint64_t TcpTransport::outbound_pending() const {
-  // Lock-free: ring occupancy atomics + the unacked mirror + staged bytes.
+  // Lock-free: ring occupancy atomics + the relay mirror + staged bytes.
   std::uint64_t pending = 0;
   for (const auto& p : peers_) {
     if (p != nullptr) pending += p->outq.size();
   }
-  pending += unacked_count_.load(std::memory_order_acquire);
   pending += relay_pending_.load(std::memory_order_acquire);
   return pending + outbuf_bytes_.load(std::memory_order_acquire);
 }
@@ -618,7 +513,7 @@ void TcpTransport::io_step() {
       start_connect(*p);
     }
   }
-  retry_unacked_tokens();
+  retry_relays();
   std::size_t staged = 0;
   for (auto& p : peers_) {
     if (p != nullptr && p->connected) staged += flush_peer(*p);
@@ -732,14 +627,11 @@ void TcpTransport::on_peer_established(Peer& p) {
   p.connecting = false;
   p.connected = true;
   p.backoff = 0;
-  if (topo_.scale.delta_piggyback) {
-    // Fresh codecs per connection session: the first frame of every stream
-    // is a full clock, and anything that died staged in the old sendq is
-    // forgotten by both ends symmetrically (the peer saw the same teardown).
-    p.delta_enc = std::make_unique<scale::DeltaWireEncoder>(
-        topo_.n, epoch_, scale::DeltaMode::kFifo);
-    p.delta_dec = std::make_unique<scale::DeltaWireDecoder>(topo_.n);
-  }
+  // Fresh codecs per connection session: the first frame of every stream
+  // is a full clock, and anything that died staged in the old sendq is
+  // forgotten by both ends symmetrically (the peer saw the same teardown).
+  p.delta_enc = std::make_unique<scale::DeltaWireEncoder>(topo_.n, epoch_);
+  p.delta_dec = std::make_unique<scale::DeltaWireDecoder>(topo_.n);
   // Hello first: a fresh connection has an empty sendq, so the hello is
   // guaranteed to precede any staged traffic.
   Envelope hello;
@@ -855,42 +747,34 @@ void TcpTransport::process_envelope(Peer& p, Envelope& e) {
   }
   switch (e.kind) {
     case EnvelopeKind::kWire: {
-      if (!e.wire.empty() && e.wire[0] == scale::kDeltaMessageTag) {
-        // Delta-piggybacked message frame: reconstruct the flat frame here,
-        // on the connection that defines the stream order, so workers only
-        // ever see stateless frames.
-        if (p.delta_dec == nullptr || e.src_pid >= topo_.n) {
-          close_peer(p, /*was_protocol_error=*/true);
-          return;
-        }
-        try {
-          const Message m = p.delta_dec->decode_from(e.src_pid, e.wire);
-          e.wire = encode_message_frame(m);
-        } catch (const scale::DeltaResyncRequired&) {
-          // Recoverable desync (e.g. we adopted a superseding connection the
-          // peer was still staging onto): drop the connection; reconnecting
-          // resets both codecs and the next frame per stream is full.
-          delta_resyncs_.fetch_add(1, std::memory_order_relaxed);
-          close_peer(p, /*was_protocol_error=*/false);
-          return;
-        } catch (const DecodeError&) {
-          close_peer(p, /*was_protocol_error=*/true);
-          return;
-        }
+      // Decode the nested frame here, on the connection that defines the
+      // stream order: delta frames become the flat frame workers decode,
+      // and a frame that is not a message addressed exactly as the
+      // envelope says drops the connection instead of reaching a worker.
+      if (e.src_pid >= topo_.n) {
+        close_peer(p, /*was_protocol_error=*/true);
+        return;
       }
-      if (e.token_seq != 0) {
-        // Ack every copy (retries included); deliver only the first.
-        Envelope ack;
-        ack.kind = EnvelopeKind::kTokenAck;
-        ack.src_node = node_id_;
-        ack.epoch = p.peer_epoch;  // echo the sender incarnation
-        ack.ack_seq = e.token_seq;
-        acks_tx_.fetch_add(1, std::memory_order_relaxed);
-        queue_to_peer(p.node, control_msg(ack));
-        if (!p.seen_tokens[p.peer_epoch].insert(e.token_seq).second) {
-          dup_tokens_dropped_.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
+      Message m;
+      try {
+        m = p.delta_dec->decode_from(e.src_pid, e.wire);
+      } catch (const scale::DeltaResyncRequired&) {
+        // Recoverable desync (e.g. we adopted a superseding connection the
+        // peer was still staging onto): drop the connection; reconnecting
+        // resets both codecs and the next frame per stream is full.
+        delta_resyncs_.fetch_add(1, std::memory_order_relaxed);
+        close_peer(p, /*was_protocol_error=*/false);
+        return;
+      } catch (const DecodeError&) {
+        close_peer(p, /*was_protocol_error=*/true);
+        return;
+      }
+      if (m.src != e.src_pid || m.dst != e.dst_pid) {
+        close_peer(p, /*was_protocol_error=*/true);
+        return;
+      }
+      if (e.wire[0] == scale::kDeltaMessageTag) {
+        e.wire = encode_message_frame(m);
       }
       if (e.dst_pid >= topo_.n || !is_local(e.dst_pid)) {
         // Misrouted: a topology mismatch, not a stream corruption — count
@@ -903,7 +787,6 @@ void TcpTransport::process_envelope(Peer& p, Envelope& e) {
       f.src = e.src_pid;
       f.wire = FramePool::global().wrap(std::move(e.wire));
       f.app = e.app;
-      f.token = e.token;
       const SimTime now = clock_.now();
       const std::uint64_t unix_now = unix_micros();
       const std::uint64_t elapsed =
@@ -912,15 +795,6 @@ void TcpTransport::process_envelope(Peer& p, Envelope& e) {
       f.not_before = now + e.delay_us;
       counters_.note_pushed();
       channels_[e.dst_pid]->push(std::move(f));
-      return;
-    }
-    case EnvelopeKind::kTokenAck: {
-      acks_rx_.fetch_add(1, std::memory_order_relaxed);
-      if (e.epoch != epoch_) return;  // receipt for a previous incarnation
-      std::lock_guard<std::mutex> lock(tokens_mu_);
-      if (unacked_tokens_.erase(e.ack_seq) != 0) {
-        unacked_count_.fetch_sub(1, std::memory_order_acq_rel);
-      }
       return;
     }
     case EnvelopeKind::kStatus: {
@@ -947,7 +821,7 @@ void TcpTransport::process_envelope(Peer& p, Envelope& e) {
       process_token_relay(p, e);
       return;
     case EnvelopeKind::kRelayAck:
-      process_relay_ack(p, e);
+      process_relay_ack(e);
       return;
     case EnvelopeKind::kHello:
       return;  // handled above; unreachable
@@ -955,8 +829,20 @@ void TcpTransport::process_envelope(Peer& p, Envelope& e) {
 }
 
 void TcpTransport::process_token_relay(Peer& p, Envelope& e) {
-  // Sanity before trusting the wire: this relay must name us as its head,
-  // and every node it covers must exist.
+  // The nested frame must be the failed process's token: workers decode
+  // it again without a handler, so a malformed one drops the connection
+  // here.
+  try {
+    const Frame f = decode_frame(e.wire);
+    if (f.type != FrameType::kToken || f.token.from != e.src_pid) {
+      throw FrameError(FrameError::Kind::kCorrupt, "relay holds no token");
+    }
+  } catch (const FrameError&) {
+    close_peer(p, /*was_protocol_error=*/true);
+    return;
+  }
+  // Sanity before trusting the routing: this relay must name us as its
+  // head, and every node it covers must exist.
   if (e.subtree.empty() || e.subtree.front() != node_id_) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -1001,9 +887,9 @@ void TcpTransport::process_token_relay(Peer& p, Envelope& e) {
       if (!deliver) {
         dup_tokens_dropped_.fetch_add(1, std::memory_order_relaxed);
       } else {
-        // Per-destination delay variance, exactly like flat mode: each
-        // local copy draws its own injected delay rather than inheriting
-        // the one value the relay happened to carry.
+        // Per-destination delay variance: each local copy draws its own
+        // injected delay rather than inheriting the one value the relay
+        // happened to carry.
         for (ProcessId pid : topo_.node(node_id_).processes) {
           if (pid != e.src_pid) local_delays.push_back(draw_delay(relay_rng_));
         }
@@ -1013,8 +899,7 @@ void TcpTransport::process_token_relay(Peer& p, Envelope& e) {
         relay_done_[relay_key] = {true, clock_.now()};  // leaf: subtree == us
         ack_now = true;
       } else {
-        const auto chunks = scale::split_subtree(
-            rest, std::max<std::uint32_t>(2, e.fanout));
+        const auto chunks = scale::split_subtree(rest, kTokenFanout);
         const std::uint64_t agg_id = next_agg_id_++;
         RelayAgg agg;
         agg.has_requester = true;
@@ -1029,7 +914,6 @@ void TcpTransport::process_token_relay(Peer& p, Envelope& e) {
         tmpl.origin_node = e.origin_node;
         tmpl.epoch = e.epoch;
         tmpl.token_seq = e.token_seq;
-        tmpl.fanout = e.fanout;
         tmpl.src_pid = e.src_pid;
         tmpl.wire = e.wire;
         for (const scale::RelayAssignment& chunk : chunks) {
@@ -1052,13 +936,13 @@ void TcpTransport::process_token_relay(Peer& p, Envelope& e) {
     ack.kind = EnvelopeKind::kRelayAck;
     ack.src_node = node_id_;
     ack.epoch = p.peer_epoch;  // echo the requester incarnation
-    ack.ack_seq = e.relay_id;
+    ack.relay_id = e.relay_id;
     acks_tx_.fetch_add(1, std::memory_order_relaxed);
     queue_to_peer(p.node, control_msg(ack));
   }
 }
 
-void TcpTransport::process_relay_ack(Peer& p, const Envelope& e) {
+void TcpTransport::process_relay_ack(const Envelope& e) {
   acks_rx_.fetch_add(1, std::memory_order_relaxed);
   if (e.epoch != epoch_) return;  // receipt for a previous incarnation
   bool ack_up = false;
@@ -1067,7 +951,7 @@ void TcpTransport::process_relay_ack(Peer& p, const Envelope& e) {
   std::uint64_t up_relay_id = 0;
   {
     std::lock_guard<std::mutex> lock(tokens_mu_);
-    const auto it = relay_tasks_.find(e.ack_seq);
+    const auto it = relay_tasks_.find(e.relay_id);
     if (it == relay_tasks_.end()) return;  // dup ack
     const std::uint64_t agg_id = it->second.agg;
     relay_tasks_.erase(it);
@@ -1095,7 +979,7 @@ void TcpTransport::process_relay_ack(Peer& p, const Envelope& e) {
     // the peer's CURRENT epoch: if it respawned mid-coverage, this stale
     // receipt must not match one of the new incarnation's (reused) ids.
     ack.epoch = up_epoch;
-    ack.ack_seq = up_relay_id;
+    ack.relay_id = up_relay_id;
     acks_tx_.fetch_add(1, std::memory_order_relaxed);
     queue_to_peer(up_node, control_msg(ack));
   }
@@ -1174,22 +1058,16 @@ void TcpTransport::materialize_delta(Peer& p, OutMsg& m) {
   Envelope e;
   e.kind = EnvelopeKind::kWire;
   e.src_node = node_id_;
-  e.src_pid = d.src_pid;
-  e.dst_pid = d.dst_pid;
-  e.app = d.app;
+  e.src_pid = d.msg.src;
+  e.dst_pid = d.msg.dst;
+  e.app = m.app;
   e.sent_unix_us = d.sent_unix_us;
   e.delay_us = m.delta_delay;
-  Bytes wire;
-  if (p.delta_enc != nullptr) {
-    wire = p.delta_enc->encode_for(d.src_pid, d.msg, d.flat_size);
-    delta_frames_tx_.fetch_add(1, std::memory_order_relaxed);
-    delta_bytes_tx_.fetch_add(wire.size(), std::memory_order_relaxed);
-    delta_flat_bytes_.fetch_add(d.flat_size, std::memory_order_relaxed);
-  } else {
-    // Connection cycled between queue and stage; stateless flat frame is
-    // always safe.
-    wire = encode_message_frame(d.msg);
-  }
+  std::size_t flat_size = 0;
+  Bytes wire = p.delta_enc->encode_for(d.msg.src, d.msg, &flat_size);
+  delta_frames_tx_.fetch_add(1, std::memory_order_relaxed);
+  delta_bytes_tx_.fetch_add(wire.size(), std::memory_order_relaxed);
+  delta_flat_bytes_.fetch_add(flat_size, std::memory_order_relaxed);
   m.head =
       FramePool::global().wrap(frame_wire_envelope_prefix(e, wire.size()));
   m.payload = FramePool::global().wrap(std::move(wire));
@@ -1244,7 +1122,7 @@ void TcpTransport::update_partition_masks() {
   }
 }
 
-void TcpTransport::retry_unacked_tokens() {
+void TcpTransport::retry_relays() {
   const SimTime now = clock_.now();
   std::lock_guard<std::mutex> lock(tokens_mu_);
   // Sweep acked relay entries nobody has retried for a while — without it
@@ -1264,34 +1142,21 @@ void TcpTransport::retry_unacked_tokens() {
       }
     }
   }
-  for (auto& [seq, pending] : unacked_tokens_) {
-    if (now < pending.next_retry) continue;
-    pending.next_retry = now + topo_.faults.token_retry;
-    Peer& p = *peers_.at(pending.node);
-    // Re-send only where the copy could actually have been lost: over an
-    // established, unmasked connection. While disconnected or partitioned
-    // the original still sits in the ring.
-    if (!p.connected || p.blocked) continue;
-    token_retries_.fetch_add(1, std::memory_order_relaxed);
-    p.outq.push(OutMsg{pending.msg.head, pending.msg.payload, false});
-  }
-  // Relay retries ride the same cadence. After relay_fallback_retries
-  // silent attempts we assume the head is down and route around it: its
-  // subtree is re-split into fresh relays under the SAME aggregation, while
-  // the original task shrinks to a singleton that keeps retrying forever —
-  // per-node retry-until-acked semantics are preserved exactly as in flat
-  // mode (a dead node keeps us non-quiet until it respawns and acks).
+  // After kRelayFallbackRetries silent attempts we assume the head is down
+  // and route around it: its subtree is re-split into fresh relays under
+  // the SAME aggregation, while the original task shrinks to a singleton
+  // that keeps retrying forever — per-node retry-until-acked (a dead node
+  // keeps us non-quiet until it respawns and acks).
   for (auto& [id, task] : relay_tasks_) {
     if (now < task.next_retry) continue;
     task.next_retry = now + topo_.faults.token_retry;
     ++task.attempts;
     if (!task.fallback_done && task.subtree.size() > 1 &&
-        task.attempts > topo_.scale.relay_fallback_retries) {
+        task.attempts > kRelayFallbackRetries) {
       relay_splits_.fetch_add(1, std::memory_order_relaxed);
       std::vector<std::uint32_t> rest(task.subtree.begin() + 1,
                                       task.subtree.end());
-      const auto chunks = scale::split_subtree(
-          rest, std::max<std::uint32_t>(2, topo_.scale.token_fanout));
+      const auto chunks = scale::split_subtree(rest, kTokenFanout);
       const auto ag = relay_aggs_.find(task.agg);
       if (ag != relay_aggs_.end()) ag->second.pending += chunks.size();
       task.subtree = {task.subtree.front()};
@@ -1303,10 +1168,13 @@ void TcpTransport::retry_unacked_tokens() {
         start_relay_locked(chunk, task.env, task.agg);
       }
     }
+    // Re-send only where the copy could actually have been lost: over an
+    // established, unmasked connection. While disconnected or partitioned
+    // the original still sits in the ring.
     Peer& rp = *peers_.at(task.dst_node);
     if (!rp.connected || rp.blocked) continue;
     token_retries_.fetch_add(1, std::memory_order_relaxed);
-    rp.outq.push(OutMsg{task.msg.head, task.msg.payload, false});
+    rp.outq.push(task.msg);  // ref clones; the bytes are never copied
   }
 }
 

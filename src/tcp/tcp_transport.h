@@ -4,9 +4,9 @@
 // LiveTransport): one TcpTransport per NODE hosts the LiveChannel inboxes
 // of its local processes and exchanges length-delimited envelopes
 // (src/tcp/envelope.h) with every other node over nonblocking TCP. A
-// single IO thread per node owns all sockets through a Poller (epoll, or
-// poll(2) with OPTREC_TCP_POLL=1); worker threads only serialize, queue,
-// and poke the IO thread through a wake pipe.
+// single IO thread per node owns all sockets through a Poller (epoll on
+// Linux, poll(2) elsewhere); worker threads only queue and poke the IO
+// thread through a wake pipe.
 //
 // Topology: one connection per unordered node pair, dialed by the
 // lower-numbered node ("initiator") and re-dialed by it with exponential
@@ -16,11 +16,13 @@
 // a protocol error and drops the connection.
 //
 // Reliability model, mirroring the paper's assumptions:
-//   * Tokens are retried until acked. Each ack-tracked token carries a
-//     (node, epoch, seq) identity; receivers dedupe on it and always ack,
-//     so token delivery survives connection loss, node kills and scripted
-//     partitions — the transport-level reliable broadcast the protocol's
-//     liveness argument needs.
+//   * Failure tokens travel down a fanout-2 relay tree over node ids
+//     (src/scale/overlay.h). Every relay is retried until its head acks,
+//     and a head acks only once its whole subtree has; local delivery is
+//     deduped per origin incarnation. Token delivery therefore survives
+//     connection loss, node kills and scripted partitions — the
+//     transport-level reliable broadcast the protocol's liveness argument
+//     needs.
 //   * Application frames queue per peer (never lost while queued, bounded
 //     by outbound_cap_frames; overflow is dropped and counted). Frames
 //     already staged into a dying connection's write buffer are lost, like
@@ -31,26 +33,26 @@
 //     heal, so in-flight bytes are held exactly the way Network holds
 //     cross-group traffic in the simulator.
 //
-// Outbound data plane (zero-copy, lock-free): every envelope is framed
-// once into pooled, refcounted buffers (src/wire/frame_buf.h) and pushed
-// onto the destination peer's lock-free ring. kWire envelopes are split
-// into a per-destination head prefix and a SHARED payload ref — a token
-// broadcast to k remote peers encodes the token exactly once. The IO
-// thread drains each ring into a per-connection segment queue and writes
-// with scatter-gather sendmsg (writev) straight out of the pooled buffers:
-// no staging copy exists anywhere between encode and the socket.
+// Outbound data plane (zero-copy, lock-free): workers push each outbound
+// envelope onto the destination peer's lock-free ring. Control envelopes
+// are framed once into pooled, refcounted buffers (src/wire/frame_buf.h);
+// a message is encoded by the IO thread as it enters the connection's
+// byte stream, through that connection's delta codec
+// (src/scale/delta_codec.h), into a head prefix plus payload buffer. The
+// IO thread drains each ring into a per-connection segment queue and
+// writes with scatter-gather sendmsg (writev) straight out of the pooled
+// buffers: no staging copy exists anywhere between encode and the socket.
 //
 // Thread contract:
 //   * attach()/set_peer_port()/start() run before workers spawn; stop()
 //     after they join (the destructor stops too).
-//   * send()/broadcast_token()/send_token() for local pid p run on p's
-//     worker thread (per-sender fault RNGs stay lock-free); queue pushes
-//     are lock-free ring pushes (tokens_mu_ guards only the unacked-token
-//     retry map).
-//   * The IO thread owns all sockets, per-connection state and the staged
-//     segment queues; it shares only the peer rings, the retry map
-//     (tokens_mu_), the coordinator status table (status_mu_) and the
-//     atomic counters.
+//   * send()/broadcast_token() for local pid p run on p's worker thread
+//     (per-sender fault RNGs stay lock-free); queue pushes are lock-free
+//     ring pushes (tokens_mu_ guards only the relay bookkeeping).
+//   * The IO thread owns all sockets, per-connection state (codecs
+//     included) and the staged segment queues; it shares only the peer
+//     rings, the relay bookkeeping (tokens_mu_), the coordinator status
+//     table (status_mu_) and the atomic counters.
 //   * The quiescence surface (send_status/peer_statuses/broadcast_shutdown/
 //     shutdown_received) is for the node supervisor thread.
 //   * queue_depths()/outbound_pending()/tcp_stats()/counters() read only
@@ -103,16 +105,16 @@ class TcpTransport : public Transport {
     std::uint64_t frames_rx = 0;         // envelopes decoded
     std::uint64_t bytes_tx = 0;
     std::uint64_t bytes_rx = 0;
-    std::uint64_t acks_tx = 0;
+    std::uint64_t acks_tx = 0;            // kRelayAck envelopes
     std::uint64_t acks_rx = 0;
-    std::uint64_t token_retries = 0;      // unacked re-sends
+    std::uint64_t token_retries = 0;      // unacked relay re-sends
     std::uint64_t dup_tokens_dropped = 0; // dedupe suppressions
     std::uint64_t backpressure_drops = 0; // app frames over the queue cap
     std::uint64_t protocol_errors = 0;    // FrameError / bad hello
     std::uint64_t writev_calls = 0;       // scatter-gather socket writes
     std::uint64_t ring_overflows = 0;     // peer-ring pushes that spilled
-    // Fleet-scale extensions (topology.scale, docs/SCALING.md).
-    std::uint64_t delta_frames_tx = 0;    // message frames delta-encoded
+    // Wire codec and relay tree (docs/SCALING.md).
+    std::uint64_t delta_frames_tx = 0;    // message frames through a codec
     std::uint64_t delta_bytes_tx = 0;     // their on-wire frame bytes
     std::uint64_t delta_flat_bytes = 0;   // what flat encoding would cost
     std::uint64_t delta_resyncs = 0;      // codec resets forced by decode
@@ -142,7 +144,6 @@ class TcpTransport : public Transport {
   void attach(ProcessId pid, Endpoint* endpoint) override;
   MsgId send(Message msg) override;
   void broadcast_token(const Token& token) override;
-  void send_token(ProcessId dst, const Token& token) override;
 
   /// Thread-safe trace recorder (null detaches); set before start().
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
@@ -201,7 +202,7 @@ class TcpTransport : public Transport {
   const DeliveryCounters& counters() const { return counters_; }
 
   /// Outbound work not yet on the wire: queued frames, staged write-buffer
-  /// bytes, unacked tokens. Zero is a necessary condition for this node's
+  /// bytes, unacked relays. Zero is a necessary condition for this node's
   /// "quiet" claim.
   std::uint64_t outbound_pending() const;
 
@@ -228,31 +229,25 @@ class TcpTransport : public Transport {
   std::vector<std::pair<std::uint32_t, std::size_t>> queue_high_waters() const;
 
  private:
-  /// One queued outbound envelope, pre-framed into pooled buffers: `head`
-  /// is the per-destination stream prefix ([len u32][body fields][wire-len
-  /// varint]); `payload` is the nested wire frame, SHARED by every
-  /// destination of the same broadcast (empty for control envelopes, whose
-  /// whole image lives in `head`). The socket writes both back-to-back —
-  /// byte-identical to frame_envelope, with zero copies after encode.
-  /// Deferred delta-encode payload: the IO thread encodes the message
+  /// A cross-node message awaiting its encode: the IO thread encodes it
   /// against the connection's codec state AT STAGE TIME (flush_peer), so
   /// encode order is exactly stream order — the property the FIFO delta
-  /// mode needs. Shared by duplicate copies of the same send.
+  /// codec needs. Shared by duplicate copies of the same send.
   struct DeltaSend {
     Message msg;
-    std::uint32_t src_pid = 0;
-    std::uint32_t dst_pid = 0;
     std::uint64_t sent_unix_us = 0;
-    std::size_t flat_size = 0;  // flat wire-frame size, for byte accounting
-    bool app = false;
   };
 
+  /// One queued outbound envelope. Control envelopes are pre-framed into
+  /// `head` ([len u32][body]); a message carries `delta` and gets `head`
+  /// (the per-destination stream prefix: [len u32][body fields][wire-len
+  /// varint]) and `payload` (the nested frame) when flush_peer stages it.
+  /// The socket writes both back-to-back — byte-identical to
+  /// frame_envelope, with zero copies after encode.
   struct OutMsg {
     FrameRef head;
     FrameRef payload;
     bool app = false;
-    /// Set iff this frame delta-compresses its clock: head/payload stay
-    /// empty until flush_peer encodes against the connection codec.
     std::shared_ptr<const DeltaSend> delta;
     std::uint64_t delta_delay = 0;  // per-copy injected delay (micros)
   };
@@ -285,13 +280,11 @@ class TcpTransport : public Transport {
     SimTime retry_at = 0;   // next dial attempt (initiator)
     SimTime backoff = 0;    // current backoff step
     std::uint64_t peer_epoch = 0;
-    /// Token dedupe: epoch -> acked-tracked seqs already delivered.
-    std::map<std::uint64_t, std::unordered_set<std::uint64_t>> seen_tokens;
-    /// Per-connection clock delta codecs (topology.scale.delta_piggyback).
-    /// Created fresh on every established connection and destroyed with it
-    /// — codec state lifetime IS connection lifetime, so the frames lost
-    /// with a dying sendq can never desynchronise a surviving stream.
-    /// IO-thread-only. Streams are keyed by source pid.
+    /// Per-connection clock delta codecs. Created fresh on every
+    /// established connection and destroyed with it — codec state lifetime
+    /// IS connection lifetime, so the frames lost with a dying sendq can
+    /// never desynchronise a surviving stream. IO-thread-only. Streams are
+    /// keyed by source pid.
     std::unique_ptr<scale::DeltaWireEncoder> delta_enc;
     std::unique_ptr<scale::DeltaWireDecoder> delta_dec;
 
@@ -302,18 +295,12 @@ class TcpTransport : public Transport {
     std::atomic<bool> shutdown_acked{false};
   };
 
-  struct PendingTokenSend {
-    std::uint32_t node = 0;
-    OutMsg msg;  // retries re-push ref clones; the bytes are never copied
-    SimTime next_retry = 0;
-  };
-
-  // --- hierarchical token dissemination (topology.scale.token_fanout) ---
-  // The origin relays one kTokenRelay per top-level subtree instead of one
-  // tracked send per remote node; each head delivers locally, re-splits the
-  // rest with the same fanout, and acks only once its WHOLE subtree acked.
-  // Retry-until-acked + a fallback re-split around unresponsive heads keep
-  // the flat broadcast's liveness guarantee. All state under tokens_mu_.
+  // --- failure-token dissemination (src/scale/overlay.h) ---------------
+  // The origin relays one kTokenRelay per top-level subtree; each head
+  // delivers locally, re-splits the rest with the same fanout, and acks
+  // only once its WHOLE subtree acked. Retry-until-acked + a fallback
+  // re-split around unresponsive heads make the broadcast reliable. All
+  // state under tokens_mu_.
 
   /// One outstanding kTokenRelay this node sent (origin or interior).
   struct RelayTask {
@@ -366,14 +353,9 @@ class TcpTransport : public Transport {
   /// frames are subject to the backpressure cap; returns false when
   /// dropped.
   bool queue_to_peer(std::uint32_t node, OutMsg msg);
-  /// Head-only OutMsg for a control envelope (hello/ack/status/shutdown).
+  /// Head-only OutMsg for a control envelope (hello/ack/status/shutdown/
+  /// relay).
   static OutMsg control_msg(const Envelope& e);
-  /// Head + shared payload OutMsg for a kWire envelope.
-  OutMsg wire_msg(const Envelope& e, FrameRef payload, bool app);
-  Envelope wire_envelope(ProcessId src, ProcessId dst, bool app, bool token,
-                         SimTime delay);
-  void send_token_tracked(std::uint32_t dst_node, Envelope e,
-                          FrameRef payload);
 
   // IO-thread internals.
   void io_main();
@@ -391,19 +373,18 @@ class TcpTransport : public Transport {
   /// number of frames newly staged.
   std::size_t flush_peer(Peer& p);
   void update_partition_masks();
-  void retry_unacked_tokens();
+  /// Re-send unacked relays (splitting around silent heads) and sweep idle
+  /// relay dedupe entries.
+  void retry_relays();
   bool link_blocked_now(std::uint32_t peer_node) const;
   void update_interest(Peer& p);
 
-  // Hierarchical dissemination internals.
-  void broadcast_token_hierarchical(const Token& token, const FrameRef& wire,
-                                    Rng& rng);
   /// Create + queue one RelayTask under an aggregation. Caller holds
   /// tokens_mu_.
   void start_relay_locked(const scale::RelayAssignment& chunk,
                           const Envelope& tmpl, std::uint64_t agg_id);
   void process_token_relay(Peer& p, Envelope& e);
-  void process_relay_ack(Peer& p, const Envelope& e);
+  void process_relay_ack(const Envelope& e);
   /// Stage an OutMsg whose delta field is set: encode the message against
   /// the connection codec and build the head/payload refs in place.
   void materialize_delta(Peer& p, OutMsg& m);
@@ -433,16 +414,10 @@ class TcpTransport : public Transport {
   std::atomic<bool> io_running_{false};
   std::atomic<bool> stop_{false};
 
-  /// Ack-tracked token sends by seq. The map is the ONLY shared container
-  /// left behind a lock — it is touched a handful of times per failure,
-  /// not per message; the hot path never takes tokens_mu_.
+  /// Relay bookkeeping: the ONLY shared state left behind a lock — it is
+  /// touched a handful of times per failure, not per message; the hot path
+  /// never takes tokens_mu_.
   mutable std::mutex tokens_mu_;
-  std::map<std::uint64_t, PendingTokenSend> unacked_tokens_;  // tokens_mu_
-  /// unacked_tokens_.size() mirror for the lock-free quiescence read.
-  std::atomic<std::uint64_t> unacked_count_{0};
-  std::atomic<std::uint64_t> next_token_seq_{1};
-
-  // Relay bookkeeping (tokens_mu_, same cadence: per failure, not per msg).
   std::map<std::uint64_t, RelayTask> relay_tasks_;       // by our relay id
   std::map<std::uint64_t, RelayAgg> relay_aggs_;         // by aggregation id
   /// Incoming relays by (requester node, requester incarnation epoch,
@@ -455,10 +430,11 @@ class TcpTransport : public Transport {
       relay_done_;
   /// Local-delivery dedupe for relayed tokens, keyed by the ORIGIN's
   /// (node, epoch) -> broadcast seqs (relays arrive via interior nodes, so
-  /// the per-connection seen_tokens map cannot cover them). Epochs
-  /// superseded by a newer incarnation of the same origin are dropped.
+  /// no per-connection state can cover them). Epochs superseded by a newer
+  /// incarnation of the same origin are dropped.
   std::map<std::pair<std::uint32_t, std::uint64_t>,
            std::unordered_set<std::uint64_t>> relay_delivered_;
+  std::uint64_t next_token_seq_ = 1;                     // tokens_mu_
   std::uint64_t next_relay_id_ = 1;                      // tokens_mu_
   std::uint64_t next_agg_id_ = 1;                        // tokens_mu_
   SimTime relay_prune_at_ = 0;                           // tokens_mu_

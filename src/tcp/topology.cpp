@@ -168,16 +168,6 @@ TcpTopology TcpTopology::from_json(const JsonValue& v) {
     }
     topo.nodes.push_back(std::move(spec));
   }
-  if (const JsonValue* scale = v.find("scale")) {
-    TcpScaleConfig& s = topo.scale;
-    if (const JsonValue* delta = scale->find("delta_piggyback")) {
-      s.delta_piggyback = delta->as_bool();
-    }
-    s.token_fanout =
-        static_cast<std::uint32_t>(scale->u64_or("token_fanout", 0));
-    s.relay_fallback_retries = static_cast<std::uint32_t>(
-        scale->u64_or("relay_fallback_retries", 3));
-  }
   if (const JsonValue* faults = v.find("faults")) {
     TcpFaultConfig& f = topo.faults;
     f.min_delay = micros(faults->u64_or("min_delay_us", 50));
@@ -238,11 +228,6 @@ std::string TcpTopology::to_json() const {
     w.end_object();
   }
   w.end_array();
-  w.key("scale").begin_object();
-  w.kv("delta_piggyback", scale.delta_piggyback);
-  w.kv("token_fanout", std::uint64_t{scale.token_fanout});
-  w.kv("relay_fallback_retries", std::uint64_t{scale.relay_fallback_retries});
-  w.end_object();
   w.key("faults").begin_object();
   w.kv("min_delay_us", faults.min_delay);
   w.kv("max_delay_us", faults.max_delay);

@@ -63,7 +63,7 @@ struct TcpFaultConfig {
   /// Worker-side backoff while the receiving process is down (the park-and-
   /// retry loop of the reliable transport model).
   SimTime retry_interval = millis(2);
-  /// Re-send period for tokens that have not been acked yet.
+  /// Re-send period for token relays that have not been acked yet.
   SimTime token_retry = millis(25);
   /// Reconnect backoff bounds (exponential, doubling from min to max).
   SimTime reconnect_min = millis(10);
@@ -75,30 +75,12 @@ struct TcpFaultConfig {
   std::vector<PartitionEvent> partitions;
 };
 
-/// Fleet-scale knobs (src/scale/, docs/SCALING.md). Part of the topology
-/// because both ends of every connection must agree: a delta-compressed
-/// frame is only decodable when the receiver runs the codec too, and relay
-/// heads must re-split subtrees with the same fanout the origin used.
-struct TcpScaleConfig {
-  /// Compress kWire message clocks with the stateful per-connection delta
-  /// codec (src/scale/delta_codec.h). Connection loss resets both ends, so
-  /// stale delta state can never survive a reconnect.
-  bool delta_piggyback = false;
-  /// Failure-token dissemination tree fanout over node ids; < 2 keeps the
-  /// flat ack-tracked broadcast (one tracked send per remote node).
-  std::uint32_t token_fanout = 0;
-  /// Retries spent on an unresponsive subtree head before the requester
-  /// splits the head's subtree and relays around it.
-  std::uint32_t relay_fallback_retries = 3;
-};
-
 struct TcpTopology {
   std::string cluster = "optrec";
   /// Total protocol processes across all nodes.
   std::size_t n = 0;
   std::vector<TcpNodeSpec> nodes;
   TcpFaultConfig faults;
-  TcpScaleConfig scale;
 
   /// Check shape: node ids are 0..k-1 in order, every pid 0..n-1 appears on
   /// exactly one node, every node hosts at least one process. Throws

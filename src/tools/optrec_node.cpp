@@ -103,7 +103,6 @@ struct NodeFlags {
   std::vector<KillSpec> kills;
   bool spawn = false;
   bool print_topology = false;
-  TcpScaleConfig scale;
   bool telemetry = false;
   std::uint16_t telemetry_port = 0;
   std::uint16_t telemetry_base_port = 0;
@@ -156,14 +155,6 @@ bool parse_node_flag(const char* arg, NodeFlags& nf, RunFlags& flags) {
     flags.process.enable_stability_tracking = true;
     flags.process.enable_gc = true;
     flags.process.gc.level = scale::parse_gc_level(v);
-  } else if (parse_switch(arg, "--delta-piggyback")) {
-    nf.scale.delta_piggyback = true;
-  } else if (parse_flag(arg, "--token-fanout", &v)) {
-    nf.scale.token_fanout =
-        static_cast<std::uint32_t>(parse_u64(v, "--token-fanout"));
-    if (nf.scale.token_fanout == 1) {
-      throw UsageError("--token-fanout wants 0 (flat) or >= 2");
-    }
   } else if (parse_flag(arg, "--telemetry-port", &v)) {
     nf.telemetry_port = parse_port(v, "--telemetry-port");
   } else if (parse_flag(arg, "--telemetry-base-port", &v)) {
@@ -553,12 +544,6 @@ int main(int argc, char** argv) {
   } catch (const std::exception& e) {
     die(std::string("bad topology: ") + e.what());
   }
-  // CLI scale flags override a topology file's "scale" block; the merged
-  // result feeds --node=K (topo) and --node=all / --spawn identically.
-  if (nf.scale.delta_piggyback) topo.scale.delta_piggyback = true;
-  if (nf.scale.token_fanout != 0) {
-    topo.scale.token_fanout = nf.scale.token_fanout;
-  }
   if (nf.serve && flags.oracle) {
     die("--serve and --oracle are incompatible (injected client requests "
         "have no oracle send records; optrec_loadgen checks consistency "
@@ -778,7 +763,6 @@ int main(int argc, char** argv) {
   config.workload = flags.workload;
   config.process = flags.process;
   config.faults = faults;
-  config.scale = topo.scale;
   config.crashes = crash_plan;
   config.time_cap = flags.time_cap;
   config.settle = nf.settle;

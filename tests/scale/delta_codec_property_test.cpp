@@ -4,6 +4,7 @@
 // from the wire-codec layer: the decoded message re-encodes byte-identical
 // to the flat encode_message_frame() of the original. Resyncs are allowed
 // (they are the designed recovery path); silent divergence is not.
+// In-order reliable streams (the TCP contract) must never need a resync.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -41,8 +42,9 @@ Message make_msg(std::size_t src, std::size_t dst, const Ftvc& clock,
   return m;
 }
 
-/// Chaotic-channel property: kAcked mode under drops/dups/reorders/resets.
-void run_acked_chaos(std::size_t n, std::size_t ops, std::uint64_t seed) {
+/// Chaotic-channel property: the FIFO codec under drops/dups/reorders/
+/// resets decodes every frame exactly or throws DeltaResyncRequired.
+void run_chaos(std::size_t n, std::size_t ops, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<Ftvc> clocks;
   std::vector<std::uint64_t> epochs(n, 1);
@@ -51,19 +53,18 @@ void run_acked_chaos(std::size_t n, std::size_t ops, std::uint64_t seed) {
   std::vector<DeltaWireDecoder> decs;
   for (std::size_t i = 0; i < n; ++i) {
     clocks.emplace_back(static_cast<ProcessId>(i), n);
-    encs.emplace_back(n, epochs[i], DeltaMode::kAcked, /*window=*/8);
-    decs.emplace_back(n, /*window=*/64);
+    encs.emplace_back(n, epochs[i]);
+    decs.emplace_back(n);
   }
   std::vector<InFlight> net;
   std::uint64_t deliveries = 0;
   std::uint64_t resyncs = 0;
 
-  auto deliver_at = [&](std::size_t index, bool apply_ack) {
+  auto deliver_at = [&](std::size_t index) {
     InFlight f = net[index];
-    DeltaAck ack;
     Message out;
     try {
-      out = decs[f.dst].decode_from(f.src, f.wire, &ack);
+      out = decs[f.dst].decode_from(f.src, f.wire);
     } catch (const DeltaResyncRequired&) {
       // Designed recovery: receiver NAKs, both ends drop stream state, the
       // frame is abandoned (the transport would re-send it full).
@@ -76,9 +77,6 @@ void run_acked_chaos(std::size_t n, std::size_t ops, std::uint64_t seed) {
         << "silent clock divergence at delivery " << deliveries;
     ++deliveries;
     clocks[f.dst].merge_deliver(out.clock);
-    if (apply_ack && ack.seq != 0 && ack.epoch == encs[f.src].epoch()) {
-      encs[f.src].on_ack(f.dst, ack.seq);
-    }
   };
 
   for (std::size_t op = 0; op < ops; ++op) {
@@ -95,15 +93,15 @@ void run_acked_chaos(std::size_t n, std::size_t ops, std::uint64_t seed) {
       f.src = src;
       f.dst = dst;
       f.flat = encode_message_frame(msg);
-      f.wire = encs[src].encode_for(dst, msg, f.flat.size());
+      f.wire = encs[src].encode_for(dst, msg);
       net.push_back(std::move(f));
     } else if (roll < 75) {
       // Deliver a random in-flight frame (random index == full reorder);
-      // sometimes deliver it twice, sometimes swallow the ack.
+      // sometimes deliver it twice.
       const std::size_t index = rng.uniform(net.size());
       const bool dup = rng.uniform(10) == 0;
-      deliver_at(index, rng.uniform(4) != 0);
-      if (dup) deliver_at(index, false);
+      deliver_at(index);
+      if (dup) deliver_at(index);
       net.erase(net.begin() + static_cast<std::ptrdiff_t>(index));
     } else if (roll < 85) {
       // Drop a random in-flight frame on the floor.
@@ -135,20 +133,21 @@ void run_acked_chaos(std::size_t n, std::size_t ops, std::uint64_t seed) {
   }
   // Drain what's left so the run always exercises late stale deliveries.
   while (!net.empty()) {
-    deliver_at(net.size() - 1, true);
+    deliver_at(net.size() - 1);
     net.pop_back();
   }
   EXPECT_GT(deliveries, ops / 4) << "chaos schedule delivered too little";
+  EXPECT_GT(resyncs, 0u) << "chaos schedule never exercised a resync";
 }
 
 TEST(DeltaCodecPropertyTest, AckedModeSurvivesChaosSmallFleet) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    run_acked_chaos(/*n=*/5, /*ops=*/700, seed);
+    run_chaos(/*n=*/5, /*ops=*/700, seed);
   }
 }
 
 TEST(DeltaCodecPropertyTest, AckedModeSurvivesChaosWideClocks) {
-  run_acked_chaos(/*n=*/48, /*ops=*/400, /*seed=*/99);
+  run_chaos(/*n=*/48, /*ops=*/400, /*seed=*/99);
 }
 
 /// FIFO-channel property: in-order reliable delivery per directed pair (the
@@ -162,8 +161,8 @@ TEST(DeltaCodecPropertyTest, FifoModeExactOverInOrderStreams) {
   std::vector<DeltaWireDecoder> decs;
   for (std::size_t i = 0; i < kN; ++i) {
     clocks.emplace_back(static_cast<ProcessId>(i), kN);
-    encs.emplace_back(kN, 1, DeltaMode::kFifo);
-    decs.emplace_back(kN, /*window=*/4);
+    encs.emplace_back(kN, 1);
+    decs.emplace_back(kN);
   }
   // One FIFO queue per directed pair.
   std::vector<std::deque<InFlight>> queues(kN * kN);
@@ -183,7 +182,7 @@ TEST(DeltaCodecPropertyTest, FifoModeExactOverInOrderStreams) {
       f.src = src;
       f.dst = dst;
       f.flat = encode_message_frame(msg);
-      f.wire = encs[src].encode_for(dst, msg, f.flat.size());
+      f.wire = encs[src].encode_for(dst, msg);
       q.push_back(std::move(f));
     } else if (roll < 90) {
       if (q.empty()) continue;

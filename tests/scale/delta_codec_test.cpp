@@ -1,5 +1,6 @@
 // Unit tests for the fleet-scale delta piggyback codec: byte-exact
-// round-trips, diff-vs-full byte savings, ack-window discipline, and the
+// round-trips, diff-vs-full byte savings, the flat fallback, drop/dup/
+// reorder outcomes (exact or resync, never a wrong clock), and the
 // respawn/reused-seq hazards the epoch+checksum binding exists to survive.
 #include "src/scale/delta_codec.h"
 
@@ -29,6 +30,10 @@ Message make_msg(ProcessId src, ProcessId dst, Ftvc clock,
   return m;
 }
 
+/// A clock width at which a one-entry delta is well below the flat clock,
+/// so the encoder emits stateful frames rather than its flat fallback.
+constexpr std::size_t kWide = 16;
+
 Ftvc ticked_clock(ProcessId owner, std::size_t n, std::uint64_t ticks) {
   Ftvc clock(owner, n);
   for (std::uint64_t i = 0; i < ticks; ++i) clock.tick_send();
@@ -41,21 +46,24 @@ void expect_exact(const Message& decoded, const Message& original) {
   EXPECT_EQ(encode_message_frame(decoded), encode_message_frame(original));
 }
 
+bool is_stateful(const Bytes& wire) {
+  return !wire.empty() && wire[0] == kDeltaMessageTag;
+}
+
 TEST(DeltaCodecTest, FirstFrameIsFullAndRoundTripsByteExact) {
-  DeltaWireEncoder enc(4, /*epoch=*/1, DeltaMode::kFifo);
+  DeltaWireEncoder enc(4, /*epoch=*/1);
   DeltaWireDecoder dec(4);
   const Message msg = make_msg(0, 1, ticked_clock(0, 4, 3));
-  DeltaAck ack;
-  const Message out = dec.decode_from(0, enc.encode_for(1, msg), &ack);
-  expect_exact(out, msg);
+  const Bytes wire = enc.encode_for(1, msg);
+  EXPECT_TRUE(is_stateful(wire));  // a base must exist before any delta
+  expect_exact(dec.decode_from(0, wire), msg);
+  EXPECT_EQ(enc.stats().frames, 1u);
   EXPECT_EQ(enc.stats().full_frames, 1u);
-  EXPECT_EQ(ack.seq, 1u);
-  EXPECT_EQ(ack.epoch, 1u);
 }
 
 TEST(DeltaCodecTest, FifoDeltaIsMuchSmallerThanFlatAtLargeN) {
   constexpr std::size_t kN = 256;
-  DeltaWireEncoder enc(kN, 1, DeltaMode::kFifo);
+  DeltaWireEncoder enc(kN, 1);
   DeltaWireDecoder dec(kN);
   Ftvc clock(7, kN);
   clock.tick_send();
@@ -73,46 +81,61 @@ TEST(DeltaCodecTest, FifoDeltaIsMuchSmallerThanFlatAtLargeN) {
 }
 
 TEST(DeltaCodecTest, EmptyClockEncodesStatelessWithNoAck) {
-  DeltaWireEncoder enc(2, 1, DeltaMode::kAcked);
+  DeltaWireEncoder enc(2, 1);
   DeltaWireDecoder dec(2);
   const Message msg = make_msg(0, 1, Ftvc{});
-  DeltaAck ack{77, 77};
-  const Message out = dec.decode_from(0, enc.encode_for(1, msg), &ack);
-  expect_exact(out, msg);
-  EXPECT_EQ(ack.seq, 0u);  // stateless: nothing to acknowledge
+  const Bytes wire = enc.encode_for(1, msg);
+  EXPECT_EQ(wire, encode_message_frame(msg));  // nothing to compress
+  expect_exact(dec.decode_from(0, wire), msg);
   EXPECT_EQ(enc.stats().frames, 0u);
 }
 
-TEST(DeltaCodecTest, AckedModeGoesFullUntilAReceiptArrives) {
-  DeltaWireEncoder enc(2, 1, DeltaMode::kAcked);
-  DeltaWireDecoder dec(2);
-  Ftvc clock(0, 8);
-  DeltaAck ack;
-  for (std::uint64_t i = 1; i <= 3; ++i) {
-    clock.tick_send();
-    Message m = make_msg(0, 1, clock, i);
-    expect_exact(dec.decode_from(0, enc.encode_for(1, m), &ack), m);
-  }
-  EXPECT_EQ(enc.stats().full_frames, 3u);  // nothing acked yet
+// Drops, duplicates and reorders on a FIFO stream: every delivery either
+// decodes byte-exact or throws DeltaResyncRequired — never a wrong clock.
+// The designed recovery resets both ends; the next frame goes full.
 
-  enc.on_ack(1, ack.seq);  // ack the newest frame
+/// Decode `wire` and check it is exactly `msg`; false on a resync.
+bool exact_or_resync(DeltaWireDecoder& dec, const Bytes& wire,
+                     const Message& msg) {
+  try {
+    expect_exact(dec.decode_from(0, wire), msg);
+    return true;
+  } catch (const DeltaResyncRequired&) {
+    return false;
+  }
+}
+
+TEST(DeltaCodecTest, AckedModeGoesFullUntilAReceiptArrives) {
+  // The stream's full frame is dropped: every delta after it asks for a
+  // resync instead of guessing a base, and once both ends reset the
+  // stream goes full again.
+  DeltaWireEncoder enc(2, 1);
+  DeltaWireDecoder dec(2);
+  Ftvc clock(0, kWide);
   clock.tick_send();
-  Message m4 = make_msg(0, 1, clock, 4);
-  expect_exact(dec.decode_from(0, enc.encode_for(1, m4), &ack), m4);
-  EXPECT_EQ(enc.stats().full_frames, 3u);  // frame 4 was a delta
+  enc.encode_for(1, make_msg(0, 1, clock, 1));  // full frame, lost
+  for (std::uint64_t i = 2; i <= 3; ++i) {
+    clock.tick_send();
+    const Message m = make_msg(0, 1, clock, i);
+    EXPECT_FALSE(exact_or_resync(dec, enc.encode_for(1, m), m));
+  }
+  enc.reset(1);
+  dec.reset(0);
+  clock.tick_send();
+  const Message m4 = make_msg(0, 1, clock, 4);
+  EXPECT_TRUE(exact_or_resync(dec, enc.encode_for(1, m4), m4));
+  EXPECT_EQ(enc.stats().full_frames, 2u);
 }
 
 TEST(DeltaCodecTest, AckedDeltaSurvivesDropsOfInFlightFrames) {
-  DeltaWireEncoder enc(2, 1, DeltaMode::kAcked);
+  DeltaWireEncoder enc(2, 1);
   DeltaWireDecoder dec(2);
-  Ftvc clock(0, 8);
+  Ftvc clock(0, kWide);
   clock.tick_send();
-  Message m1 = make_msg(0, 1, clock, 1);
-  DeltaAck ack;
-  expect_exact(dec.decode_from(0, enc.encode_for(1, m1), &ack), m1);
-  enc.on_ack(1, ack.seq);
+  const Message m1 = make_msg(0, 1, clock, 1);
+  EXPECT_TRUE(exact_or_resync(dec, enc.encode_for(1, m1), m1));
 
-  // Frames 2..4 are encoded (deltas against frame 1) but never delivered.
+  // Frames 2..4 are deltas, each against its predecessor; 2 and 3 are lost.
   Bytes last;
   Message last_msg;
   for (std::uint64_t i = 2; i <= 4; ++i) {
@@ -120,55 +143,70 @@ TEST(DeltaCodecTest, AckedDeltaSurvivesDropsOfInFlightFrames) {
     last_msg = make_msg(0, 1, clock, i);
     last = enc.encode_for(1, last_msg);
   }
-  // Only the final frame arrives; its base (frame 1) is still cached.
-  expect_exact(dec.decode_from(0, last, &ack), last_msg);
-  EXPECT_EQ(ack.seq, 4u);
+  // Frame 4 names frame 3 as its base, which never arrived.
+  EXPECT_FALSE(exact_or_resync(dec, last, last_msg));
+  enc.reset(1);
+  dec.reset(0);
+  clock.tick_send();
+  const Message m5 = make_msg(0, 1, clock, 5);
+  EXPECT_TRUE(exact_or_resync(dec, enc.encode_for(1, m5), m5));
 }
 
 TEST(DeltaCodecTest, AckedDeltasDecodeOutOfOrderAndDuplicated) {
-  DeltaWireEncoder enc(2, 1, DeltaMode::kAcked);
+  DeltaWireEncoder enc(2, 1);
   DeltaWireDecoder dec(2);
-  Ftvc clock(0, 8);
+  Ftvc clock(0, kWide);
   clock.tick_send();
-  Message m1 = make_msg(0, 1, clock, 1);
-  DeltaAck ack;
-  expect_exact(dec.decode_from(0, enc.encode_for(1, m1), &ack), m1);
-  enc.on_ack(1, ack.seq);
+  const Message m1 = make_msg(0, 1, clock, 1);
+  EXPECT_TRUE(exact_or_resync(dec, enc.encode_for(1, m1), m1));
 
   clock.tick_send();
-  Message m2 = make_msg(0, 1, clock, 2);
+  const Message m2 = make_msg(0, 1, clock, 2);
   const Bytes w2 = enc.encode_for(1, m2);
   clock.tick_send();
-  Message m3 = make_msg(0, 1, clock, 3);
+  const Message m3 = make_msg(0, 1, clock, 3);
   const Bytes w3 = enc.encode_for(1, m3);
 
-  expect_exact(dec.decode_from(0, w3, &ack), m3);  // reordered
-  expect_exact(dec.decode_from(0, w2, &ack), m2);
-  expect_exact(dec.decode_from(0, w2, &ack), m2);  // duplicated
-  enc.on_ack(1, 3);
-  enc.on_ack(1, 2);  // stale receipt after a newer one: ignored
-  clock.tick_send();
-  Message m4 = make_msg(0, 1, clock, 4);
-  expect_exact(dec.decode_from(0, enc.encode_for(1, m4), &ack), m4);
+  EXPECT_FALSE(exact_or_resync(dec, w3, m3));  // overtook its base
+  // A refused frame leaves the stream untouched, so the late base still
+  // decodes and the reordered frame decodes after it.
+  EXPECT_TRUE(exact_or_resync(dec, w2, m2));
+  EXPECT_TRUE(exact_or_resync(dec, w3, m3));
+  // Duplicates name bases the stream has moved past.
+  EXPECT_FALSE(exact_or_resync(dec, w2, m2));
+  EXPECT_FALSE(exact_or_resync(dec, w3, m3));
 }
 
 TEST(DeltaCodecTest, WindowOverrunFallsBackToFullFrames) {
-  DeltaWireEncoder enc(2, 1, DeltaMode::kAcked, /*window=*/2);
+  // A delta that would not be smaller than the flat frame goes out as the
+  // flat frame, and the next delta still decodes against the unchanged
+  // base.
+  DeltaWireEncoder enc(2, 1);
   DeltaWireDecoder dec(2);
-  Ftvc clock(0, 4);
-  DeltaAck ack;
-  for (std::uint64_t i = 1; i <= 5; ++i) {
-    clock.tick_send();
-    Message m = make_msg(0, 1, clock, i);
-    expect_exact(dec.decode_from(0, enc.encode_for(1, m), &ack), m);
-  }
-  // No ack ever arrived: the window keeps overrunning, every frame is full,
-  // and every one still decodes byte-exact.
-  EXPECT_EQ(enc.stats().full_frames, 5u);
+  Ftvc clock(0, kWide);
+  clock.tick_send();
+  const Message m1 = make_msg(0, 1, clock, 1);
+  expect_exact(dec.decode_from(0, enc.encode_for(1, m1)), m1);
+
+  std::vector<FtvcEntry> churned(kWide);  // every entry differs from base
+  for (std::size_t j = 0; j < kWide; ++j) churned[j] = FtvcEntry{1, 1000 + j};
+  const Message m2 = make_msg(0, 1, Ftvc::with_entries(0, churned), 2);
+  const Bytes w2 = enc.encode_for(1, m2);
+  EXPECT_EQ(w2, encode_message_frame(m2));
+  expect_exact(dec.decode_from(0, w2), m2);
+
+  clock.tick_send();  // one entry away from the base, frame 1
+  const Message m3 = make_msg(0, 1, clock, 3);
+  const Bytes w3 = enc.encode_for(1, m3);
+  EXPECT_TRUE(is_stateful(w3));
+  EXPECT_LT(w3.size(), encode_message_frame(m3).size());
+  expect_exact(dec.decode_from(0, w3), m3);
+  EXPECT_EQ(enc.stats().frames, 2u);  // frames 1 and 3
+  EXPECT_EQ(enc.stats().full_frames, 1u);
 }
 
 TEST(DeltaCodecTest, ResetForcesNextFrameFull) {
-  DeltaWireEncoder enc(2, 1, DeltaMode::kFifo);
+  DeltaWireEncoder enc(2, 1);
   DeltaWireDecoder dec(2);
   Ftvc clock(0, 4);
   clock.tick_send();
@@ -187,9 +225,9 @@ TEST(DeltaCodecTest, ResetForcesNextFrameFull) {
 // reuses sequence numbers under a NEW epoch hard-resets the receiver stream
 // on its first full frame; everything after decodes byte-exact.
 TEST(DeltaCodecTest, RebirthWithReusedSeqsDecodesByteExact) {
-  DeltaWireEncoder enc(2, /*epoch=*/1, DeltaMode::kFifo);
+  DeltaWireEncoder enc(2, /*epoch=*/1);
   DeltaWireDecoder dec(2);
-  Ftvc clock(0, 8);
+  Ftvc clock(0, kWide);
   for (std::uint64_t i = 1; i <= 3; ++i) {
     clock.tick_send();
     Message m = make_msg(0, 1, clock, i);
@@ -197,17 +235,18 @@ TEST(DeltaCodecTest, RebirthWithReusedSeqsDecodesByteExact) {
   }
 
   // Respawn: fresh encoder, NEW epoch, seq counter restarts at 1 — the same
-  // stream seqs the decoder has already cached under epoch 1.
-  DeltaWireEncoder respawned(2, /*epoch=*/2, DeltaMode::kFifo);
-  Ftvc reborn(0, 8);  // restored state: different timestamps entirely
+  // stream seqs the decoder has already seen under epoch 1.
+  DeltaWireEncoder respawned(2, /*epoch=*/2);
+  Ftvc reborn(0, kWide);  // restored state: different timestamps entirely
   reborn.tick_send();
   Message r1 = make_msg(0, 1, reborn, 1);
-  DeltaAck ack;
-  expect_exact(dec.decode_from(0, respawned.encode_for(1, r1), &ack), r1);
-  EXPECT_EQ(ack.epoch, 2u);
+  expect_exact(dec.decode_from(0, respawned.encode_for(1, r1)), r1);
   reborn.tick_send();
   Message r2 = make_msg(0, 1, reborn, 2);  // delta against the NEW seq-1 base
-  expect_exact(dec.decode_from(0, respawned.encode_for(1, r2), &ack), r2);
+  const Bytes w2 = respawned.encode_for(1, r2);
+  EXPECT_TRUE(is_stateful(w2));
+  expect_exact(dec.decode_from(0, w2), r2);
+  EXPECT_EQ(respawned.stats().frames, 2u);
   EXPECT_EQ(respawned.stats().full_frames, 1u);
 }
 
@@ -215,17 +254,17 @@ TEST(DeltaCodecTest, RebirthWithReusedSeqsDecodesByteExact) {
 // bump can at worst force a resync — the base checksum catches the aliased
 // base before a wrong clock is ever produced.
 TEST(DeltaCodecTest, AliasedBaseFailsChecksumInsteadOfCorrupting) {
-  DeltaWireEncoder enc(2, 1, DeltaMode::kFifo);
+  DeltaWireEncoder enc(2, 1);
   DeltaWireDecoder dec(2);
-  Ftvc clock(0, 8);
+  Ftvc clock(0, kWide);
   clock.tick_send();
   Message m1 = make_msg(0, 1, clock, 1);
   expect_exact(dec.decode_from(0, enc.encode_for(1, m1)), m1);
 
   // "Respawn" that wrongly keeps epoch 1: its seq 1 carries different
   // entries than the decoder's cached seq 1...
-  DeltaWireEncoder impostor(2, /*epoch=*/1, DeltaMode::kFifo);
-  Ftvc other(0, 8);
+  DeltaWireEncoder impostor(2, /*epoch=*/1);
+  Ftvc other(0, kWide);
   other.tick_send();
   other.tick_send();
   other.tick_send();
@@ -245,9 +284,9 @@ TEST(DeltaCodecTest, AliasedBaseFailsChecksumInsteadOfCorrupting) {
 }
 
 TEST(DeltaCodecTest, DeltaBeforeFullFrameRequestsResync) {
-  DeltaWireEncoder enc(2, 1, DeltaMode::kFifo);
+  DeltaWireEncoder enc(2, 1);
   DeltaWireDecoder dec(2);
-  Ftvc clock(0, 4);
+  Ftvc clock(0, kWide);
   clock.tick_send();
   Message m1 = make_msg(0, 1, clock, 1);
   enc.encode_for(1, m1);  // full frame lost
@@ -258,7 +297,7 @@ TEST(DeltaCodecTest, DeltaBeforeFullFrameRequestsResync) {
 }
 
 TEST(DeltaCodecTest, StatsAccountDeltaVsFlatBytes) {
-  DeltaWireEncoder enc(2, 1, DeltaMode::kFifo);
+  DeltaWireEncoder enc(2, 1);
   Ftvc clock(0, 64);
   Bytes total;
   std::uint64_t emitted = 0;
@@ -294,14 +333,14 @@ Bytes fifo_send(DeltaWireEncoder& enc, DeltaWireDecoder& dec, ProcessId dst,
 }
 
 TEST(DiffCodecTest, FirstMessageCarriesFullClock) {
-  DeltaWireEncoder enc(3, 1, DeltaMode::kFifo);
+  DeltaWireEncoder enc(3, 1);
   DeltaWireDecoder dec(3);
   fifo_send(enc, dec, 1, Ftvc(0, 3));
   EXPECT_EQ(enc.stats().full_frames, 1u);
 }
 
 TEST(DiffCodecTest, UnchangedClockCostsAlmostNothing) {
-  DeltaWireEncoder enc(2, 1, DeltaMode::kFifo);
+  DeltaWireEncoder enc(2, 1);
   DeltaWireDecoder dec(2);
   const Ftvc clock = ticked_clock(0, 64, 5);
   const Bytes full = fifo_send(enc, dec, 1, clock);
@@ -310,30 +349,32 @@ TEST(DiffCodecTest, UnchangedClockCostsAlmostNothing) {
 }
 
 TEST(DiffCodecTest, DiffAppliesOnTopOfBase) {
-  DeltaWireEncoder enc(4, 1, DeltaMode::kFifo);
+  DeltaWireEncoder enc(4, 1);
   DeltaWireDecoder dec(4);
-  Ftvc clock(2, 4);
+  Ftvc clock(2, kWide);
   fifo_send(enc, dec, 0, clock);
   clock.tick_send();
   clock.tick_send();
   fifo_send(enc, dec, 0, clock);
+  EXPECT_EQ(enc.stats().frames, 2u);
   EXPECT_EQ(enc.stats().full_frames, 1u);
 }
 
 TEST(DiffCodecTest, PerDestinationCachesAreIndependent) {
-  DeltaWireEncoder enc(3, 1, DeltaMode::kFifo);
+  DeltaWireEncoder enc(3, 1);
   DeltaWireDecoder dec_b(3), dec_c(3);
-  Ftvc clock(0, 3);
+  Ftvc clock(0, kWide);
   fifo_send(enc, dec_b, 1, clock);  // warm destination 1 only
   clock.tick_send();
   fifo_send(enc, dec_c, 2, clock);  // destination 2's first frame is full
   EXPECT_EQ(enc.stats().full_frames, 2u);
   fifo_send(enc, dec_b, 1, clock);  // destination 1 still diffs
+  EXPECT_EQ(enc.stats().frames, 3u);
   EXPECT_EQ(enc.stats().full_frames, 2u);
 }
 
 TEST(DiffCodecTest, InvalidateForcesFullClock) {
-  DeltaWireEncoder enc(3, 1, DeltaMode::kFifo);
+  DeltaWireEncoder enc(3, 1);
   DeltaWireDecoder dec(3);
   Ftvc clock(0, 3);
   fifo_send(enc, dec, 1, clock);
@@ -345,9 +386,9 @@ TEST(DiffCodecTest, InvalidateForcesFullClock) {
 }
 
 TEST(DiffCodecTest, DiffWithoutBaseThrows) {
-  DeltaWireEncoder enc(3, 1, DeltaMode::kFifo);
+  DeltaWireEncoder enc(3, 1);
   DeltaWireDecoder dec(3);
-  Ftvc clock(0, 3);
+  Ftvc clock(0, kWide);
   enc.encode_for(1, make_msg(0, 1, clock));  // warms the ENCODER only
   clock.tick_send();
   EXPECT_THROW(dec.decode_from(0, enc.encode_for(1, make_msg(0, 1, clock))),
@@ -355,19 +396,20 @@ TEST(DiffCodecTest, DiffWithoutBaseThrows) {
 }
 
 TEST(DiffCodecTest, VersionChangesTravelInDiffs) {
-  DeltaWireEncoder enc(3, 1, DeltaMode::kFifo);
+  DeltaWireEncoder enc(3, 1);
   DeltaWireDecoder dec(3);
-  Ftvc clock(1, 3);
+  Ftvc clock(1, kWide);
   fifo_send(enc, dec, 0, clock);
   clock.on_restart();  // a version bump is just a changed entry
   fifo_send(enc, dec, 0, clock);
+  EXPECT_EQ(enc.stats().frames, 2u);
   EXPECT_EQ(enc.stats().full_frames, 1u);
 }
 
 TEST(DiffCodecTest, EmptyClockRoundTripsFullAndDiff) {
   // Baseline messages with no piggyback carry a size-0 clock; both frames
   // travel stateless and round-trip exactly.
-  DeltaWireEncoder enc(3, 1, DeltaMode::kFifo);
+  DeltaWireEncoder enc(3, 1);
   DeltaWireDecoder dec(3);
   fifo_send(enc, dec, 1, Ftvc{});
   fifo_send(enc, dec, 1, Ftvc{});
@@ -375,7 +417,7 @@ TEST(DiffCodecTest, EmptyClockRoundTripsFullAndDiff) {
 }
 
 TEST(DiffCodecTest, SingleEntryClockRoundTrips) {
-  DeltaWireEncoder enc(1, 1, DeltaMode::kFifo);
+  DeltaWireEncoder enc(1, 1);
   DeltaWireDecoder dec(1);
   Ftvc clock(0, 1);
   fifo_send(enc, dec, 0, clock);
@@ -384,7 +426,7 @@ TEST(DiffCodecTest, SingleEntryClockRoundTrips) {
 }
 
 TEST(DiffCodecTest, VersionCountersNearUint32MaxRoundTrip) {
-  DeltaWireEncoder enc(2, 1, DeltaMode::kFifo);
+  DeltaWireEncoder enc(2, 1);
   DeltaWireDecoder dec(2);
   const std::uint32_t big = 0xffffffffu;
   const std::uint64_t max_ts = 0xffffffffffffffffull;
@@ -397,18 +439,19 @@ TEST(DiffCodecTest, VersionCountersNearUint32MaxRoundTrip) {
 TEST(DiffCodecTest, OwnerSurvivesDiffFrames) {
   // A clock whose owner is not the transport-level sender keeps its owner
   // on both frame kinds (fifo_send checks it).
-  DeltaWireEncoder enc(3, 1, DeltaMode::kFifo);
+  DeltaWireEncoder enc(3, 1);
   DeltaWireDecoder dec(3);
-  Ftvc clock(2, 3);
+  Ftvc clock(2, kWide);
   fifo_send(enc, dec, 1, clock);
   clock.tick_send();
   fifo_send(enc, dec, 1, clock);
+  EXPECT_EQ(enc.stats().frames, 2u);
 }
 
 TEST(DiffCodecTest, RandomizedRoundTripAndSavings) {
   Rng rng(99);
   const std::size_t n = 6;
-  DeltaWireEncoder enc(n, 1, DeltaMode::kFifo);
+  DeltaWireEncoder enc(n, 1);
   std::vector<DeltaWireDecoder> decoders(n, DeltaWireDecoder(n));
   Ftvc clock(0, n);
   for (int step = 0; step < 500; ++step) {

@@ -49,21 +49,24 @@ TEST(FleetModelTest, CrashScheduleStaysOracleAndAuditClean) {
 }
 
 TEST(FleetModelTest, AckLagShiftsBytesButNeverFidelity) {
+  // Scattered traffic is the codec's worst case: its deltas are rarely
+  // smaller than the flat vector, so those frames go flat. The stream
+  // then costs at most flat plus one full frame per stream, whose excess
+  // is the seq and epoch varints (one byte each here: epoch 1, seq 1).
+  constexpr std::size_t kN = 8;
+  constexpr std::uint64_t kFullFrameExcess = 2;
   FleetPiggybackConfig config;
-  config.n = 8;
+  config.n = kN;
   config.seed = 5;
   config.all_seed = true;
-  config.ack_lag = 0;  // instant acks: tightest deltas
-  const FleetPiggybackReport tight = run_fleet_piggyback(config);
-  config.ack_lag = 64;  // acks so late most frames go full
-  const FleetPiggybackReport loose = run_fleet_piggyback(config);
-  ASSERT_TRUE(tight.quiesced);
-  ASSERT_TRUE(loose.quiesced);
-  EXPECT_EQ(tight.fidelity_mismatches, 0u);
-  EXPECT_EQ(loose.fidelity_mismatches, 0u);
-  EXPECT_EQ(tight.app_frames, loose.app_frames);  // same seed, same traffic
-  EXPECT_LE(tight.delta_piggyback_bytes, loose.delta_piggyback_bytes);
-  EXPECT_GE(loose.full_frames, tight.full_frames);
+  const FleetPiggybackReport report = run_fleet_piggyback(config);
+  ASSERT_TRUE(report.quiesced);
+  EXPECT_GT(report.app_frames, 0u);
+  EXPECT_EQ(report.fidelity_mismatches, 0u);
+  EXPECT_EQ(report.resyncs, 0u);
+  EXPECT_LE(report.full_frames, kN * (kN - 1));
+  EXPECT_LE(report.delta_frame_bytes,
+            report.flat_frame_bytes + kFullFrameExcess * report.full_frames);
 }
 
 }  // namespace

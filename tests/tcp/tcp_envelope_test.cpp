@@ -28,8 +28,6 @@ TEST(Envelope, RoundTripsEveryKind) {
     e.src_pid = 2;
     e.dst_pid = 5;
     e.app = true;
-    e.token = false;
-    e.token_seq = 0;
     e.sent_unix_us = 1234567;
     e.delay_us = 250;
     e.wire = {1, 2, 3, 4, 5};
@@ -38,25 +36,24 @@ TEST(Envelope, RoundTripsEveryKind) {
     EXPECT_EQ(d.src_pid, 2u);
     EXPECT_EQ(d.dst_pid, 5u);
     EXPECT_TRUE(d.app);
-    EXPECT_FALSE(d.token);
     EXPECT_EQ(d.sent_unix_us, 1234567u);
     EXPECT_EQ(d.delay_us, 250u);
     EXPECT_EQ(d.wire, e.wire);
   }
   {
-    // The ack must carry BOTH the seq and the epoch echo: a sender ignores
-    // acks stamped with a previous incarnation's epoch, so an ack that
-    // loses the epoch on the wire would be ignored forever and the token
-    // would retry until the time cap (a real bug this test pins down).
+    // The ack must carry BOTH the relay id and the epoch echo: a requester
+    // ignores acks stamped with a previous incarnation's epoch, so an ack
+    // that loses the epoch on the wire would be ignored forever and the
+    // relay would retry until the time cap.
     Envelope e;
-    e.kind = EnvelopeKind::kTokenAck;
+    e.kind = EnvelopeKind::kRelayAck;
     e.src_node = 2;
     e.epoch = 0xdeadbeefull;
-    e.ack_seq = 42;
+    e.relay_id = 42;
     const Envelope d = decode_envelope(encode_envelope(e));
-    EXPECT_EQ(d.kind, EnvelopeKind::kTokenAck);
+    EXPECT_EQ(d.kind, EnvelopeKind::kRelayAck);
     EXPECT_EQ(d.epoch, 0xdeadbeefull);
-    EXPECT_EQ(d.ack_seq, 42u);
+    EXPECT_EQ(d.relay_id, 42u);
   }
   {
     Envelope e;
@@ -128,8 +125,6 @@ TEST(Envelope, WirePrefixPlusPayloadEqualsFrameEnvelope) {
     e.src_pid = 3;
     e.dst_pid = 7;
     e.app = (n % 2) == 0;
-    e.token = !e.app;
-    e.token_seq = 42 + n;
     e.sent_unix_us = 987654321;
     e.delay_us = 1500;
     e.wire = Bytes(n, static_cast<std::uint8_t>(n & 0xff));
@@ -153,10 +148,10 @@ TEST(EnvelopeReader, ReassemblesByteAtATimeAndBackToBack) {
   a.epoch = 5;
   a.cluster = "c";
   Envelope b;
-  b.kind = EnvelopeKind::kTokenAck;
+  b.kind = EnvelopeKind::kRelayAck;
   b.src_node = 2;
   b.epoch = 9;
-  b.ack_seq = 77;
+  b.relay_id = 77;
 
   Bytes stream = frame_envelope(a);
   const Bytes second = frame_envelope(b);
@@ -171,8 +166,8 @@ TEST(EnvelopeReader, ReassemblesByteAtATimeAndBackToBack) {
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].kind, EnvelopeKind::kHello);
   EXPECT_EQ(got[0].epoch, 5u);
-  EXPECT_EQ(got[1].kind, EnvelopeKind::kTokenAck);
-  EXPECT_EQ(got[1].ack_seq, 77u);
+  EXPECT_EQ(got[1].kind, EnvelopeKind::kRelayAck);
+  EXPECT_EQ(got[1].relay_id, 77u);
   EXPECT_EQ(reader.buffered(), 0u);
 }
 
@@ -223,6 +218,19 @@ TEST(Topology, JsonRoundTripPreservesShapeAndFaults) {
   EXPECT_EQ(back.faults.partitions[0].heal_at, millis(300));
   EXPECT_EQ(back.faults.partitions[0].groups,
             (std::vector<std::vector<ProcessId>>{{0, 1}, {2}}));
+}
+
+TEST(Topology, LegacyScaleBlockIsIgnored) {
+  // Topology files written before the wire paths became fixed still carry
+  // a "scale" block; it parses and is dropped on the way back out.
+  const TcpTopology topo = TcpTopology::parse(R"({
+    "processes": 2,
+    "nodes": [{"id": 0, "processes": [0]}, {"id": 1, "processes": [1]}],
+    "scale": {"delta_piggyback": true, "token_fanout": 4,
+              "relay_fallback_retries": 3}
+  })");
+  EXPECT_EQ(topo.nodes.size(), 2u);
+  EXPECT_EQ(topo.to_json().find("scale"), std::string::npos);
 }
 
 TEST(Topology, ValidateRejectsBadShapes) {

@@ -1,7 +1,7 @@
-// Respawn regression for the fleet-scale transport features: a real
-// multi-process fleet (optrec_node --spawn) running with BOTH the delta
-// clock piggyback and hierarchical token dissemination on, where one node
-// is SIGKILLed mid-run and respawned warm from disk.
+// Respawn regression for the fleet-scale transport paths: a real
+// multi-process fleet (optrec_node --spawn), whose connections always run
+// the delta clock piggyback and hierarchical token dissemination, where
+// one node is SIGKILLed mid-run and respawned warm from disk.
 //
 // This is the transport-level half of the reused-send-seq hazard the codec
 // test (DeltaCodecTest.RebirthWithReusedSeqsDecodesByteExact) covers in
@@ -36,7 +36,6 @@ TEST(TcpScaleSpawn, KillNineRespawnKeepsDeltaAndRelayFleetClean) {
   std::ostringstream cmd;
   cmd << OPTREC_NODE_BIN << " --spawn --processes=8 --tcp-nodes=4"
       << " --seed=7 --intensity=10 --depth=600 --retransmit"
-      << " --delta-piggyback --token-fanout=2"
       << " --flush-ms=10 --ckpt-ms=50 --kill=1:400:900"
       // Generous cap: sanitizer builds run this fleet ~10x slower.
       << " --time-cap-ms=120000"

@@ -202,7 +202,7 @@ TEST(WireCodecTest, DiffVariantRoundTripsOverFifoStream) {
   // than stateless ones.
   const std::size_t n = 6;
   Rng rng(31337);
-  scale::DeltaWireEncoder enc(n, /*epoch=*/1, scale::DeltaMode::kFifo);
+  scale::DeltaWireEncoder enc(n, /*epoch=*/1);
   scale::DeltaWireDecoder dec(n);
   Ftvc clock(0, n);
   std::size_t diff_total = 0, full_total = 0;
@@ -232,11 +232,18 @@ TEST(WireCodecTest, DiffVariantRoundTripsOverFifoStream) {
 }
 
 TEST(WireCodecTest, DiffDecoderRejectsStatelessFrames) {
+  // A stateless frame is only valid on a delta stream as the encoder's
+  // flat fallback, i.e. a well-formed message; anything else is refused.
   scale::DeltaWireDecoder dec(4);
   Message m;
   m.src = 0;
   m.dst = 1;
-  EXPECT_THROW(dec.decode_from(m.src, encode_message_frame(m)), DecodeError);
+  EXPECT_EQ(dec.decode_from(m.src, encode_message_frame(m)).dst, 1u);
+  Token t;
+  t.from = 0;
+  EXPECT_THROW(dec.decode_from(0, encode_token_frame(t)), DecodeError);
+  EXPECT_THROW(dec.decode_from(0, Bytes{0x01, 0xff, 0xff, 0xff}),
+               DecodeError);
 }
 
 }  // namespace
