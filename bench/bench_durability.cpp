@@ -130,7 +130,7 @@ CommitRow run_group_commit(std::uint64_t window, std::uint64_t messages) {
     commit_us.observe(static_cast<double>(elapsed_us(start)));
   }
 
-  const DurableStatsSnapshot stats = backend.stats();
+  const DurableStats stats = backend.stats();
   CommitRow row;
   row.window = window;
   row.messages = messages;
@@ -159,7 +159,7 @@ CommitRow run_token_commit(std::uint64_t tokens) {
     commit_us.observe(static_cast<double>(elapsed_us(start)));
   }
 
-  const DurableStatsSnapshot stats = backend.stats();
+  const DurableStats stats = backend.stats();
   CommitRow row;
   row.window = 0;
   row.messages = tokens;

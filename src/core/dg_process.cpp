@@ -3,7 +3,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "src/core/garbage_collector.h"
 #include "src/scale/gc_policy.h"
 #include "src/util/log.h"
 #include "src/util/serialization.h"

@@ -108,7 +108,7 @@ RecoveryResult DurableBackend::recover_into(StableStorage& storage) {
   wal_ = std::make_unique<WalWriter>(fs(), wal_path(opts_.dir, wal_gen_),
                                      opts_.ablations);
   write_manifest();
-  ++stats_.compactions;
+  stats_.add<&DurableStats::compactions>();
 
   // Anything the manifest does not name is dead: older WAL generations,
   // snapshots from a discarded future, temp files from interrupted writes.
@@ -132,15 +132,14 @@ RecoveryResult DurableBackend::recover_into(StableStorage& storage) {
   storage.log().restore(std::move(replay.entries), replay.base);
   storage.checkpoints().restore(std::move(ckpts), next_seq_);
 
-  stats_.replayed_messages.store(result.replayed_messages,
-                                 std::memory_order_relaxed);
-  stats_.replayed_tokens.store(result.replayed_tokens,
-                               std::memory_order_relaxed);
-  stats_.recovered_checkpoints.store(result.recovered_checkpoints,
-                                     std::memory_order_relaxed);
-  stats_.torn_bytes_truncated.store(result.torn_bytes,
-                                    std::memory_order_relaxed);
-  stats_.recovery_us.store(now_us() - t0, std::memory_order_relaxed);
+  stats_.set<&DurableStats::warm_recovered>(1);
+  stats_.set<&DurableStats::recovered_delivered>(result.recovered_delivered);
+  stats_.set<&DurableStats::replayed_messages>(result.replayed_messages);
+  stats_.set<&DurableStats::replayed_tokens>(result.replayed_tokens);
+  stats_.set<&DurableStats::recovered_checkpoints>(
+      result.recovered_checkpoints);
+  stats_.set<&DurableStats::torn_bytes_truncated>(result.torn_bytes);
+  stats_.set<&DurableStats::recovery_us>(now_us() - t0);
   refresh_gauges();
   return result;
 }
@@ -148,8 +147,7 @@ RecoveryResult DurableBackend::recover_into(StableStorage& storage) {
 void DurableBackend::log_append(std::uint64_t index, const Message& msg) {
   wal_->append_message(index, msg);
   append_frontier_ = index + 1;
-  stats_.wal_buffered_bytes.store(wal_->buffered_bytes(),
-                                  std::memory_order_relaxed);
+  stats_.set<&DurableStats::wal_buffered_bytes>(wal_->buffered_bytes());
 }
 
 void DurableBackend::log_flush(std::uint64_t upto) {
@@ -157,7 +155,6 @@ void DurableBackend::log_flush(std::uint64_t upto) {
   const std::uint64_t t0 = now_us();
   wal_->commit();
   const std::uint64_t us = now_us() - t0;
-  stats_.flush_latency_last_us.store(us, std::memory_order_relaxed);
   if (flush_latency_hook_) flush_latency_hook_(us);
   refresh_gauges();
 }
@@ -194,7 +191,7 @@ void DurableBackend::log_crash_wipe(std::uint64_t stable_frontier) {
     wal_->append_truncate(stable_frontier);
     committed_frontier_ = stable_frontier;
   }
-  stats_.wal_buffered_bytes.store(0, std::memory_order_relaxed);
+  stats_.set<&DurableStats::wal_buffered_bytes>(0);
   refresh_gauges();
 }
 
@@ -209,7 +206,7 @@ void DurableBackend::checkpoint_append(const Checkpoint& ckpt) {
   const std::string path = checkpoint_path(opts_.dir, seq);
   snapshot_bytes_[seq] = write_snapshot(fs(), path, ckpt);
   live_seqs_.push_back(seq);
-  ++stats_.snapshot_writes;
+  stats_.add<&DurableStats::snapshot_writes>();
   write_manifest();
   refresh_gauges();
 }
@@ -253,25 +250,23 @@ void DurableBackend::write_manifest() {
   const Bytes encoded = m.encode();
   fs().write_file_atomic(manifest_path(opts_.dir), encoded);
   manifest_bytes_ = encoded.size();
-  ++stats_.manifest_writes;
+  stats_.add<&DurableStats::manifest_writes>();
 }
 
 void DurableBackend::refresh_gauges() {
   const WalWriterStats& ws = wal_->stats();
-  stats_.fsync_total.store(ws.fsyncs, std::memory_order_relaxed);
-  stats_.fsync_messages.store(ws.message_commits, std::memory_order_relaxed);
-  stats_.fsync_tokens.store(ws.token_commits, std::memory_order_relaxed);
-  stats_.wal_bytes_written.store(ws.bytes_written, std::memory_order_relaxed);
-  stats_.wal_records_written.store(ws.records_written,
-                                   std::memory_order_relaxed);
-  stats_.wal_buffered_bytes.store(wal_->buffered_bytes(),
-                                  std::memory_order_relaxed);
+  stats_.set<&DurableStats::fsync_total>(ws.fsyncs);
+  stats_.set<&DurableStats::fsync_messages>(ws.message_commits);
+  stats_.set<&DurableStats::fsync_tokens>(ws.token_commits);
+  stats_.set<&DurableStats::wal_bytes_written>(ws.bytes_written);
+  stats_.set<&DurableStats::wal_records_written>(ws.records_written);
+  stats_.set<&DurableStats::wal_buffered_bytes>(wal_->buffered_bytes());
   std::uint64_t disk = wal_->committed_offset() + manifest_bytes_;
   for (const auto& [seq, bytes] : snapshot_bytes_) {
     (void)seq;
     disk += bytes;
   }
-  stats_.disk_stable_bytes.store(disk, std::memory_order_relaxed);
+  stats_.set<&DurableStats::disk_stable_bytes>(disk);
 }
 
 void DurableBackend::maybe_compact() {
@@ -293,37 +288,8 @@ void DurableBackend::maybe_compact() {
   wal_->set_stats(carried);  // lifetime counters survive the writer swap
   write_manifest();
   fs().remove(wal_path(opts_.dir, old_gen));
-  ++stats_.compactions;
+  stats_.add<&DurableStats::compactions>();
   refresh_gauges();
-}
-
-DurableStatsSnapshot DurableBackend::stats() const {
-  DurableStatsSnapshot s;
-  s.fsync_total = stats_.fsync_total.load(std::memory_order_relaxed);
-  s.fsync_messages = stats_.fsync_messages.load(std::memory_order_relaxed);
-  s.fsync_tokens = stats_.fsync_tokens.load(std::memory_order_relaxed);
-  s.wal_bytes_written =
-      stats_.wal_bytes_written.load(std::memory_order_relaxed);
-  s.wal_records_written =
-      stats_.wal_records_written.load(std::memory_order_relaxed);
-  s.wal_buffered_bytes =
-      stats_.wal_buffered_bytes.load(std::memory_order_relaxed);
-  s.disk_stable_bytes =
-      stats_.disk_stable_bytes.load(std::memory_order_relaxed);
-  s.snapshot_writes = stats_.snapshot_writes.load(std::memory_order_relaxed);
-  s.manifest_writes = stats_.manifest_writes.load(std::memory_order_relaxed);
-  s.compactions = stats_.compactions.load(std::memory_order_relaxed);
-  s.replayed_messages =
-      stats_.replayed_messages.load(std::memory_order_relaxed);
-  s.replayed_tokens = stats_.replayed_tokens.load(std::memory_order_relaxed);
-  s.recovered_checkpoints =
-      stats_.recovered_checkpoints.load(std::memory_order_relaxed);
-  s.torn_bytes_truncated =
-      stats_.torn_bytes_truncated.load(std::memory_order_relaxed);
-  s.recovery_us = stats_.recovery_us.load(std::memory_order_relaxed);
-  s.flush_latency_last_us =
-      stats_.flush_latency_last_us.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace optrec

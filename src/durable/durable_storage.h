@@ -15,7 +15,7 @@
 // refuse to trust anything whose supposedly-committed bytes fail validation.
 #pragma once
 
-#include <atomic>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -27,6 +27,7 @@
 #include "src/durable/wal.h"
 #include "src/storage/stable_sink.h"
 #include "src/storage/stable_storage.h"
+#include "src/util/counter_fields.h"
 
 namespace optrec {
 
@@ -41,9 +42,19 @@ struct DurableOptions {
   WalAblations ablations;
 };
 
-/// Plain-value copy of the backend's counters, safe to read cross-thread
-/// via DurableBackend::stats().
-struct DurableStatsSnapshot {
+/// A durable process's counters: the backend's own, the outcome of its
+/// recover_into(), and the in-memory stable footprint its owner mirrors in
+/// (set_memory_stable_bytes), so disk and memory sit side by side. Totals
+/// over processes add, but for recovery_us, which keeps the slowest.
+struct DurableStats {
+  std::uint64_t warm_recovered = 0;  // 1 when recover_into() restored state
+  /// Stable frontier restored from disk: above the initial-checkpoint
+  /// cursor, it proves recovery used the latest state.
+  std::uint64_t recovered_delivered = 0;
+  std::uint64_t replayed_messages = 0;
+  std::uint64_t replayed_tokens = 0;
+  std::uint64_t recovered_checkpoints = 0;
+  std::uint64_t torn_bytes_truncated = 0;
   std::uint64_t fsync_total = 0;
   std::uint64_t fsync_messages = 0;
   std::uint64_t fsync_tokens = 0;
@@ -51,15 +62,51 @@ struct DurableStatsSnapshot {
   std::uint64_t wal_records_written = 0;
   std::uint64_t wal_buffered_bytes = 0;
   std::uint64_t disk_stable_bytes = 0;
+  std::uint64_t memory_stable_bytes = 0;
   std::uint64_t snapshot_writes = 0;
   std::uint64_t manifest_writes = 0;
   std::uint64_t compactions = 0;
-  std::uint64_t replayed_messages = 0;
-  std::uint64_t replayed_tokens = 0;
-  std::uint64_t recovered_checkpoints = 0;
-  std::uint64_t torn_bytes_truncated = 0;
-  std::uint64_t recovery_us = 0;
-  std::uint64_t flush_latency_last_us = 0;
+  std::uint64_t recovery_us = 0;  // recover_into() wall time
+
+  /// Every counter with its JSON key and /metrics family
+  /// (src/util/counter_fields.h); exported per process as {pid="K"}.
+  static constexpr std::array<CounterField<DurableStats>, 18> kFields{{
+      {"warm_recovered", &DurableStats::warm_recovered,
+       "optrec_warm_recovered", "", CounterKind::kGauge},
+      {"recovered_delivered", &DurableStats::recovered_delivered,
+       "optrec_recovered_delivered", "", CounterKind::kGauge},
+      {"replayed_msgs", &DurableStats::replayed_messages,
+       "optrec_replayed_msgs_total"},
+      {"replayed_tokens", &DurableStats::replayed_tokens,
+       "optrec_replayed_tokens_total"},
+      {"recovered_checkpoints", &DurableStats::recovered_checkpoints,
+       "optrec_recovered_checkpoints_total"},
+      {"torn_bytes", &DurableStats::torn_bytes_truncated,
+       "optrec_wal_torn_bytes_total"},
+      {"fsyncs", &DurableStats::fsync_total, "optrec_fsync_total"},
+      {"fsync_messages", &DurableStats::fsync_messages,
+       "optrec_fsync_messages_total"},
+      {"fsync_tokens", &DurableStats::fsync_tokens,
+       "optrec_fsync_tokens_total"},
+      {"wal_bytes_written", &DurableStats::wal_bytes_written,
+       "optrec_wal_bytes_written_total"},
+      {"wal_records_written", &DurableStats::wal_records_written,
+       "optrec_wal_records_written_total"},
+      {"wal_buffered_bytes", &DurableStats::wal_buffered_bytes,
+       "optrec_wal_buffered_bytes", "", CounterKind::kGauge},
+      {"disk_stable_bytes", &DurableStats::disk_stable_bytes,
+       "optrec_disk_stable_bytes", "", CounterKind::kGauge},
+      {"memory_stable_bytes", &DurableStats::memory_stable_bytes,
+       "optrec_stable_bytes", "", CounterKind::kGauge},
+      {"snapshot_writes", &DurableStats::snapshot_writes,
+       "optrec_snapshot_writes_total"},
+      {"manifest_writes", &DurableStats::manifest_writes,
+       "optrec_manifest_writes_total"},
+      {"compactions", &DurableStats::compactions,
+       "optrec_wal_compactions_total"},
+      {"recovery_us", &DurableStats::recovery_us, "optrec_recovery_us", "",
+       CounterKind::kMaxGauge},
+  }};
 };
 
 struct RecoveryResult {
@@ -106,7 +153,11 @@ class DurableBackend final : public StableSink {
   void checkpoint_truncate(std::size_t live_count) override;
   void checkpoint_reclaim(std::size_t reclaimed) override;
 
-  DurableStatsSnapshot stats() const;
+  DurableStats stats() const { return stats_.load(); }
+  /// Mirror the owner's in-memory stable footprint (any one thread).
+  void set_memory_stable_bytes(std::uint64_t bytes) {
+    stats_.set<&DurableStats::memory_stable_bytes>(bytes);
+  }
   /// Called with each group commit's latency in microseconds (from the
   /// worker thread; the hook must be thread-safe if read elsewhere).
   void set_flush_latency_hook(std::function<void(std::uint64_t)> hook) {
@@ -138,24 +189,7 @@ class DurableBackend final : public StableSink {
   std::uint64_t manifest_bytes_ = 0;
   std::function<void(std::uint64_t)> flush_latency_hook_;
 
-  struct Stats {
-    std::atomic<std::uint64_t> fsync_total{0};
-    std::atomic<std::uint64_t> fsync_messages{0};
-    std::atomic<std::uint64_t> fsync_tokens{0};
-    std::atomic<std::uint64_t> wal_bytes_written{0};
-    std::atomic<std::uint64_t> wal_records_written{0};
-    std::atomic<std::uint64_t> wal_buffered_bytes{0};
-    std::atomic<std::uint64_t> disk_stable_bytes{0};
-    std::atomic<std::uint64_t> snapshot_writes{0};
-    std::atomic<std::uint64_t> manifest_writes{0};
-    std::atomic<std::uint64_t> compactions{0};
-    std::atomic<std::uint64_t> replayed_messages{0};
-    std::atomic<std::uint64_t> replayed_tokens{0};
-    std::atomic<std::uint64_t> recovered_checkpoints{0};
-    std::atomic<std::uint64_t> torn_bytes_truncated{0};
-    std::atomic<std::uint64_t> recovery_us{0};
-    std::atomic<std::uint64_t> flush_latency_last_us{0};
-  } stats_;
+  AtomicCounters<DurableStats> stats_;
 };
 
 }  // namespace optrec

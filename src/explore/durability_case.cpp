@@ -482,7 +482,7 @@ DurabilityOutcome run_durability_case(const DurabilityCase& c) {
       out.crashed && completed < plan.prims.size()
           ? static_cast<std::uint64_t>(plan.prims[completed].type)
           : 99;
-  const DurableStatsSnapshot ws = backend.stats();
+  const DurableStats ws = backend.stats();
   out.signatures.push_back(sig_key(1, crash_prim));
   out.signatures.push_back(
       sig_key(2, (std::uint64_t{r.warm} << 3) | (std::uint64_t{r.corrupt} << 2) |

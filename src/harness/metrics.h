@@ -5,6 +5,7 @@
 // Metrics object per run; processes hold a non-owning pointer.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "src/sim/time.h"
+#include "src/util/counter_fields.h"
 #include "src/util/ids.h"
 #include "src/util/stats.h"
 
@@ -28,7 +30,9 @@ inline std::uint64_t signature_mix(std::uint64_t sig, std::uint64_t v) {
 struct Metrics {
   // --- message path
   std::uint64_t app_messages_sent = 0;
-  std::uint64_t control_messages_sent = 0;  // baselines only; DG stays at 0
+  /// Protocol control sends: the baselines' coordination messages and
+  /// DG's stability gossip (zero for DG unless stability tracking is on).
+  std::uint64_t control_messages_sent = 0;
   std::uint64_t messages_delivered = 0;
   std::uint64_t messages_discarded_obsolete = 0;
   std::uint64_t messages_discarded_duplicate = 0;
@@ -81,6 +85,69 @@ struct Metrics {
   /// processes, which is the fleet's total held history).
   std::uint64_t gc_held_intervals = 0;
 
+  /// Every counter with its --metrics-json key, in output order
+  /// (src/util/counter_fields.h). Rows with a /metrics family are mirrored
+  /// per process as {pid="K"} counters by telemetry::ProcessGauges, so they
+  /// must be monotonic. merge_from and the JSON writer iterate this table.
+  static constexpr std::array<CounterField<Metrics>, 32> kFields{{
+      {"app_messages_sent", &Metrics::app_messages_sent,
+       "optrec_app_messages_sent_total", "Application messages sent"},
+      {"control_messages_sent", &Metrics::control_messages_sent},
+      {"messages_delivered", &Metrics::messages_delivered,
+       "optrec_messages_delivered_total", "Messages delivered to the app"},
+      {"messages_discarded_obsolete", &Metrics::messages_discarded_obsolete,
+       "optrec_messages_orphaned_total",
+       "Messages discarded by the Lemma-4 obsolete filter"},
+      {"messages_discarded_duplicate", &Metrics::messages_discarded_duplicate,
+       "optrec_messages_duplicate_total", "Messages discarded as duplicates"},
+      {"messages_postponed", &Metrics::messages_postponed,
+       "optrec_messages_postponed_total",
+       "Deliveries held for a predecessor token"},
+      {"postponed_released", &Metrics::postponed_released},
+      {"piggyback_bytes", &Metrics::piggyback_bytes,
+       "optrec_piggyback_bytes_total",
+       "Wire bytes of piggybacked protocol headers"},
+      {"payload_bytes", &Metrics::payload_bytes},
+      {"checkpoints_taken", &Metrics::checkpoints_taken,
+       "optrec_checkpoints_total", "Checkpoints written"},
+      {"log_flushes", &Metrics::log_flushes,
+       "optrec_log_flushes_total", "Receiver-log flushes"},
+      {"messages_lost_in_crash", &Metrics::messages_lost_in_crash},
+      {"sync_log_writes", &Metrics::sync_log_writes},
+      {"crashes", &Metrics::crashes,
+       "optrec_crashes_total", "Failures suffered"},
+      {"restarts", &Metrics::restarts,
+       "optrec_restarts_total", "Restarts completed"},
+      {"rollbacks", &Metrics::rollbacks,
+       "optrec_rollbacks_total", "Rollbacks performed"},
+      {"tokens_processed", &Metrics::tokens_processed,
+       "optrec_tokens_processed_total", "Failure/rollback tokens processed"},
+      {"messages_replayed", &Metrics::messages_replayed,
+       "optrec_messages_replayed_total",
+       "Messages replayed from the stable log"},
+      {"sends_suppressed_in_replay", &Metrics::sends_suppressed_in_replay},
+      {"messages_requeued_after_rollback",
+       &Metrics::messages_requeued_after_rollback},
+      {"retransmissions", &Metrics::retransmissions,
+       "optrec_retransmissions_total", "Remark-1 retransmissions sent"},
+      {"states_rolled_back", &Metrics::states_rolled_back,
+       "optrec_states_rolled_back_total",
+       "Delivered states undone by rollbacks"},
+      {"recovery_blocked_time_us", &Metrics::recovery_blocked_time},
+      {"checkpoint_blocked_time_us", &Metrics::checkpoint_blocked_time},
+      {"outputs_requested", &Metrics::outputs_requested},
+      {"outputs_committed", &Metrics::outputs_committed},
+      {"outputs_replay_suppressed", &Metrics::outputs_replay_suppressed},
+      {"gc_checkpoints_reclaimed", &Metrics::gc_checkpoints_reclaimed},
+      {"gc_log_entries_reclaimed", &Metrics::gc_log_entries_reclaimed,
+       "optrec_gc_reclaimed_intervals_total",
+       "Stable-log state intervals reclaimed by Remark-2 GC"},
+      {"gc_tokens_compacted", &Metrics::gc_tokens_compacted},
+      {"gc_reclaimed_bytes", &Metrics::gc_reclaimed_bytes},
+      {"gc_held_intervals", &Metrics::gc_held_intervals, nullptr, "",
+       CounterKind::kGauge},
+  }};
+
   /// Rollbacks attributed to each failure; the paper's "number of rollbacks
   /// per failure" (Table 1) requires max over failures of per-process count.
   std::map<FailureId, std::map<ProcessId, std::uint64_t>> rollbacks_by_failure;
@@ -102,10 +169,10 @@ struct Metrics {
   /// with the transport's drop count) to hold still across a settle window.
   std::uint64_t progress_signature() const;
 
-  /// Fold another Metrics object into this one (counters add, stats merge,
-  /// attribution maps union). The live runtime gives each worker thread a
-  /// private Metrics and merges them post-join, so the hot path never takes
-  /// a lock on a shared counter block.
+  /// Fold another Metrics object into this one (kFields rows add, stats
+  /// merge, attribution maps union). The live runtime gives each worker
+  /// thread a private Metrics and merges them post-join, so the hot path
+  /// never takes a lock on a shared counter block.
   void merge_from(const Metrics& other);
 
   std::string summary() const;

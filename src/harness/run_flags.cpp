@@ -215,43 +215,16 @@ void write_running_stats(JsonWriter& w, const RunningStats& s) {
 
 void write_metrics(JsonWriter& w, const Metrics& m) {
   w.begin_object();
-  w.kv("app_messages_sent", m.app_messages_sent);
-  w.kv("control_messages_sent", m.control_messages_sent);
-  w.kv("messages_delivered", m.messages_delivered);
-  w.kv("messages_discarded_obsolete", m.messages_discarded_obsolete);
-  w.kv("messages_discarded_duplicate", m.messages_discarded_duplicate);
-  w.kv("messages_postponed", m.messages_postponed);
-  w.kv("postponed_released", m.postponed_released);
-  w.kv("piggyback_bytes", m.piggyback_bytes);
-  w.kv("payload_bytes", m.payload_bytes);
+  write_counters(w, m);
   w.kv("piggyback_per_message", m.piggyback_per_message());
-  w.kv("checkpoints_taken", m.checkpoints_taken);
-  w.kv("log_flushes", m.log_flushes);
-  w.kv("messages_lost_in_crash", m.messages_lost_in_crash);
-  w.kv("sync_log_writes", m.sync_log_writes);
-  w.kv("crashes", m.crashes);
-  w.kv("restarts", m.restarts);
-  w.kv("rollbacks", m.rollbacks);
   w.kv("max_rollbacks_per_process_per_failure",
        m.max_rollbacks_per_process_per_failure());
-  w.kv("tokens_processed", m.tokens_processed);
-  w.kv("messages_replayed", m.messages_replayed);
-  w.kv("sends_suppressed_in_replay", m.sends_suppressed_in_replay);
-  w.kv("messages_requeued_after_rollback", m.messages_requeued_after_rollback);
-  w.kv("retransmissions", m.retransmissions);
-  w.kv("states_rolled_back", m.states_rolled_back);
-  w.kv("recovery_blocked_time_us", m.recovery_blocked_time);
-  w.kv("checkpoint_blocked_time_us", m.checkpoint_blocked_time);
   w.key("restart_latency_us");
   write_running_stats(w, m.restart_latency);
   w.key("rollback_depth");
   write_running_stats(w, m.rollback_depth);
-  w.kv("outputs_requested", m.outputs_requested);
-  w.kv("outputs_committed", m.outputs_committed);
   w.key("output_commit_latency_us");
   write_running_stats(w, m.output_commit_latency);
-  w.kv("gc_checkpoints_reclaimed", m.gc_checkpoints_reclaimed);
-  w.kv("gc_log_entries_reclaimed", m.gc_log_entries_reclaimed);
   w.key("rollbacks_by_failure").begin_array();
   for (const auto& [failure, by_pid] : m.rollbacks_by_failure) {
     w.begin_object();
@@ -270,9 +243,7 @@ void write_metrics(JsonWriter& w, const Metrics& m) {
 
 void write_network(JsonWriter& w, const Network::Stats& n) {
   w.begin_object();
-  for (const auto& [name, field] : Network::Stats::kFields) {
-    w.kv(name, n.*field);
-  }
+  write_counters(w, n);
   w.end_object();
 }
 

@@ -112,22 +112,22 @@ MsgId LiveTransport::send(Message msg) {
     throw std::out_of_range("send: unknown destination");
   }
   msg.id = next_msg_id_.fetch_add(1, std::memory_order_relaxed);
-  DeliveryCounters::add(counters_.messages_sent);
-  DeliveryCounters::add(counters_.message_bytes, message_wire_bytes(msg));
+  counters_.net.add<&Network::Stats::messages_sent>();
+  counters_.net.add<&Network::Stats::message_bytes>(message_wire_bytes(msg));
   if (trace_) trace_->emit(send_event(clock_.now(), msg));
   Rng& rng = send_rng_.at(msg.src);
   const bool app = msg.kind == MessageKind::kApp;
   if (app) {
-    DeliveryCounters::add(counters_.app_messages_sent);
+    counters_.net.add<&Network::Stats::app_messages_sent>();
     if (rng.chance(faults_.drop_prob)) {
-      DeliveryCounters::add(counters_.messages_dropped);
+      counters_.net.add<&Network::Stats::messages_dropped>();
       return msg.id;
     }
   }
   // Encode once into a pooled buffer; a duplicate delivery shares the ref.
   FrameRef wire = FramePool::global().wrap(encode_message_frame(msg));
   if (app && rng.chance(faults_.duplicate_prob)) {
-    DeliveryCounters::add(counters_.messages_duplicated);
+    counters_.net.add<&Network::Stats::messages_duplicated>();
     push_wire(msg.src, msg.dst, wire, app, /*token=*/false, draw_delay(rng));
   }
   const SimTime delay = draw_delay(rng);
@@ -136,7 +136,7 @@ MsgId LiveTransport::send(Message msg) {
 }
 
 void LiveTransport::broadcast_token(const Token& token) {
-  DeliveryCounters::add(counters_.token_broadcasts);
+  counters_.net.add<&Network::Stats::token_broadcasts>();
   if (trace_) trace_->emit(token_broadcast_event(clock_.now(), token));
   // Account + draw everything on the announcing worker (cheap), then let
   // the fan-out thread do the O(n) encode-once pushes. tokens_sent is
@@ -148,8 +148,8 @@ void LiveTransport::broadcast_token(const Token& token) {
   const std::size_t bytes = token_wire_bytes(token);
   for (ProcessId dst = 0; dst < endpoints_.size(); ++dst) {
     if (dst == token.from || endpoints_[dst] == nullptr) continue;
-    DeliveryCounters::add(counters_.tokens_sent);
-    DeliveryCounters::add(counters_.token_bytes, bytes);
+    counters_.net.add<&Network::Stats::tokens_sent>();
+    counters_.net.add<&Network::Stats::token_bytes>(bytes);
     b.dst_delays.emplace_back(dst, draw_delay(rng));
   }
   if (b.dst_delays.empty()) return;

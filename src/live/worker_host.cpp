@@ -81,8 +81,7 @@ void WorkerHost::sync_mirrors(Worker& w) {
     w.gauges->set_up(up);
   }
   if (w.durable) {
-    w.stable_mem.store(w.proc->storage().stable_bytes(),
-                       std::memory_order_relaxed);
+    w.durable->set_memory_stable_bytes(w.proc->storage().stable_bytes());
   }
 }
 
@@ -212,7 +211,8 @@ std::uint64_t WorkerHost::progress_signature() const {
     sig = signature_mix(sig, w->signature.load(std::memory_order_acquire));
   }
   return signature_mix(
-      sig, counters_.messages_dropped.load(std::memory_order_relaxed));
+      sig, counters_.net.at<&Network::Stats::messages_dropped>().load(
+               std::memory_order_relaxed));
 }
 
 void WorkerHost::merge_into(Metrics& metrics,

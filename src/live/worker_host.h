@@ -24,8 +24,8 @@
 // Metrics into per-process gauges and records delivery latency into the
 // registry's optrec_delivery_latency_us{pid} histogram (a private one
 // otherwise). Given a DurableBackend, it mirrors the in-memory stable
-// footprint for the scrape thread. The host varies only by this data,
-// never by which owner it serves.
+// footprint into the backend's counters for the scrape thread. The host
+// varies only by this data, never by which owner it serves.
 #pragma once
 
 #include <atomic>
@@ -92,11 +92,9 @@ class WorkerHost {
     std::unique_ptr<telemetry::ProcessGauges> gauges;  // registry only
     /// Optional file-backed persistence, attached before spawn.
     std::unique_ptr<DurableBackend> durable;
-    /// Storage was rebuilt from disk before spawn (`recovery` says what).
+    /// Storage was rebuilt from disk before spawn (the backend's
+    /// DurableStats say what was recovered).
     bool warm = false;
-    RecoveryResult recovery;
-    /// In-memory stable_bytes(), mirrored each step when `durable` is set.
-    std::atomic<std::uint64_t> stable_mem{0};
     Rng rng;  // channel-pick randomness, worker-thread only
     std::thread thread;
     bool started = false;  // proc->start() ran (spawn/join handoff)

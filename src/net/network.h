@@ -22,6 +22,7 @@
 #include "src/sim/schedule_hook.h"
 #include "src/sim/simulation.h"
 #include "src/trace/trace_event.h"
+#include "src/util/counter_fields.h"
 #include "src/util/ids.h"
 
 namespace optrec {
@@ -105,22 +106,32 @@ class Network : public Transport {
     std::uint64_t message_bytes = 0;      // wire bytes of app+control sends
     std::uint64_t token_bytes = 0;
 
-    /// Every counter with its name, in declaration order: the one list the
-    /// JSON writer, the /metrics exporter and cluster sums iterate.
-    using Field = std::pair<const char*, std::uint64_t Stats::*>;
-    static constexpr std::array<Field, 12> kFields{{
-        {"messages_sent", &Stats::messages_sent},
-        {"messages_delivered", &Stats::messages_delivered},
-        {"app_messages_sent", &Stats::app_messages_sent},
-        {"app_messages_delivered", &Stats::app_messages_delivered},
-        {"messages_dropped", &Stats::messages_dropped},
-        {"messages_duplicated", &Stats::messages_duplicated},
-        {"messages_retried", &Stats::messages_retried},
-        {"tokens_sent", &Stats::tokens_sent},
-        {"tokens_delivered", &Stats::tokens_delivered},
-        {"token_broadcasts", &Stats::token_broadcasts},
-        {"message_bytes", &Stats::message_bytes},
-        {"token_bytes", &Stats::token_bytes},
+    /// Every counter with its JSON key and /metrics family
+    /// (src/util/counter_fields.h): the JSON writer, the /metrics exporter
+    /// and cluster sums iterate it.
+    static constexpr std::array<CounterField<Stats>, 12> kFields{{
+        {"messages_sent", &Stats::messages_sent,
+         "optrec_net_messages_sent_total"},
+        {"messages_delivered", &Stats::messages_delivered,
+         "optrec_net_messages_delivered_total"},
+        {"app_messages_sent", &Stats::app_messages_sent,
+         "optrec_net_app_messages_sent_total"},
+        {"app_messages_delivered", &Stats::app_messages_delivered,
+         "optrec_net_app_messages_delivered_total"},
+        {"messages_dropped", &Stats::messages_dropped,
+         "optrec_net_messages_dropped_total"},
+        {"messages_duplicated", &Stats::messages_duplicated,
+         "optrec_net_messages_duplicated_total"},
+        {"messages_retried", &Stats::messages_retried,
+         "optrec_net_messages_retried_total"},
+        {"tokens_sent", &Stats::tokens_sent, "optrec_net_tokens_sent_total"},
+        {"tokens_delivered", &Stats::tokens_delivered,
+         "optrec_net_tokens_delivered_total"},
+        {"token_broadcasts", &Stats::token_broadcasts,
+         "optrec_net_token_broadcasts_total"},
+        {"message_bytes", &Stats::message_bytes,
+         "optrec_net_message_bytes_total"},
+        {"token_bytes", &Stats::token_bytes, "optrec_net_token_bytes_total"},
     }};
   };
   const Stats& stats() const { return stats_; }

@@ -300,12 +300,12 @@ void ProcessBase::request_output(const std::string& data) {
   }
   ++metrics_.outputs_requested;
   if (!output_commit_gated()) {
-    outputs_.push_back({data, env_.now(), env_.now()});
     committed_output_ids_.insert(id);
     ++metrics_.outputs_committed;
     trace_simple(TraceEventType::kOutputCommit, 1);
     if (output_listener_) {
-      output_listener_(OutputEvent::kCommitted, outputs_.back());
+      output_listener_(OutputEvent::kCommitted,
+                       CommittedOutput{data, env_.now(), env_.now()});
     }
     return;
   }
@@ -321,12 +321,6 @@ void ProcessBase::request_output(const std::string& data) {
   }
 }
 
-void ProcessBase::commit_pending_outputs_up_to(std::uint64_t delivered_count) {
-  commit_pending_outputs_if([delivered_count](const PendingOutput& p) {
-    return p.delivered_count <= delivered_count;
-  });
-}
-
 void ProcessBase::commit_pending_outputs_if(
     const std::function<bool(const PendingOutput&)>& stable) {
   std::uint64_t committed = 0;
@@ -334,7 +328,6 @@ void ProcessBase::commit_pending_outputs_if(
   auto it = pending_outputs_.begin();
   while (it != pending_outputs_.end()) {
     if (stable(*it)) {
-      outputs_.push_back({it->data, it->requested_at, env_.now()});
       committed_output_ids_.insert({it->delivered_count, it->output_idx});
       ++metrics_.outputs_committed;
       const SimTime latency = env_.now() - it->requested_at;
@@ -342,7 +335,9 @@ void ProcessBase::commit_pending_outputs_if(
       oldest_latency = std::max(oldest_latency, latency);
       ++committed;
       if (output_listener_) {
-        output_listener_(OutputEvent::kCommitted, outputs_.back());
+        output_listener_(
+            OutputEvent::kCommitted,
+            CommittedOutput{std::move(it->data), it->requested_at, env_.now()});
       }
       it = pending_outputs_.erase(it);
     } else {

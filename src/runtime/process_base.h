@@ -125,7 +125,6 @@ class ProcessBase : public Endpoint {
   StableStorage& storage() { return storage_; }
   const StableStorage& storage() const { return storage_; }
   const ProcessConfig& config() const { return config_; }
-  const std::vector<CommittedOutput>& outputs() const { return outputs_; }
 
   /// One output request from the app, identified by the producing state and
   /// its ordinal within that state's handler. Deterministic replay reproduces
@@ -292,8 +291,6 @@ class ProcessBase : public Endpoint {
   /// process the first time (the output analogue of replay send
   /// suppression).
   void request_output(const std::string& data);
-  /// DG subclass calls this when previously gated outputs become stable.
-  void commit_pending_outputs_up_to(std::uint64_t delivered_count);
   /// Commit every pending output satisfying `stable` (per-output commit via
   /// the producing interval's clock).
   void commit_pending_outputs_if(
@@ -341,7 +338,6 @@ class ProcessBase : public Endpoint {
   std::set<std::tuple<ProcessId, Version, std::uint64_t>> delivered_keys_;
 
   std::vector<PendingOutput> pending_outputs_;
-  std::vector<CommittedOutput> outputs_;
   /// Ordinal of the next output within the current state interval; reset at
   /// every delivery so replay reproduces identities.
   std::uint64_t outputs_in_state_ = 0;

@@ -1,8 +1,8 @@
-// Tunable Remark-2 history GC (src/scale/ tentpole, part 3).
+// Tunable Remark-2 history GC: the one collector DG runs.
 //
-// The baseline collector (src/core/garbage_collector.h) reclaims everything
-// strictly older than the newest stability-covered checkpoint — one fixed
-// policy. At fleet scale the right aggressiveness depends on the workload:
+// The paper's rule (kStandard) reclaims everything strictly older than the
+// newest stability-covered checkpoint — one fixed policy. At fleet scale
+// the right aggressiveness depends on the workload:
 // long-haul services want the floor held down hard (tokens and log entries
 // are replayed at every restart), forensic/bench runs want history kept.
 // This module makes the trade a runtime knob and reports exact

@@ -75,7 +75,7 @@ void ServiceFrontend::accept_new(Poller& poller) {
     conn.fd.reset(fd);
     conns_.emplace(fd, std::move(conn));
     poller.add(fd, /*want_read=*/true, /*want_write=*/false);
-    accepted_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add<&ServiceStats::connections>();
   }
 }
 
@@ -106,7 +106,7 @@ void ServiceFrontend::drive(Poller& poller, Conn& conn,
         if (conns_.count(fd) == 0) return;  // on_request closed us
       }
     } catch (const DecodeError&) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      stats_.add<&ServiceStats::protocol_errors>();
       close_conn(poller, fd);
       return;
     }
@@ -123,7 +123,7 @@ void ServiceFrontend::drive(Poller& poller, Conn& conn,
 void ServiceFrontend::on_request(Poller& poller, Conn& conn,
                                  const Bytes& body) {
   const Request req = Request::decode(body);  // DecodeError → caller closes
-  requests_.fetch_add(1, std::memory_order_relaxed);
+  stats_.add<&ServiceStats::requests>();
 
   // Route replies for this client to the connection that spoke last: a
   // reconnecting client's new socket wins.
@@ -143,13 +143,13 @@ void ServiceFrontend::on_request(Poller& poller, Conn& conn,
     resp.key = req.key;
     resp.owner = owner;
     append_frame(conn.out, resp.encode());
-    wrong_node_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add<&ServiceStats::wrong_node>();
     flush_conn(poller, conn);
     return;
   }
 
   inject_(owner, encode_request_payload(req));
-  injected_.fetch_add(1, std::memory_order_relaxed);
+  stats_.add<&ServiceStats::injected>();
 }
 
 void ServiceFrontend::push_reply(const std::string& data) {
@@ -176,17 +176,17 @@ void ServiceFrontend::drain_replies(Poller& poller) {
       client_id = Response::decode(body).client_id;
     } catch (const DecodeError&) {
       // Not a service reply (some other app's output); nothing to route.
-      replies_dropped_.fetch_add(1, std::memory_order_relaxed);
+      stats_.add<&ServiceStats::replies_dropped>();
       continue;
     }
     const auto it = client_conn_.find(client_id);
     if (it == client_conn_.end() || conns_.count(it->second) == 0) {
-      replies_dropped_.fetch_add(1, std::memory_order_relaxed);
+      stats_.add<&ServiceStats::replies_dropped>();
       continue;
     }
     Conn& conn = conns_.at(it->second);
     append_frame(conn.out, body);
-    replies_sent_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add<&ServiceStats::replies_sent>();
     flush_conn(poller, conn);
   }
 }

@@ -17,7 +17,7 @@
 // re-serves the cached reply through the app-level dedup table.
 #pragma once
 
-#include <atomic>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -30,8 +30,46 @@
 #include "src/service/service_msg.h"
 #include "src/tcp/socket_util.h"
 #include "src/tcp/tcp_transport.h"
+#include "src/util/counter_fields.h"
 
 namespace optrec::service {
+
+/// The client service's counters: the frontend's own, plus the replies
+/// the output-commit gate parked and released on this node's workers.
+struct ServiceStats {
+  std::uint64_t connections = 0;
+  std::uint64_t requests = 0;
+  std::uint64_t injected = 0;
+  std::uint64_t replies_sent = 0;
+  std::uint64_t replies_dropped = 0;
+  std::uint64_t wrong_node = 0;  // kWrongNode answers
+  std::uint64_t protocol_errors = 0;
+  std::uint64_t replies_gated = 0;
+  std::uint64_t replies_released = 0;
+
+  /// Every counter with its JSON key and /metrics family
+  /// (src/util/counter_fields.h).
+  static constexpr std::array<CounterField<ServiceStats>, 9> kFields{{
+      {"connections", &ServiceStats::connections,
+       "optrec_service_connections_total"},
+      {"requests", &ServiceStats::requests, "optrec_service_requests_total"},
+      {"injected", &ServiceStats::injected, "optrec_service_injected_total"},
+      {"replies_sent", &ServiceStats::replies_sent,
+       "optrec_service_replies_sent_total"},
+      {"replies_dropped", &ServiceStats::replies_dropped,
+       "optrec_service_replies_dropped_total"},
+      {"wrong_node", &ServiceStats::wrong_node,
+       "optrec_service_wrong_node_total"},
+      {"protocol_errors", &ServiceStats::protocol_errors,
+       "optrec_service_protocol_errors_total"},
+      {"replies_gated", &ServiceStats::replies_gated,
+       "optrec_replies_gated_total",
+       "Client replies parked behind the output-commit point"},
+      {"replies_released", &ServiceStats::replies_released,
+       "optrec_replies_released_total",
+       "Client replies released: producing interval became stable"},
+  }};
+};
 
 class ServiceFrontend : public TcpTransport::PollClient {
  public:
@@ -61,14 +99,10 @@ class ServiceFrontend : public TcpTransport::PollClient {
   void attach(Poller& poller) override;
   bool handle(Poller& poller, const Poller::Event& ev) override;
 
-  // Counters (relaxed atomics; /metrics + tests).
-  std::uint64_t connections_accepted() const { return accepted_.load(std::memory_order_relaxed); }
-  std::uint64_t requests_received() const { return requests_.load(std::memory_order_relaxed); }
-  std::uint64_t requests_injected() const { return injected_.load(std::memory_order_relaxed); }
-  std::uint64_t replies_sent() const { return replies_sent_.load(std::memory_order_relaxed); }
-  std::uint64_t replies_dropped() const { return replies_dropped_.load(std::memory_order_relaxed); }
-  std::uint64_t wrong_node_replies() const { return wrong_node_.load(std::memory_order_relaxed); }
-  std::uint64_t protocol_errors() const { return protocol_errors_.load(std::memory_order_relaxed); }
+  /// The service counters (relaxed atomics). The node bumps the
+  /// output-commit gate's two rows from its workers' output listeners.
+  AtomicCounters<ServiceStats>& stats() { return stats_; }
+  const AtomicCounters<ServiceStats>& stats() const { return stats_; }
 
  private:
   struct Conn {
@@ -103,13 +137,7 @@ class ServiceFrontend : public TcpTransport::PollClient {
   std::unordered_map<int, Conn> conns_;
   std::unordered_map<std::uint64_t, int> client_conn_;  // client -> fd
 
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> injected_{0};
-  std::atomic<std::uint64_t> replies_sent_{0};
-  std::atomic<std::uint64_t> replies_dropped_{0};
-  std::atomic<std::uint64_t> wrong_node_{0};
-  std::atomic<std::uint64_t> protocol_errors_{0};
+  AtomicCounters<ServiceStats> stats_;
 };
 
 }  // namespace optrec::service

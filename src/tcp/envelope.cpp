@@ -14,18 +14,7 @@ void encode_status(Writer& w, const NodeStatusReport& s) {
   w.put_u64(s.seq);
   w.put_bool(s.quiet);
   w.put_u64(s.signature);
-  w.put_u64(s.stats.app_sent);
-  w.put_u64(s.stats.delivered);
-  w.put_u64(s.stats.orphaned);
-  w.put_u64(s.stats.rollbacks);
-  w.put_u64(s.stats.crashes);
-  w.put_u64(s.stats.restarts);
-  w.put_u64(s.stats.tokens);
-  w.put_u64(s.stats.replayed);
-  w.put_u64(s.stats.checkpoints);
-  w.put_u64(s.stats.bytes_tx);
-  w.put_u64(s.stats.latency_p50_us);
-  w.put_u64(s.stats.latency_p99_us);
+  for (const auto& f : NodeStatsBlock::kFields) w.put_u64(s.stats.*f.member);
 }
 
 NodeStatusReport decode_status(Reader& r) {
@@ -35,18 +24,7 @@ NodeStatusReport decode_status(Reader& r) {
   s.seq = r.get_u64();
   s.quiet = r.get_bool();
   s.signature = r.get_u64();
-  s.stats.app_sent = r.get_u64();
-  s.stats.delivered = r.get_u64();
-  s.stats.orphaned = r.get_u64();
-  s.stats.rollbacks = r.get_u64();
-  s.stats.crashes = r.get_u64();
-  s.stats.restarts = r.get_u64();
-  s.stats.tokens = r.get_u64();
-  s.stats.replayed = r.get_u64();
-  s.stats.checkpoints = r.get_u64();
-  s.stats.bytes_tx = r.get_u64();
-  s.stats.latency_p50_us = r.get_u64();
-  s.stats.latency_p99_us = r.get_u64();
+  for (const auto& f : NodeStatsBlock::kFields) s.stats.*f.member = r.get_u64();
   return s;
 }
 

@@ -16,12 +16,14 @@
 // peer can at worst get its connection dropped.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "src/harness/metrics.h"
 #include "src/util/bytes.h"
 #include "src/wire/wire_codec.h"
 
@@ -35,6 +37,16 @@ enum class EnvelopeKind : std::uint8_t {
   kShutdownAck = 5,  // node -> coordinator: shutdown order received
   kTokenRelay = 6,   // failure-token dissemination: cover `subtree`
   kRelayAck = 7,     // receipt: the relay's WHOLE subtree is covered
+};
+
+struct NodeStatsBlock;
+
+/// One NodeStatsBlock field: its /cluster key and, for the protocol
+/// counters, the exported Metrics row it sums over the node's processes.
+struct NodeStatsField {
+  const char* key;
+  std::uint64_t NodeStatsBlock::*member;
+  std::uint64_t Metrics::*metric = nullptr;
 };
 
 /// Protocol/transport counters piggybacked on the status gossip, so the
@@ -54,6 +66,24 @@ struct NodeStatsBlock {
   std::uint64_t bytes_tx = 0;   // socket bytes written
   std::uint64_t latency_p50_us = 0;
   std::uint64_t latency_p99_us = 0;
+
+  /// Every field in wire order (src/util/counter_fields.h style).
+  static constexpr std::array<NodeStatsField, 12> kFields{{
+      {"app_sent", &NodeStatsBlock::app_sent, &Metrics::app_messages_sent},
+      {"delivered", &NodeStatsBlock::delivered, &Metrics::messages_delivered},
+      {"orphaned", &NodeStatsBlock::orphaned,
+       &Metrics::messages_discarded_obsolete},
+      {"rollbacks", &NodeStatsBlock::rollbacks, &Metrics::rollbacks},
+      {"crashes", &NodeStatsBlock::crashes, &Metrics::crashes},
+      {"restarts", &NodeStatsBlock::restarts, &Metrics::restarts},
+      {"tokens", &NodeStatsBlock::tokens, &Metrics::tokens_processed},
+      {"replayed", &NodeStatsBlock::replayed, &Metrics::messages_replayed},
+      {"checkpoints", &NodeStatsBlock::checkpoints,
+       &Metrics::checkpoints_taken},
+      {"bytes_tx", &NodeStatsBlock::bytes_tx},
+      {"latency_p50_us", &NodeStatsBlock::latency_p50_us},
+      {"latency_p99_us", &NodeStatsBlock::latency_p99_us},
+  }};
 };
 
 /// One node's quiescence report, sent to the coordinator every status tick.

@@ -7,42 +7,6 @@
 
 namespace optrec {
 
-namespace {
-
-void add_net(Network::Stats& into, const Network::Stats& from) {
-  for (const Network::Stats::Field& f : Network::Stats::kFields) {
-    into.*f.second += from.*f.second;
-  }
-}
-
-void add_tcp(TcpTransport::TcpStats& into,
-             const TcpTransport::TcpStats& from) {
-  into.connects += from.connects;
-  into.accepts += from.accepts;
-  into.disconnects += from.disconnects;
-  into.connect_failures += from.connect_failures;
-  into.frames_tx += from.frames_tx;
-  into.frames_rx += from.frames_rx;
-  into.bytes_tx += from.bytes_tx;
-  into.bytes_rx += from.bytes_rx;
-  into.acks_tx += from.acks_tx;
-  into.acks_rx += from.acks_rx;
-  into.token_retries += from.token_retries;
-  into.dup_tokens_dropped += from.dup_tokens_dropped;
-  into.backpressure_drops += from.backpressure_drops;
-  into.protocol_errors += from.protocol_errors;
-  into.writev_calls += from.writev_calls;
-  into.ring_overflows += from.ring_overflows;
-  into.delta_frames_tx += from.delta_frames_tx;
-  into.delta_bytes_tx += from.delta_bytes_tx;
-  into.delta_flat_bytes += from.delta_flat_bytes;
-  into.delta_resyncs += from.delta_resyncs;
-  into.relays_tx += from.relays_tx;
-  into.relay_splits += from.relay_splits;
-}
-
-}  // namespace
-
 TcpCluster::TcpCluster(TcpClusterConfig config) : config_(std::move(config)) {
   topo_ = TcpTopology::loopback(config_.n, config_.nodes, /*base_port=*/0,
                                 "loopback", config_.telemetry_base_port,
@@ -107,8 +71,8 @@ TcpClusterResult TcpCluster::run() {
     result.wall_time = std::max(result.wall_time, node.wall_time);
     result.metrics.merge_from(node.metrics);
     result.delivery_latency_us.merge_from(node.delivery_latency_us);
-    add_net(result.net, node.net);
-    add_tcp(result.tcp, node.tcp);
+    add_counters(result.net, node.net);
+    result.add(node);
   }
   return result;
 }

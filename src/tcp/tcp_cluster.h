@@ -59,16 +59,16 @@ struct TcpClusterConfig {
   std::uint16_t service_base_port = 0;
 };
 
-struct TcpClusterResult {
+/// Cluster totals: per-node local-view snapshots summed (TcpCounters
+/// included).
+struct TcpClusterResult : TcpCounters {
   /// Worst node exit code (0 clean, 4 time cap).
   int exit_code = 4;
   bool quiesced = false;
   /// Slowest node's runtime, micros.
   SimTime wall_time = 0;
   Metrics metrics;
-  /// Cluster totals (per-node local-view snapshots summed).
   Network::Stats net;
-  TcpTransport::TcpStats tcp;
   telemetry::FixedHistogram delivery_latency_us;
   std::vector<TcpNodeResult> per_node;
 };

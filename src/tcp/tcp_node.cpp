@@ -45,6 +45,31 @@ WorkerHost::Spec host_spec(const TcpNodeConfig& c,
 
 }  // namespace
 
+void TcpCounters::add(const TcpCounters& other) {
+  add_counters(tcp, other.tcp);
+  add_counters(durable, other.durable);
+  add_counters(service, other.service);
+  durable.enabled = durable.enabled || other.durable.enabled;
+  service.enabled = service.enabled || other.service.enabled;
+}
+
+void TcpCounters::write_json(JsonWriter& w) const {
+  const auto block = [&w](const char* name, const auto& s) {
+    w.key(name).begin_object();
+    write_counters(w, s);
+    w.end_object();
+  };
+  block("tcp", tcp);
+  if (durable.enabled) block("durable", durable);
+  if (service.enabled) block("service", service);
+}
+
+void TcpCounters::print() const {
+  print_counters("sockets", tcp);
+  if (durable.enabled) print_counters("durable", durable);
+  if (service.enabled) print_counters("service", service);
+}
+
 TcpNode::TcpNode(TcpNodeConfig config)
     : config_(checked(std::move(config))),
       transport_(clock_, config_.topology, config_.node, config_.seed,
@@ -72,8 +97,7 @@ void TcpNode::attach_durable(WorkerHost::Worker& w) {
   // oracle cannot follow across incarnations — in-process clusters with an
   // oracle attached always recover cold.
   if (config_.recover && !config_.recover_cold && config_.oracle == nullptr) {
-    w.recovery = w.durable->recover_into(w.proc->storage());
-    w.warm = w.recovery.warm;
+    w.warm = w.durable->recover_into(w.proc->storage()).warm;
   }
   if (!w.warm) w.durable->start_fresh();
   w.proc->storage().attach_sink(w.durable.get());
@@ -120,37 +144,20 @@ void TcpNode::setup_service() {
 
   // Output-commit gate instrumentation + reply release. The listener runs
   // on worker threads; counters are atomics and push_reply is thread-safe.
-  telemetry::Counter& gated = registry_.counter(
-      "optrec_replies_gated_total",
-      "Client replies parked behind the output-commit point");
-  telemetry::Counter& released = registry_.counter(
-      "optrec_replies_released_total",
-      "Client replies released: producing interval became stable");
   telemetry::AtomicHistogram& gate_latency = registry_.histogram(
       "optrec_output_gate_latency_us",
       "Request-to-commit latency of gated client replies");
-  registry_.add_collector([this](std::vector<telemetry::Sample>& out) {
-    const auto add = [&out](const char* name, std::uint64_t v) {
-      out.push_back(
-          telemetry::scalar_sample(name, telemetry::SampleKind::kCounter, v));
-    };
-    add("optrec_service_connections_total", frontend_->connections_accepted());
-    add("optrec_service_requests_total", frontend_->requests_received());
-    add("optrec_service_injected_total", frontend_->requests_injected());
-    add("optrec_service_replies_sent_total", frontend_->replies_sent());
-    add("optrec_service_replies_dropped_total", frontend_->replies_dropped());
-    add("optrec_service_wrong_node_total", frontend_->wrong_node_replies());
-    add("optrec_service_protocol_errors_total", frontend_->protocol_errors());
-  });
+  telemetry::register_counters(registry_,
+                               [this] { return frontend_->stats().load(); });
   for (const auto& w : host_.workers()) {
     w->proc->set_output_listener(
-        [this, &gated, &released, &gate_latency](OutputEvent event,
-                                                 const CommittedOutput& out) {
+        [this, &gate_latency](OutputEvent event, const CommittedOutput& out) {
+          using Stats = service::ServiceStats;
           if (event == OutputEvent::kGated) {
-            gated.inc();
+            frontend_->stats().add<&Stats::replies_gated>();
             return;
           }
-          released.inc();
+          frontend_->stats().add<&Stats::replies_released>();
           if (out.committed_at >= out.requested_at) {
             gate_latency.observe(
                 static_cast<double>(out.committed_at - out.requested_at));
@@ -164,37 +171,15 @@ void TcpNode::setup_telemetry() {
   // Transport counters export through pull collectors — the transport
   // already keeps them as atomics, so scrapes read them without any hot-
   // path double bookkeeping.
-  telemetry::register_network_stats(
+  telemetry::register_counters(
       registry_, [this] { return transport_.counters().stats(); });
+  telemetry::register_counters(registry_,
+                               [this] { return transport_.tcp_stats(); });
   registry_.add_collector([this](std::vector<telemetry::Sample>& out) {
-    const TcpTransport::TcpStats s = transport_.tcp_stats();
     const auto add = [&out](const char* name, std::uint64_t v) {
       out.push_back(
           telemetry::scalar_sample(name, telemetry::SampleKind::kCounter, v));
     };
-    add("optrec_tcp_connects_total", s.connects);
-    add("optrec_tcp_accepts_total", s.accepts);
-    add("optrec_tcp_disconnects_total", s.disconnects);
-    add("optrec_tcp_connect_failures_total", s.connect_failures);
-    add("optrec_tcp_frames_tx_total", s.frames_tx);
-    add("optrec_tcp_frames_rx_total", s.frames_rx);
-    add("optrec_tcp_bytes_tx_total", s.bytes_tx);
-    add("optrec_tcp_bytes_rx_total", s.bytes_rx);
-    add("optrec_tcp_acks_tx_total", s.acks_tx);
-    add("optrec_tcp_acks_rx_total", s.acks_rx);
-    add("optrec_tcp_token_retries_total", s.token_retries);
-    add("optrec_tcp_dup_tokens_dropped_total", s.dup_tokens_dropped);
-    add("optrec_tcp_backpressure_drops_total", s.backpressure_drops);
-    add("optrec_tcp_protocol_errors_total", s.protocol_errors);
-    add("optrec_tcp_writev_calls_total", s.writev_calls);
-    add("optrec_tcp_outbound_ring_overflows_total", s.ring_overflows);
-    // Fleet-scale counters (docs/SCALING.md): delta piggyback byte ratio
-    // and hierarchical-dissemination fanout.
-    add("optrec_piggyback_delta_bytes_total", s.delta_bytes_tx);
-    add("optrec_piggyback_flat_bytes_total", s.delta_flat_bytes);
-    add("optrec_piggyback_delta_resyncs_total", s.delta_resyncs);
-    add("optrec_token_fanout_msgs_total", s.relays_tx);
-    add("optrec_token_fanout_splits_total", s.relay_splits);
     // Buffer-pool efficiency: hits = encodes served from the freelist.
     const FramePool::Stats ps = FramePool::global().stats();
     add("optrec_frame_pool_hits_total", ps.hits);
@@ -237,31 +222,9 @@ void TcpNode::setup_telemetry() {
     // Durability counters are atomics inside each backend; scrapes read
     // them directly, same pattern as the transport collectors above.
     registry_.add_collector([this](std::vector<telemetry::Sample>& out) {
-      const auto add = [&out](const char* name, const std::string& pid,
-                              telemetry::SampleKind kind, std::uint64_t v) {
-        out.push_back(telemetry::scalar_sample(name, kind, v, {{"pid", pid}}));
-      };
-      constexpr auto kCounter = telemetry::SampleKind::kCounter;
-      constexpr auto kGauge = telemetry::SampleKind::kGauge;
       for (const auto& w : host_.workers()) {
-        if (!w->durable) continue;
-        const std::string pid = std::to_string(w->pid);
-        const DurableStatsSnapshot s = w->durable->stats();
-        add("optrec_fsync_total", pid, kCounter, s.fsync_total);
-        add("optrec_fsync_messages_total", pid, kCounter, s.fsync_messages);
-        add("optrec_fsync_tokens_total", pid, kCounter, s.fsync_tokens);
-        add("optrec_wal_bytes_written_total", pid, kCounter,
-            s.wal_bytes_written);
-        add("optrec_wal_records_written_total", pid, kCounter,
-            s.wal_records_written);
-        add("optrec_wal_buffered_bytes", pid, kGauge, s.wal_buffered_bytes);
-        add("optrec_replayed_msgs_total", pid, kCounter, s.replayed_messages);
-        add("optrec_snapshot_writes_total", pid, kCounter, s.snapshot_writes);
-        add("optrec_wal_compactions_total", pid, kCounter, s.compactions);
-        // Disk vs in-memory stable footprint, side by side.
-        add("optrec_disk_stable_bytes", pid, kGauge, s.disk_stable_bytes);
-        add("optrec_stable_bytes", pid, kGauge,
-            w->stable_mem.load(std::memory_order_relaxed));
+        telemetry::export_counters(out, w->durable->stats(),
+                                   {{"pid", std::to_string(w->pid)}});
       }
     });
   }
@@ -298,18 +261,7 @@ void TcpNode::setup_telemetry() {
       w.kv("node", node);
       w.kv("quiet", quiet);
       w.kv("age_us", age_us);
-      w.kv("app_sent", b.app_sent);
-      w.kv("delivered", b.delivered);
-      w.kv("orphaned", b.orphaned);
-      w.kv("rollbacks", b.rollbacks);
-      w.kv("crashes", b.crashes);
-      w.kv("restarts", b.restarts);
-      w.kv("tokens", b.tokens);
-      w.kv("replayed", b.replayed);
-      w.kv("checkpoints", b.checkpoints);
-      w.kv("bytes_tx", b.bytes_tx);
-      w.kv("latency_p50_us", b.latency_p50_us);
-      w.kv("latency_p99_us", b.latency_p99_us);
+      write_counters(w, b);
       w.end_object();
     };
     row(config_.node, local_quiet(), 0, stats_block());
@@ -328,20 +280,26 @@ void TcpNode::setup_telemetry() {
   transport_.set_poll_client(http_.get());
 }
 
+// The status block sums mirrored rows only: a JSON-only Metrics row would
+// read 0 on every node.
+static_assert(std::ranges::all_of(
+    NodeStatsBlock::kFields, [](const NodeStatsField& f) {
+      return f.metric == nullptr ||
+             std::ranges::any_of(Metrics::kFields, [&f](const auto& row) {
+               return row.member == f.metric && row.family != nullptr;
+             });
+    }));
+
 NodeStatsBlock TcpNode::stats_block() const {
-  NodeStatsBlock b;
+  Metrics sums;
   telemetry::FixedHistogram latency;
   for (const auto& w : host_.workers()) {
-    b.app_sent += w->gauges->sent();
-    b.delivered += w->gauges->delivered();
-    b.orphaned += w->gauges->orphaned();
-    b.rollbacks += w->gauges->rollbacks();
-    b.crashes += w->gauges->crashes();
-    b.restarts += w->gauges->restarts();
-    b.tokens += w->gauges->tokens_processed();
-    b.replayed += w->gauges->replayed();
-    b.checkpoints += w->gauges->checkpoints();
+    add_counters(sums, w->gauges->mirrored());
     latency.merge_from(w->latency->snapshot());
+  }
+  NodeStatsBlock b;
+  for (const auto& f : NodeStatsBlock::kFields) {
+    if (f.metric != nullptr) b.*f.member = sums.*f.metric;
   }
   b.bytes_tx = transport_.tcp_stats().bytes_tx;
   b.latency_p50_us = static_cast<std::uint64_t>(latency.percentile(0.50));
@@ -505,42 +463,15 @@ TcpNodeResult TcpNode::run() {
   host_.merge_into(result.metrics, result.delivery_latency_us);
   for (const auto& w : host_.workers()) {
     if (!w->durable) continue;
-    auto& d = result.durable;
-    d.enabled = true;
-    if (w->warm) {
-      ++d.warm_recovered;
-      d.recovered_delivered += w->recovery.recovered_delivered;
-    }
-    const DurableStatsSnapshot s = w->durable->stats();
-    d.replayed_messages += s.replayed_messages;
-    d.replayed_tokens += s.replayed_tokens;
-    d.recovered_checkpoints += s.recovered_checkpoints;
-    d.torn_bytes += s.torn_bytes_truncated;
-    d.fsyncs += s.fsync_total;
-    d.wal_bytes_written += s.wal_bytes_written;
-    d.disk_stable_bytes += s.disk_stable_bytes;
-    d.memory_stable_bytes += w->stable_mem.load(std::memory_order_relaxed);
-    d.snapshot_writes += s.snapshot_writes;
-    d.manifest_writes += s.manifest_writes;
-    d.compactions += s.compactions;
-    d.recovery_us = std::max(d.recovery_us, s.recovery_us);
+    result.durable.enabled = true;
+    add_counters<DurableStats>(result.durable, w->durable->stats());
   }
   result.net = transport_.counters().stats();
   result.tcp = transport_.tcp_stats();
   if (frontend_) {
-    auto& s = result.service;
-    s.enabled = true;
-    s.connections = frontend_->connections_accepted();
-    s.requests = frontend_->requests_received();
-    s.injected = frontend_->requests_injected();
-    s.replies_sent = frontend_->replies_sent();
-    s.replies_dropped = frontend_->replies_dropped();
-    s.wrong_node = frontend_->wrong_node_replies();
-    s.protocol_errors = frontend_->protocol_errors();
-    s.replies_gated =
-        registry_.counter("optrec_replies_gated_total", "").value();
-    s.replies_released =
-        registry_.counter("optrec_replies_released_total", "").value();
+    static_cast<service::ServiceStats&>(result.service) =
+        frontend_->stats().load();
+    result.service.enabled = true;
   }
   return result;
 }

@@ -53,6 +53,7 @@
 #include "src/telemetry/wiring.h"
 #include "src/trace/trace_event.h"
 #include "src/truth/causality_oracle.h"
+#include "src/util/json.h"
 #include "src/util/stats.h"
 
 namespace optrec {
@@ -110,58 +111,40 @@ struct TcpNodeConfig {
   std::uint16_t service_port = 0;
 };
 
-struct TcpNodeResult {
+/// The socket, durable and service counters of one node (TcpNodeResult)
+/// or a whole fleet (TcpClusterResult), and their --metrics-json blocks.
+struct TcpCounters {
+  TcpTransport::TcpStats tcp;
+  /// Durable-storage counters summed over the processes (zeroed when no
+  /// data dir was configured).
+  struct DurableSummary : DurableStats {
+    bool enabled = false;
+  } durable;
+  /// Client-service counters (zeroed unless `serve` was set).
+  struct ServiceSummary : service::ServiceStats {
+    bool enabled = false;
+  } service;
+
+  /// Fold in another node's counters, row by row.
+  void add(const TcpCounters& other);
+  /// The "tcp" block, plus "durable" and "service" when enabled.
+  void write_json(JsonWriter& w) const;
+  /// The same rows as lines of the human-readable run summary.
+  void print() const;
+};
+
+struct TcpNodeResult : TcpCounters {
   /// Shared runner convention: 0 clean quiescence, 4 time cap.
   int exit_code = 4;
   bool quiesced = false;
   SimTime wall_time = 0;
   Metrics metrics;
   Network::Stats net;
-  TcpTransport::TcpStats tcp;
   /// Send-to-handler latency of frames delivered on this node, micros
   /// (cross-node values use the realtime-clock delta carried in the
   /// envelope). The shared fixed-bucket histogram: p50/p90/p99 via
   /// percentile().
   telemetry::FixedHistogram delivery_latency_us;
-
-  /// Durable-storage outcome (zeroed when no data dir was configured).
-  struct DurableSummary {
-    bool enabled = false;
-    /// Workers restored from disk on --recover (vs cold crash-announce).
-    std::uint32_t warm_recovered = 0;
-    /// Stable frontier restored from disk, summed over warm workers: > the
-    /// initial-checkpoint cursor proves recovery used the latest state.
-    std::uint64_t recovered_delivered = 0;
-    std::uint64_t replayed_messages = 0;
-    std::uint64_t replayed_tokens = 0;
-    std::uint64_t recovered_checkpoints = 0;
-    std::uint64_t torn_bytes = 0;
-    std::uint64_t fsyncs = 0;
-    std::uint64_t wal_bytes_written = 0;
-    std::uint64_t disk_stable_bytes = 0;
-    std::uint64_t memory_stable_bytes = 0;
-    std::uint64_t snapshot_writes = 0;
-    std::uint64_t manifest_writes = 0;
-    std::uint64_t compactions = 0;
-    /// Max per-worker disk recovery time, micros.
-    std::uint64_t recovery_us = 0;
-  } durable;
-
-  /// Client-service outcome (zeroed unless `serve` was set).
-  struct ServiceSummary {
-    bool enabled = false;
-    std::uint64_t connections = 0;
-    std::uint64_t requests = 0;
-    std::uint64_t injected = 0;
-    std::uint64_t replies_sent = 0;
-    std::uint64_t replies_dropped = 0;
-    std::uint64_t wrong_node = 0;
-    std::uint64_t protocol_errors = 0;
-    /// Outputs parked behind / released by the output-commit gate across
-    /// this node's workers (the optrec_replies_*_total counters).
-    std::uint64_t replies_gated = 0;
-    std::uint64_t replies_released = 0;
-  } service;
 };
 
 class TcpNode {

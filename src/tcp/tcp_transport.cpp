@@ -191,7 +191,7 @@ bool TcpTransport::queue_to_peer(std::uint32_t node, OutMsg msg) {
         p.pending_app.fetch_add(1, std::memory_order_acq_rel) + 1;
     if (n > topo_.faults.outbound_cap_frames) {
       p.pending_app.fetch_sub(1, std::memory_order_acq_rel);
-      backpressure_drops_.fetch_add(1, std::memory_order_relaxed);
+      stats_.add<&TcpStats::backpressure_drops>();
       return false;
     }
   }
@@ -205,9 +205,9 @@ MsgId TcpTransport::inject_local(Message msg, SimTime delay) {
   }
   msg.id = (static_cast<MsgId>(node_id_ + 1) << 40) |
            next_msg_id_.fetch_add(1, std::memory_order_relaxed);
-  DeliveryCounters::add(counters_.messages_sent);
-  DeliveryCounters::add(counters_.app_messages_sent);
-  DeliveryCounters::add(counters_.message_bytes, message_wire_bytes(msg));
+  counters_.net.add<&Network::Stats::messages_sent>();
+  counters_.net.add<&Network::Stats::app_messages_sent>();
+  counters_.net.add<&Network::Stats::message_bytes>(message_wire_bytes(msg));
   if (trace_) trace_->emit(send_event(clock_.now(), msg));
   FrameRef wire = FramePool::global().wrap(encode_message_frame(msg));
   push_local(msg.src, msg.dst, std::move(wire), /*app=*/true, /*token=*/false,
@@ -225,22 +225,22 @@ MsgId TcpTransport::send(Message msg) {
   // (40 bits of messages per node before wrap — plenty).
   msg.id = (static_cast<MsgId>(node_id_ + 1) << 40) |
            next_msg_id_.fetch_add(1, std::memory_order_relaxed);
-  DeliveryCounters::add(counters_.messages_sent);
-  DeliveryCounters::add(counters_.message_bytes, message_wire_bytes(msg));
+  counters_.net.add<&Network::Stats::messages_sent>();
+  counters_.net.add<&Network::Stats::message_bytes>(message_wire_bytes(msg));
   if (trace_) trace_->emit(send_event(clock_.now(), msg));
 
   Rng& rng = *send_rng_.at(msg.src);
   const bool app = msg.kind == MessageKind::kApp;
   if (app) {
-    DeliveryCounters::add(counters_.app_messages_sent);
+    counters_.net.add<&Network::Stats::app_messages_sent>();
     if (rng.chance(topo_.faults.drop_prob)) {
-      DeliveryCounters::add(counters_.messages_dropped);
+      counters_.net.add<&Network::Stats::messages_dropped>();
       return msg.id;
     }
   }
   const std::uint32_t dst_node = topo_.node_of(msg.dst);
   const bool dup = app && rng.chance(topo_.faults.duplicate_prob);
-  if (dup) DeliveryCounters::add(counters_.messages_duplicated);
+  if (dup) counters_.net.add<&Network::Stats::messages_duplicated>();
 
   if (dst_node == node_id_) {
     // Encode once into a pooled buffer; a duplicate shares the ref.
@@ -269,7 +269,7 @@ MsgId TcpTransport::send(Message msg) {
     if (!queue_to_peer(dst_node, std::move(m))) {
       // Backpressure loss is transport loss: account it like a drop so
       // merged cluster stats still balance.
-      DeliveryCounters::add(counters_.messages_dropped);
+      counters_.net.add<&Network::Stats::messages_dropped>();
     }
   };
   if (dup) queue(draw_delay(rng));
@@ -279,7 +279,7 @@ MsgId TcpTransport::send(Message msg) {
 }
 
 void TcpTransport::broadcast_token(const Token& token) {
-  DeliveryCounters::add(counters_.token_broadcasts);
+  counters_.net.add<&Network::Stats::token_broadcasts>();
   if (trace_) trace_->emit(token_broadcast_event(clock_.now(), token));
   Rng& rng = *send_rng_.at(token.from);
   // One encode for the whole broadcast: every local channel frame is a
@@ -291,8 +291,8 @@ void TcpTransport::broadcast_token(const Token& token) {
   bool remote = false;
   for (ProcessId dst = 0; dst < topo_.n; ++dst) {
     if (dst == token.from) continue;
-    DeliveryCounters::add(counters_.tokens_sent);
-    DeliveryCounters::add(counters_.token_bytes, bytes);
+    counters_.net.add<&Network::Stats::tokens_sent>();
+    counters_.net.add<&Network::Stats::token_bytes>(bytes);
     const SimTime delay = draw_delay(rng);
     if (topo_.node_of(dst) == node_id_) {
       push_local(token.from, dst, wire, /*app=*/false, /*token=*/true, delay);
@@ -340,7 +340,7 @@ void TcpTransport::start_relay_locked(const scale::RelayAssignment& chunk,
   task.agg = agg_id;
   task.next_retry = clock_.now() + topo_.faults.token_retry;
   task.msg = control_msg(task.env);
-  relays_tx_.fetch_add(1, std::memory_order_relaxed);
+  stats_.add<&TcpStats::relays_tx>();
   relay_pending_.fetch_add(1, std::memory_order_acq_rel);
   OutMsg first = task.msg;  // ref clone; retries share the same buffers
   const std::uint64_t id = task.env.relay_id;
@@ -412,28 +412,7 @@ bool TcpTransport::shutdown_received(std::uint8_t* code) const {
 }
 
 TcpTransport::TcpStats TcpTransport::tcp_stats() const {
-  TcpStats s;
-  s.connects = connects_.load(std::memory_order_relaxed);
-  s.accepts = accepts_.load(std::memory_order_relaxed);
-  s.disconnects = disconnects_.load(std::memory_order_relaxed);
-  s.connect_failures = connect_failures_.load(std::memory_order_relaxed);
-  s.frames_tx = frames_tx_.load(std::memory_order_relaxed);
-  s.frames_rx = frames_rx_.load(std::memory_order_relaxed);
-  s.bytes_tx = bytes_tx_.load(std::memory_order_relaxed);
-  s.bytes_rx = bytes_rx_.load(std::memory_order_relaxed);
-  s.acks_tx = acks_tx_.load(std::memory_order_relaxed);
-  s.acks_rx = acks_rx_.load(std::memory_order_relaxed);
-  s.token_retries = token_retries_.load(std::memory_order_relaxed);
-  s.dup_tokens_dropped = dup_tokens_dropped_.load(std::memory_order_relaxed);
-  s.backpressure_drops = backpressure_drops_.load(std::memory_order_relaxed);
-  s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  s.writev_calls = writev_calls_.load(std::memory_order_relaxed);
-  s.delta_frames_tx = delta_frames_tx_.load(std::memory_order_relaxed);
-  s.delta_bytes_tx = delta_bytes_tx_.load(std::memory_order_relaxed);
-  s.delta_flat_bytes = delta_flat_bytes_.load(std::memory_order_relaxed);
-  s.delta_resyncs = delta_resyncs_.load(std::memory_order_relaxed);
-  s.relays_tx = relays_tx_.load(std::memory_order_relaxed);
-  s.relay_splits = relay_splits_.load(std::memory_order_relaxed);
+  TcpStats s = stats_.load();
   for (const auto& p : peers_) {
     if (p != nullptr) s.ring_overflows += p->outq.overflow_pushes();
   }
@@ -470,7 +449,7 @@ void TcpTransport::io_main() {
       // Keep the node alive on transient syscall failures; back off so a
       // persistent one cannot spin the thread hot.
       OPTREC_LOG(kWarn) << "tcp io: " << e.what();
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      stats_.add<&TcpStats::protocol_errors>();
       ::usleep(10000);
     }
   }
@@ -559,8 +538,7 @@ void TcpTransport::handle_accepted(int fd, const Poller::Event& ev) {
   for (;;) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n > 0) {
-      bytes_rx_.fetch_add(static_cast<std::uint64_t>(n),
-                          std::memory_order_relaxed);
+      stats_.add<&TcpStats::bytes_rx>(static_cast<std::uint64_t>(n));
       acc.reader.feed(buf, static_cast<std::size_t>(n));
       continue;
     }
@@ -577,7 +555,7 @@ void TcpTransport::handle_accepted(int fd, const Poller::Event& ev) {
     if (hello.kind != EnvelopeKind::kHello ||
         hello.cluster != topo_.cluster || hello.src_node == node_id_ ||
         hello.src_node >= peers_.size()) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      stats_.add<&TcpStats::protocol_errors>();
       drop();
       return;
     }
@@ -591,12 +569,12 @@ void TcpTransport::handle_accepted(int fd, const Poller::Event& ev) {
     fd_to_node_[fd] = p.node;
     p.hello_received = true;
     p.peer_epoch = hello.epoch;
-    accepts_.fetch_add(1, std::memory_order_relaxed);
-    frames_rx_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add<&TcpStats::accepts>();
+    stats_.add<&TcpStats::frames_rx>();
     on_peer_established(p);
     if (p.fd.valid()) drain_reader(p);
   } catch (const FrameError&) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add<&TcpStats::protocol_errors>();
     drop();
   }
 }
@@ -606,7 +584,7 @@ void TcpTransport::start_connect(Peer& p) {
   try {
     p.fd = connect_nonblocking(p.host, p.port, &in_progress);
   } catch (const std::exception&) {
-    connect_failures_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add<&TcpStats::connect_failures>();
     p.backoff = p.backoff == 0
                     ? topo_.faults.reconnect_min
                     : std::min(topo_.faults.reconnect_max, p.backoff * 2);
@@ -618,7 +596,7 @@ void TcpTransport::start_connect(Peer& p) {
   if (in_progress) {
     p.connecting = true;
   } else {
-    connects_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add<&TcpStats::connects>();
     on_peer_established(p);
   }
 }
@@ -641,7 +619,7 @@ void TcpTransport::on_peer_established(Peer& p) {
   hello.cluster = topo_.cluster;
   FrameRef framed = FramePool::global().wrap(frame_envelope(hello));
   outbuf_bytes_.fetch_add(framed.size(), std::memory_order_relaxed);
-  frames_tx_.fetch_add(1, std::memory_order_relaxed);
+  stats_.add<&TcpStats::frames_tx>();
   p.sendq_bytes += framed.size();
   p.sendq.push_back({std::move(framed), 0});
   flush_peer(p);
@@ -649,14 +627,14 @@ void TcpTransport::on_peer_established(Peer& p) {
 
 void TcpTransport::close_peer(Peer& p, bool was_protocol_error) {
   if (was_protocol_error) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add<&TcpStats::protocol_errors>();
   }
   if (p.fd.valid()) {
     poller_->remove(p.fd.get());
     fd_to_node_.erase(p.fd.get());
     p.fd.reset();
   }
-  if (p.connected) disconnects_.fetch_add(1, std::memory_order_relaxed);
+  if (p.connected) stats_.add<&TcpStats::disconnects>();
   // Staged segments are "on the wire": lost with the connection, exactly
   // like bytes the kernel had buffered. The ring survives untouched.
   if (p.sendq_bytes != 0) {
@@ -683,11 +661,11 @@ void TcpTransport::handle_peer(Peer& p, const Poller::Event& ev) {
     if (!ev.writable && !ev.broken) return;
     const int err = take_socket_error(p.fd.get());
     if (err != 0 || ev.broken) {
-      connect_failures_.fetch_add(1, std::memory_order_relaxed);
+      stats_.add<&TcpStats::connect_failures>();
       close_peer(p, false);
       return;
     }
-    connects_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add<&TcpStats::connects>();
     on_peer_established(p);
     return;
   }
@@ -696,8 +674,7 @@ void TcpTransport::handle_peer(Peer& p, const Poller::Event& ev) {
     for (;;) {
       const ssize_t n = ::recv(p.fd.get(), buf, sizeof(buf), 0);
       if (n > 0) {
-        bytes_rx_.fetch_add(static_cast<std::uint64_t>(n),
-                            std::memory_order_relaxed);
+        stats_.add<&TcpStats::bytes_rx>(static_cast<std::uint64_t>(n));
         p.reader.feed(buf, static_cast<std::size_t>(n));
         continue;
       }
@@ -721,7 +698,7 @@ void TcpTransport::drain_reader(Peer& p) {
     for (;;) {
       std::optional<Bytes> body = p.reader.next();
       if (!body) return;
-      frames_rx_.fetch_add(1, std::memory_order_relaxed);
+      stats_.add<&TcpStats::frames_rx>();
       Envelope e = decode_envelope(*body);
       process_envelope(p, e);
       if (!p.fd.valid()) return;  // process_envelope dropped the connection
@@ -750,7 +727,9 @@ void TcpTransport::process_envelope(Peer& p, Envelope& e) {
       // Decode the nested frame here, on the connection that defines the
       // stream order: delta frames become the flat frame workers decode,
       // and a frame that is not a message addressed exactly as the
-      // envelope says drops the connection instead of reaching a worker.
+      // envelope says, or whose clock has neither 0 nor n entries (the
+      // receive path indexes it by pid), drops the connection instead of
+      // reaching a worker.
       if (e.src_pid >= topo_.n) {
         close_peer(p, /*was_protocol_error=*/true);
         return;
@@ -762,14 +741,15 @@ void TcpTransport::process_envelope(Peer& p, Envelope& e) {
         // Recoverable desync (e.g. we adopted a superseding connection the
         // peer was still staging onto): drop the connection; reconnecting
         // resets both codecs and the next frame per stream is full.
-        delta_resyncs_.fetch_add(1, std::memory_order_relaxed);
+        stats_.add<&TcpStats::delta_resyncs>();
         close_peer(p, /*was_protocol_error=*/false);
         return;
       } catch (const DecodeError&) {
         close_peer(p, /*was_protocol_error=*/true);
         return;
       }
-      if (m.src != e.src_pid || m.dst != e.dst_pid) {
+      if (m.src != e.src_pid || m.dst != e.dst_pid ||
+          (m.clock.size() != 0 && m.clock.size() != topo_.n)) {
         close_peer(p, /*was_protocol_error=*/true);
         return;
       }
@@ -779,7 +759,7 @@ void TcpTransport::process_envelope(Peer& p, Envelope& e) {
       if (e.dst_pid >= topo_.n || !is_local(e.dst_pid)) {
         // Misrouted: a topology mismatch, not a stream corruption — count
         // it, drop the frame, keep the connection.
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        stats_.add<&TcpStats::protocol_errors>();
         return;
       }
       LiveFrame f;
@@ -844,13 +824,13 @@ void TcpTransport::process_token_relay(Peer& p, Envelope& e) {
   // Sanity before trusting the routing: this relay must name us as its
   // head, and every node it covers must exist.
   if (e.subtree.empty() || e.subtree.front() != node_id_) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add<&TcpStats::protocol_errors>();
     return;
   }
   for (std::uint32_t node : e.subtree) {
     if (node >= peers_.size() ||
         (node != node_id_ && peers_[node] == nullptr)) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      stats_.add<&TcpStats::protocol_errors>();
       return;
     }
   }
@@ -885,7 +865,7 @@ void TcpTransport::process_token_relay(Peer& p, Envelope& e) {
       // relays or retries carry it here.
       deliver = relay_delivered_[origin_key].insert(e.token_seq).second;
       if (!deliver) {
-        dup_tokens_dropped_.fetch_add(1, std::memory_order_relaxed);
+        stats_.add<&TcpStats::dup_tokens_dropped>();
       } else {
         // Per-destination delay variance: each local copy draws its own
         // injected delay rather than inheriting the one value the relay
@@ -937,13 +917,13 @@ void TcpTransport::process_token_relay(Peer& p, Envelope& e) {
     ack.src_node = node_id_;
     ack.epoch = p.peer_epoch;  // echo the requester incarnation
     ack.relay_id = e.relay_id;
-    acks_tx_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add<&TcpStats::acks_tx>();
     queue_to_peer(p.node, control_msg(ack));
   }
 }
 
 void TcpTransport::process_relay_ack(const Envelope& e) {
-  acks_rx_.fetch_add(1, std::memory_order_relaxed);
+  stats_.add<&TcpStats::acks_rx>();
   if (e.epoch != epoch_) return;  // receipt for a previous incarnation
   bool ack_up = false;
   std::uint32_t up_node = 0;
@@ -980,7 +960,7 @@ void TcpTransport::process_relay_ack(const Envelope& e) {
     // receipt must not match one of the new incarnation's (reused) ids.
     ack.epoch = up_epoch;
     ack.relay_id = up_relay_id;
-    acks_tx_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add<&TcpStats::acks_tx>();
     queue_to_peer(up_node, control_msg(ack));
   }
 }
@@ -996,7 +976,7 @@ std::size_t TcpTransport::flush_peer(Peer& p) {
     if (m.app) p.pending_app.fetch_sub(1, std::memory_order_acq_rel);
     const std::size_t sz = m.head.size() + m.payload.size();
     outbuf_bytes_.fetch_add(sz, std::memory_order_relaxed);
-    frames_tx_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add<&TcpStats::frames_tx>();
     p.sendq_bytes += sz;
     p.sendq.push_back({std::move(m.head), 0});
     if (m.payload.size() != 0) p.sendq.push_back({std::move(m.payload), 0});
@@ -1018,12 +998,11 @@ std::size_t TcpTransport::flush_peer(Peer& p) {
     mh.msg_iovlen = cnt;
     const ssize_t n = ::sendmsg(p.fd.get(), &mh, MSG_NOSIGNAL);
     if (n > 0) {
-      writev_calls_.fetch_add(1, std::memory_order_relaxed);
+      stats_.add<&TcpStats::writev_calls>();
       if (writev_batch_hist_ != nullptr) {
         writev_batch_hist_->observe(static_cast<double>(cnt));
       }
-      bytes_tx_.fetch_add(static_cast<std::uint64_t>(n),
-                          std::memory_order_relaxed);
+      stats_.add<&TcpStats::bytes_tx>(static_cast<std::uint64_t>(n));
       outbuf_bytes_.fetch_sub(static_cast<std::uint64_t>(n),
                               std::memory_order_relaxed);
       p.sendq_bytes -= static_cast<std::size_t>(n);
@@ -1065,9 +1044,9 @@ void TcpTransport::materialize_delta(Peer& p, OutMsg& m) {
   e.delay_us = m.delta_delay;
   std::size_t flat_size = 0;
   Bytes wire = p.delta_enc->encode_for(d.msg.src, d.msg, &flat_size);
-  delta_frames_tx_.fetch_add(1, std::memory_order_relaxed);
-  delta_bytes_tx_.fetch_add(wire.size(), std::memory_order_relaxed);
-  delta_flat_bytes_.fetch_add(flat_size, std::memory_order_relaxed);
+  stats_.add<&TcpStats::delta_frames_tx>();
+  stats_.add<&TcpStats::delta_bytes_tx>(wire.size());
+  stats_.add<&TcpStats::delta_flat_bytes>(flat_size);
   m.head =
       FramePool::global().wrap(frame_wire_envelope_prefix(e, wire.size()));
   m.payload = FramePool::global().wrap(std::move(wire));
@@ -1153,7 +1132,7 @@ void TcpTransport::retry_relays() {
     ++task.attempts;
     if (!task.fallback_done && task.subtree.size() > 1 &&
         task.attempts > kRelayFallbackRetries) {
-      relay_splits_.fetch_add(1, std::memory_order_relaxed);
+      stats_.add<&TcpStats::relay_splits>();
       std::vector<std::uint32_t> rest(task.subtree.begin() + 1,
                                       task.subtree.end());
       const auto chunks = scale::split_subtree(rest, kTokenFanout);
@@ -1173,7 +1152,7 @@ void TcpTransport::retry_relays() {
     // the original still sits in the ring.
     Peer& rp = *peers_.at(task.dst_node);
     if (!rp.connected || rp.blocked) continue;
-    token_retries_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add<&TcpStats::token_retries>();
     rp.outq.push(task.msg);  // ref clones; the bytes are never copied
   }
 }

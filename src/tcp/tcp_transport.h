@@ -60,6 +60,7 @@
 //     the IO thread.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -87,6 +88,7 @@
 #include "src/tcp/topology.h"
 #include "src/telemetry/histogram.h"
 #include "src/trace/trace_event.h"
+#include "src/util/counter_fields.h"
 #include "src/util/mpsc_ring.h"
 #include "src/util/rng.h"
 #include "src/wire/frame_buf.h"
@@ -95,7 +97,7 @@ namespace optrec {
 
 class TcpTransport : public Transport {
  public:
-  /// Socket-layer telemetry, all relaxed atomics.
+  /// Socket-layer telemetry, kept as relaxed atomics.
   struct TcpStats {
     std::uint64_t connects = 0;          // outbound connections established
     std::uint64_t accepts = 0;           // inbound connections adopted
@@ -120,6 +122,45 @@ class TcpTransport : public Transport {
     std::uint64_t delta_resyncs = 0;      // codec resets forced by decode
     std::uint64_t relays_tx = 0;          // kTokenRelay envelopes queued
     std::uint64_t relay_splits = 0;       // fallback subtree re-splits
+
+    /// Every counter with its JSON key and /metrics family
+    /// (src/util/counter_fields.h).
+    static constexpr std::array<CounterField<TcpStats>, 22> kFields{{
+        {"connects", &TcpStats::connects, "optrec_tcp_connects_total"},
+        {"accepts", &TcpStats::accepts, "optrec_tcp_accepts_total"},
+        {"disconnects", &TcpStats::disconnects, "optrec_tcp_disconnects_total"},
+        {"connect_failures", &TcpStats::connect_failures,
+         "optrec_tcp_connect_failures_total"},
+        {"frames_tx", &TcpStats::frames_tx, "optrec_tcp_frames_tx_total"},
+        {"frames_rx", &TcpStats::frames_rx, "optrec_tcp_frames_rx_total"},
+        {"bytes_tx", &TcpStats::bytes_tx, "optrec_tcp_bytes_tx_total"},
+        {"bytes_rx", &TcpStats::bytes_rx, "optrec_tcp_bytes_rx_total"},
+        {"acks_tx", &TcpStats::acks_tx, "optrec_tcp_acks_tx_total"},
+        {"acks_rx", &TcpStats::acks_rx, "optrec_tcp_acks_rx_total"},
+        {"token_retries", &TcpStats::token_retries,
+         "optrec_tcp_token_retries_total"},
+        {"dup_tokens_dropped", &TcpStats::dup_tokens_dropped,
+         "optrec_tcp_dup_tokens_dropped_total"},
+        {"backpressure_drops", &TcpStats::backpressure_drops,
+         "optrec_tcp_backpressure_drops_total"},
+        {"protocol_errors", &TcpStats::protocol_errors,
+         "optrec_tcp_protocol_errors_total"},
+        {"writev_calls", &TcpStats::writev_calls,
+         "optrec_tcp_writev_calls_total"},
+        {"ring_overflows", &TcpStats::ring_overflows,
+         "optrec_tcp_outbound_ring_overflows_total"},
+        {"delta_frames_tx", &TcpStats::delta_frames_tx,
+         "optrec_piggyback_delta_frames_total"},
+        {"delta_bytes_tx", &TcpStats::delta_bytes_tx,
+         "optrec_piggyback_delta_bytes_total"},
+        {"delta_flat_bytes", &TcpStats::delta_flat_bytes,
+         "optrec_piggyback_flat_bytes_total"},
+        {"delta_resyncs", &TcpStats::delta_resyncs,
+         "optrec_piggyback_delta_resyncs_total"},
+        {"relays_tx", &TcpStats::relays_tx, "optrec_token_fanout_msgs_total"},
+        {"relay_splits", &TcpStats::relay_splits,
+         "optrec_token_fanout_splits_total"},
+    }};
   };
 
   /// Binds the listener (resolving port 0 immediately) but does not start
@@ -459,28 +500,9 @@ class TcpTransport : public Transport {
   std::atomic<MsgId> next_msg_id_{1};
   DeliveryCounters counters_;
 
-  // TcpStats counters.
-  std::atomic<std::uint64_t> connects_{0};
-  std::atomic<std::uint64_t> accepts_{0};
-  std::atomic<std::uint64_t> disconnects_{0};
-  std::atomic<std::uint64_t> connect_failures_{0};
-  std::atomic<std::uint64_t> frames_tx_{0};
-  std::atomic<std::uint64_t> frames_rx_{0};
-  std::atomic<std::uint64_t> bytes_tx_{0};
-  std::atomic<std::uint64_t> bytes_rx_{0};
-  std::atomic<std::uint64_t> acks_tx_{0};
-  std::atomic<std::uint64_t> acks_rx_{0};
-  std::atomic<std::uint64_t> token_retries_{0};
-  std::atomic<std::uint64_t> dup_tokens_dropped_{0};
-  std::atomic<std::uint64_t> backpressure_drops_{0};
-  std::atomic<std::uint64_t> protocol_errors_{0};
-  std::atomic<std::uint64_t> writev_calls_{0};
-  std::atomic<std::uint64_t> delta_frames_tx_{0};
-  std::atomic<std::uint64_t> delta_bytes_tx_{0};
-  std::atomic<std::uint64_t> delta_flat_bytes_{0};
-  std::atomic<std::uint64_t> delta_resyncs_{0};
-  std::atomic<std::uint64_t> relays_tx_{0};
-  std::atomic<std::uint64_t> relay_splits_{0};
+  /// TcpStats rows but ring_overflows, which tcp_stats() reads from the
+  /// peer rings.
+  AtomicCounters<TcpStats> stats_;
 };
 
 }  // namespace optrec

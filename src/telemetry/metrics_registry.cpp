@@ -61,6 +61,12 @@ void MetricsRegistry::add_collector(
   collectors_.push_back(std::move(fn));
 }
 
+void MetricsRegistry::describe(const std::string& name,
+                               const std::string& help) {
+  std::lock_guard<std::mutex> lock(mu_);
+  help_.emplace(name, help);
+}
+
 std::vector<Sample> MetricsRegistry::collect() const {
   std::vector<Sample> out;
   std::vector<std::function<void(std::vector<Sample>&)>> collectors;

@@ -98,6 +98,8 @@ class MetricsRegistry {
   /// Register a pull-style exporter invoked on every collect(). The callback
   /// must be thread-safe; it appends fully formed samples.
   void add_collector(std::function<void(std::vector<Sample>&)> fn);
+  /// Record the help text of a family a collector exports.
+  void describe(const std::string& name, const std::string& help);
 
   /// Every instrument plus every collector's samples, sorted by
   /// (name, labels) so rendering is deterministic.

@@ -41,6 +41,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -235,32 +236,27 @@ int run_stats_client(const std::string& host, std::uint16_t port) {
                       doc.find("coordinator")->as_bool()
                   ? ", coordinator"
                   : "");
-  std::printf(
-      "%4s %-5s %8s %9s %9s %8s %8s %6s %7s %7s %7s %5s %10s %8s %8s\n",
-      "node", "quiet", "age_ms", "sent", "delivered", "orphaned", "rollbk",
-      "crash", "restart", "tokens", "replay", "ckpt", "tx_bytes", "p50_us",
-      "p99_us");
+  // One column per status-block field, headed by its /cluster key.
+  const auto width = [](const char* key) {
+    return static_cast<int>(std::max<std::size_t>(8, std::strlen(key)));
+  };
+  std::printf("%4s %-5s %8s", "node", "quiet", "age_ms");
+  for (const auto& f : NodeStatsBlock::kFields) {
+    std::printf(" %*s", width(f.key), f.key);
+  }
+  std::printf("\n");
   const JsonValue* rows = doc.find("rows");
   if (rows != nullptr) {
     for (const JsonValue& r : rows->as_array()) {
       const JsonValue* quiet = r.find("quiet");
-      std::printf("%4llu %-5s %8.1f %9llu %9llu %8llu %8llu %6llu %7llu "
-                  "%7llu %7llu %5llu %10llu %8llu %8llu\n",
-                  (unsigned long long)r.u64_or("node", 0),
+      std::printf("%4llu %-5s %8.1f", (unsigned long long)r.u64_or("node", 0),
                   quiet != nullptr && quiet->as_bool() ? "yes" : "no",
-                  static_cast<double>(r.u64_or("age_us", 0)) / 1000.0,
-                  (unsigned long long)r.u64_or("app_sent", 0),
-                  (unsigned long long)r.u64_or("delivered", 0),
-                  (unsigned long long)r.u64_or("orphaned", 0),
-                  (unsigned long long)r.u64_or("rollbacks", 0),
-                  (unsigned long long)r.u64_or("crashes", 0),
-                  (unsigned long long)r.u64_or("restarts", 0),
-                  (unsigned long long)r.u64_or("tokens", 0),
-                  (unsigned long long)r.u64_or("replayed", 0),
-                  (unsigned long long)r.u64_or("checkpoints", 0),
-                  (unsigned long long)r.u64_or("bytes_tx", 0),
-                  (unsigned long long)r.u64_or("latency_p50_us", 0),
-                  (unsigned long long)r.u64_or("latency_p99_us", 0));
+                  static_cast<double>(r.u64_or("age_us", 0)) / 1000.0);
+      for (const auto& f : NodeStatsBlock::kFields) {
+        std::printf(" %*llu", width(f.key),
+                    (unsigned long long)r.u64_or(f.key, 0));
+      }
+      std::printf("\n");
     }
   }
   return 0;
@@ -362,114 +358,11 @@ int run_spawn_harness(const std::vector<std::string>& base_args,
   return worst;
 }
 
-/// Socket, durable and service outcome of one node or a whole fleet.
-struct TcpReport {
-  TcpTransport::TcpStats tcp;
-  TcpNodeResult::DurableSummary durable;
-  TcpNodeResult::ServiceSummary service;
-};
-
-void write_tcp_blocks(JsonWriter& w, const TcpReport& r) {
-  const TcpTransport::TcpStats& t = r.tcp;
-  w.key("tcp").begin_object();
-  w.kv("connects", t.connects);
-  w.kv("accepts", t.accepts);
-  w.kv("disconnects", t.disconnects);
-  w.kv("frames_tx", t.frames_tx);
-  w.kv("frames_rx", t.frames_rx);
-  w.kv("bytes_tx", t.bytes_tx);
-  w.kv("bytes_rx", t.bytes_rx);
-  w.kv("acks_rx", t.acks_rx);
-  w.kv("token_retries", t.token_retries);
-  w.kv("dup_tokens_dropped", t.dup_tokens_dropped);
-  w.kv("backpressure_drops", t.backpressure_drops);
-  w.kv("protocol_errors", t.protocol_errors);
-  w.kv("delta_frames_tx", t.delta_frames_tx);
-  w.kv("delta_bytes_tx", t.delta_bytes_tx);
-  w.kv("delta_flat_bytes", t.delta_flat_bytes);
-  w.kv("delta_resyncs", t.delta_resyncs);
-  w.kv("relays_tx", t.relays_tx);
-  w.kv("relay_splits", t.relay_splits);
-  w.end_object();
-
-  const TcpNodeResult::DurableSummary& d = r.durable;
-  if (d.enabled) {
-    w.key("durable").begin_object();
-    w.kv("warm_recovered", std::uint64_t{d.warm_recovered});
-    w.kv("recovered_delivered", d.recovered_delivered);
-    w.kv("replayed_msgs", d.replayed_messages);
-    w.kv("replayed_tokens", d.replayed_tokens);
-    w.kv("recovered_checkpoints", d.recovered_checkpoints);
-    w.kv("torn_bytes", d.torn_bytes);
-    w.kv("fsyncs", d.fsyncs);
-    w.kv("wal_bytes_written", d.wal_bytes_written);
-    w.kv("disk_stable_bytes", d.disk_stable_bytes);
-    w.kv("memory_stable_bytes", d.memory_stable_bytes);
-    w.kv("snapshot_writes", d.snapshot_writes);
-    w.kv("manifest_writes", d.manifest_writes);
-    w.kv("compactions", d.compactions);
-    w.kv("recovery_us", d.recovery_us);
-    w.end_object();
-  }
-
-  const TcpNodeResult::ServiceSummary& s = r.service;
-  if (s.enabled) {
-    w.key("service").begin_object();
-    w.kv("connections", s.connections);
-    w.kv("requests", s.requests);
-    w.kv("injected", s.injected);
-    w.kv("replies_sent", s.replies_sent);
-    w.kv("replies_dropped", s.replies_dropped);
-    w.kv("wrong_node", s.wrong_node);
-    w.kv("protocol_errors", s.protocol_errors);
-    w.kv("replies_gated", s.replies_gated);
-    w.kv("replies_released", s.replies_released);
-    w.end_object();
-  }
-}
-
-void print_tcp_lines(const TcpReport& r) {
-  const TcpTransport::TcpStats& t = r.tcp;
-  std::printf("sockets    connects=%llu accepts=%llu disconnects=%llu "
-              "frames tx/rx=%llu/%llu token-retries=%llu dup-dropped=%llu\n",
-              (unsigned long long)t.connects, (unsigned long long)t.accepts,
-              (unsigned long long)t.disconnects,
-              (unsigned long long)t.frames_tx, (unsigned long long)t.frames_rx,
-              (unsigned long long)t.token_retries,
-              (unsigned long long)t.dup_tokens_dropped);
-  const TcpNodeResult::DurableSummary& d = r.durable;
-  if (d.enabled) {
-    std::printf("durable    warm=%u recovered-delivered=%llu replayed=%llu "
-                "fsyncs=%llu wal-bytes=%llu disk-bytes=%llu torn=%llu\n",
-                d.warm_recovered, (unsigned long long)d.recovered_delivered,
-                (unsigned long long)d.replayed_messages,
-                (unsigned long long)d.fsyncs,
-                (unsigned long long)d.wal_bytes_written,
-                (unsigned long long)d.disk_stable_bytes,
-                (unsigned long long)d.torn_bytes);
-  }
-  const TcpNodeResult::ServiceSummary& s = r.service;
-  if (s.enabled) {
-    std::printf("service    conns=%llu requests=%llu injected=%llu "
-                "gated=%llu released=%llu sent=%llu dropped=%llu "
-                "wrong-node=%llu proto-errors=%llu\n",
-                (unsigned long long)s.connections,
-                (unsigned long long)s.requests,
-                (unsigned long long)s.injected,
-                (unsigned long long)s.replies_gated,
-                (unsigned long long)s.replies_released,
-                (unsigned long long)s.replies_sent,
-                (unsigned long long)s.replies_dropped,
-                (unsigned long long)s.wrong_node,
-                (unsigned long long)s.protocol_errors);
-  }
-}
-
 /// The parts of a TCP RunReport both in-process modes share; its blocks
 /// point into `report`, which must outlive it.
 RunReport tcp_run_report(const RunFlags& flags, std::size_t tcp_nodes,
                        std::optional<std::uint32_t> node,
-                       const TcpReport& report) {
+                       const TcpCounters& report) {
   RunReport o;
   o.backend = "tcp";
   o.protocol = flags.protocol;
@@ -481,8 +374,8 @@ RunReport tcp_run_report(const RunFlags& flags, std::size_t tcp_nodes,
     if (node) w.kv("node", *node);
     w.kv("tcp_nodes", std::uint64_t{tcp_nodes});
   };
-  o.json_blocks = [&report](JsonWriter& w) { write_tcp_blocks(w, report); };
-  o.print_extra = [&report] { print_tcp_lines(report); };
+  o.json_blocks = [&report](JsonWriter& w) { report.write_json(w); };
+  o.print_extra = [&report] { report.print(); };
   return o;
 }
 
@@ -734,8 +627,7 @@ int main(int argc, char** argv) {
     if (trace != nullptr && !nf.timeline_file.empty()) {
       write_timeline_file(nf.timeline_file, trace->events());
     }
-    const TcpReport report{result.tcp, result.durable, result.service};
-    RunReport o = tcp_run_report(flags, nf.tcp_nodes, node, report);
+    RunReport o = tcp_run_report(flags, nf.tcp_nodes, node, result);
     o.crashes_planned = crash_plan.size();
     o.exit_code = result.exit_code;
     o.quiesced = result.quiesced;
@@ -782,42 +674,15 @@ int main(int argc, char** argv) {
   TcpCluster cluster(config);
   const TcpClusterResult result = cluster.run();
 
-  // Cluster-wide durable totals (in-process runs always start fresh, so
-  // this is the write-path footprint, not a recovery report).
-  TcpReport report;
-  report.tcp = result.tcp;
-  for (const TcpNodeResult& nr : result.per_node) {
-    auto& service = report.service;
-    if (nr.service.enabled) {
-      service.enabled = true;
-      service.connections += nr.service.connections;
-      service.requests += nr.service.requests;
-      service.injected += nr.service.injected;
-      service.replies_sent += nr.service.replies_sent;
-      service.replies_dropped += nr.service.replies_dropped;
-      service.wrong_node += nr.service.wrong_node;
-      service.protocol_errors += nr.service.protocol_errors;
-      service.replies_gated += nr.service.replies_gated;
-      service.replies_released += nr.service.replies_released;
-    }
-    if (!nr.durable.enabled) continue;
-    auto& durable = report.durable;
-    durable.enabled = true;
-    durable.fsyncs += nr.durable.fsyncs;
-    durable.wal_bytes_written += nr.durable.wal_bytes_written;
-    durable.disk_stable_bytes += nr.durable.disk_stable_bytes;
-    durable.memory_stable_bytes += nr.durable.memory_stable_bytes;
-    durable.snapshot_writes += nr.durable.snapshot_writes;
-    durable.manifest_writes += nr.durable.manifest_writes;
-    durable.compactions += nr.durable.compactions;
-  }
   const std::vector<TraceEvent>* events =
       cluster.trace() != nullptr ? &cluster.trace()->events() : nullptr;
   if (events != nullptr && !nf.timeline_file.empty()) {
     write_timeline_file(nf.timeline_file, *events);
   }
 
-  RunReport o = tcp_run_report(flags, nf.tcp_nodes, std::nullopt, report);
+  // Cluster-wide durable totals: in-process runs always start fresh, so
+  // this is the write-path footprint, not a recovery report.
+  RunReport o = tcp_run_report(flags, nf.tcp_nodes, std::nullopt, result);
   o.crashes_planned = crash_plan.size();
   // Serving fleets never quiesce (the cap is their scheduled end); take the
   // nodes' own verdict instead of recomputing 4 from !quiesced.

@@ -46,7 +46,7 @@ TEST(TcpDurableRecovery, InProcessClusterPersistsDurableState) {
   std::uint64_t fsyncs = 0, snapshots = 0, disk_bytes = 0;
   for (const TcpNodeResult& nr : result.per_node) {
     EXPECT_TRUE(nr.durable.enabled);
-    fsyncs += nr.durable.fsyncs;
+    fsyncs += nr.durable.fsync_total;
     snapshots += nr.durable.snapshot_writes;
     disk_bytes += nr.durable.disk_stable_bytes;
   }

@@ -367,6 +367,10 @@ TEST(TcpTransport, MalformedNestedFramesDropTheConnectionNotTheNode) {
   token.from = 0;
   Message misaddressed = app_message(0, 1, 1);
   misaddressed.dst = 0;
+  // The receive path indexes a clock by pid: one with neither 0 nor n
+  // entries used to reach the DG worker and throw out_of_range there.
+  Message short_clock = app_message(0, 1, 3);
+  short_clock.clock = Ftvc::with_entries(0, std::vector<FtvcEntry>(1));
 
   std::vector<std::pair<std::string, Envelope>> cases;
   cases.emplace_back("kWire: truncated message", wire);
@@ -375,6 +379,8 @@ TEST(TcpTransport, MalformedNestedFramesDropTheConnectionNotTheNode) {
   cases.back().second.wire = encode_token_frame(token);
   cases.emplace_back("kWire: message for another pid", wire);
   cases.back().second.wire = encode_message_frame(misaddressed);
+  cases.emplace_back("kWire: 1-entry clock in a 2-process fleet", wire);
+  cases.back().second.wire = encode_message_frame(short_clock);
   cases.emplace_back("kTokenRelay: message frame", relay);
   cases.back().second.wire = encode_message_frame(app_message(0, 1, 2));
   cases.emplace_back("kTokenRelay: truncated token", relay);
