@@ -39,6 +39,7 @@ void DamaniGargProcess::stamp_outgoing(Message& msg) {
   // Fig. 2: send (data, clock), then clock[i].ts++ — the message carries the
   // pre-increment clock.
   msg.clock = clock_;
+  last_sent_ = std::max(last_sent_, clock_.self());
   clock_.tick_send();
   if (config().retransmit_on_failure) {
     // Recorded for replayed sends too: a sender rebuilding after its own
@@ -151,6 +152,7 @@ void DamaniGargProcess::on_crash_wipe() {
   // stable storage in handle_restart.
   held_.clear();
   retransmitter_.clear();
+  last_sent_ = last_advertised_ = FtvcEntry{};
   sim().cancel(gossip_timer_);
   gossip_timer_ = 0;
 }
@@ -400,15 +402,33 @@ void DamaniGargProcess::update_own_stability() {
   }
 }
 
+void DamaniGargProcess::on_flushed() {
+  update_own_stability();
+  // The flush made every sent state stable. Remark 2 puts no constraint on
+  // when log vectors spread, so advertise now rather than on the gossip
+  // timer whenever an app message left a state not yet advertised: its
+  // receiver may hold gated outputs that depend on it. At most one round
+  // per flush, and none from a process that sent nothing.
+  if (config().enable_stability_tracking && last_advertised_ < last_sent_) {
+    ++metrics().stability_rounds_on_flush;
+    broadcast_stability_gossip();
+  }
+}
+
 void DamaniGargProcess::after_stability_change() {
   // Per-output commit: a state interval whose entire causal past is
   // recoverable can never be lost or rolled back, so any output it produced
   // is safe to release (Remark 2). Each gated output carries its producing
   // interval's clock, making the commit decision per-output rather than
   // waiting for the next covered checkpoint.
-  commit_pending_outputs_if([this](const PendingOutput& p) {
-    return p.clock.size() > 0 && stability_.covers(p.clock);
-  });
+  commit_pending_outputs_if(
+      [this](const PendingOutput& p) {
+        return p.clock.size() > 0 &&
+               stability_.covers(pid(), p.clock.entry(pid()));
+      },
+      [this](const PendingOutput& p) {
+        return p.clock.size() > 0 && stability_.covers(p.clock);
+      });
   if (config().enable_gc) {
     const scale::TunedGcResult gc =
         scale::run_gc_tuned(storage(), stability_, config().gc);
@@ -427,6 +447,8 @@ void DamaniGargProcess::after_stability_change() {
 }
 
 void DamaniGargProcess::broadcast_stability_gossip() {
+  const Version ver = clock_.self().ver;
+  last_advertised_ = {ver, stability_.stable_ts(pid(), ver).value_or(0)};
   Writer w;
   w.put_u8(kCtlStabilityGossip);
   w.put_bytes(stability_.encode());
@@ -455,12 +477,25 @@ void DamaniGargProcess::gossip_timer_fired() {
 }
 
 void DamaniGargProcess::handle_control(const Message& msg) {
-  Reader r(msg.payload);
-  const std::uint8_t type = r.get_u8();
-  if (type != kCtlStabilityGossip) {
-    throw std::logic_error("DG: unknown control message type");
+  // No transport can check a control payload, so a peer's bytes are
+  // decoded in full before any of them is merged; an unknown tag, a
+  // truncated vector, trailing bytes or a pid outside the fleet drops the
+  // message instead of aborting the process.
+  bool merged = false;
+  try {
+    Reader r(msg.payload);
+    if (r.get_u8() == kCtlStabilityGossip) {
+      const Bytes gossip = r.get_bytes();
+      merged = r.at_end() && stability_.merge_encoded(gossip);
+    }
+  } catch (const DecodeError&) {
   }
-  stability_.merge_encoded(r.get_bytes());
+  if (!merged) {
+    ++metrics().control_messages_malformed;
+    OPTREC_LOG(kDebug) << "P" << pid() << " drops a malformed control message"
+                      << " from P" << msg.src;
+    return;
+  }
   after_stability_change();
 }
 

@@ -15,7 +15,8 @@
 //    the non-obsolete logged suffix is re-enqueued (or discarded in
 //    literal-TR mode);
 //  * optional Remark-1 retransmission and Remark-2 output commit / GC via
-//    the stability tracker.
+//    the stability tracker, whose vector is broadcast after every log
+//    flush that made a sent state stable, and on a backstop timer.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +69,7 @@ class DamaniGargProcess : public ProcessBase {
     return config().enable_stability_tracking;
   }
   const Ftvc* output_clock() const override { return &clock_; }
-  void on_flushed() override { update_own_stability(); }
+  void on_flushed() override;
   FtvcEntry trace_clock_entry() const override { return clock_.self(); }
 
  private:
@@ -112,6 +113,12 @@ class DamaniGargProcess : public ProcessBase {
   /// simulation, so each GC pass must replace its own contribution, not the
   /// fleet total).
   std::uint64_t gc_held_reported_ = 0;
+  /// The highest own entry stamp_outgoing put on an app message, and the
+  /// own stable entry carried by the last stability broadcast. A flush
+  /// broadcasts when the first is ahead: a receiver may be holding outputs
+  /// on a sent state whose stability it has not heard of yet.
+  FtvcEntry last_sent_;
+  FtvcEntry last_advertised_;
   EventId gossip_timer_ = 0;
   DeliveryObserver delivery_observer_;
 };

@@ -1,12 +1,14 @@
 #include "src/core/output_commit.h"
 
 #include <algorithm>
+#include <tuple>
+#include <vector>
 
 #include "src/util/serialization.h"
 
 namespace optrec {
 
-StabilityTracker::StabilityTracker(std::size_t n) {
+StabilityTracker::StabilityTracker(std::size_t n) : n_(n) {
   for (ProcessId pid = 0; pid < n; ++pid) {
     stable_[{pid, 0}] = 0;
   }
@@ -24,11 +26,14 @@ std::optional<Timestamp> StabilityTracker::stable_ts(ProcessId pid,
   return it->second;
 }
 
+bool StabilityTracker::covers(ProcessId pid, const FtvcEntry& e) const {
+  const auto ts = stable_ts(pid, e.ver);
+  return ts && *ts >= e.ts;
+}
+
 bool StabilityTracker::covers(const Ftvc& clock) const {
   for (ProcessId j = 0; j < clock.size(); ++j) {
-    const FtvcEntry& e = clock.entry(j);
-    const auto ts = stable_ts(j, e.ver);
-    if (!ts || *ts < e.ts) return false;
+    if (!covers(j, clock.entry(j))) return false;
   }
   return true;
 }
@@ -44,15 +49,24 @@ Bytes StabilityTracker::encode() const {
   return w.take();
 }
 
-void StabilityTracker::merge_encoded(const Bytes& gossip) {
-  Reader r(gossip);
-  const std::uint32_t count = r.get_u32();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const ProcessId pid = r.get_u32();
-    const Version ver = r.get_u32();
-    const Timestamp ts = r.get_u64();
-    note_stable(pid, ver, ts);
+bool StabilityTracker::merge_encoded(const Bytes& gossip) {
+  std::vector<std::tuple<ProcessId, Version, Timestamp>> entries;
+  try {
+    Reader r(gossip);
+    const std::uint32_t count = r.get_u32();
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const ProcessId pid = r.get_u32();
+      const Version ver = r.get_u32();
+      const Timestamp ts = r.get_u64();
+      if (pid >= n_) return false;
+      entries.emplace_back(pid, ver, ts);
+    }
+    if (!r.at_end()) return false;
+  } catch (const DecodeError&) {
+    return false;
   }
+  for (const auto& [pid, ver, ts] : entries) note_stable(pid, ver, ts);
+  return true;
 }
 
 void StabilityTracker::merge(const StabilityTracker& other) {

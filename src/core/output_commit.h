@@ -3,7 +3,11 @@
 //
 // Each process advertises, per (process, version), the highest timestamp of
 // its own states that are *recoverable* — reconstructible from stable
-// storage. Advertisements gossip through periodic control broadcasts. A
+// storage. Advertisements spread as control broadcasts of the whole vector:
+// a DG process broadcasts right after a log flush whenever it has sent an
+// app message from a state it has not yet advertised (so a receiver's gated
+// outputs commit at flush latency), and on a periodic timer as a liveness
+// backstop. Remark 2 puts no constraint on when log vectors spread. A
 // state whose FTVC is covered by the learned stable vector depends only on
 // recoverable states: it can never be lost and never become an orphan, so
 // outputs it produced may be committed to the environment, and storage that
@@ -29,8 +33,6 @@ namespace optrec {
 
 class StabilityTracker {
  public:
-  StabilityTracker() = default;
-
   /// Seed with n processes: version 0, timestamp 0 of everyone is trivially
   /// stable (their initial checkpoints exist from start()).
   explicit StabilityTracker(std::size_t n);
@@ -41,16 +43,23 @@ class StabilityTracker {
 
   std::optional<Timestamp> stable_ts(ProcessId pid, Version ver) const;
 
+  /// Are the states of `pid` up to entry `e` recoverable?
+  bool covers(ProcessId pid, const FtvcEntry& e) const;
   /// Is every dependency recorded in `clock` recoverable?
   bool covers(const Ftvc& clock) const;
 
   Bytes encode() const;
-  void merge_encoded(const Bytes& gossip);
+  /// Merge a peer's encode() output. The whole vector is decoded before
+  /// anything is merged: a truncated vector, trailing bytes, or an entry
+  /// whose pid is not below n leaves the tracker untouched and returns
+  /// false.
+  bool merge_encoded(const Bytes& gossip);
   void merge(const StabilityTracker& other);
 
   std::size_t entry_count() const { return stable_.size(); }
 
  private:
+  std::size_t n_;
   std::map<std::pair<ProcessId, Version>, Timestamp> stable_;
 };
 

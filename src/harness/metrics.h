@@ -33,6 +33,10 @@ struct Metrics {
   /// Protocol control sends: the baselines' coordination messages and
   /// DG's stability gossip (zero for DG unless stability tracking is on).
   std::uint64_t control_messages_sent = 0;
+  /// Control messages dropped because their payload did not decode (an
+  /// unknown tag, a truncated or over-long vector, a pid outside the
+  /// fleet): a peer's bytes must never abort the receiver.
+  std::uint64_t control_messages_malformed = 0;
   std::uint64_t messages_delivered = 0;
   std::uint64_t messages_discarded_obsolete = 0;
   std::uint64_t messages_discarded_duplicate = 0;
@@ -76,6 +80,10 @@ struct Metrics {
   /// sends_suppressed_in_replay).
   std::uint64_t outputs_replay_suppressed = 0;
   RunningStats output_commit_latency;
+  /// DG stability broadcasts sent right after a log flush because an app
+  /// message left a state not yet advertised (the periodic gossip timer's
+  /// rounds are not counted here).
+  std::uint64_t stability_rounds_on_flush = 0;
   std::uint64_t gc_checkpoints_reclaimed = 0;
   std::uint64_t gc_log_entries_reclaimed = 0;
   std::uint64_t gc_tokens_compacted = 0;  // aggressive token-log compaction
@@ -89,10 +97,13 @@ struct Metrics {
   /// (src/util/counter_fields.h). Rows with a /metrics family are mirrored
   /// per process as {pid="K"} counters by telemetry::ProcessGauges, so they
   /// must be monotonic. merge_from and the JSON writer iterate this table.
-  static constexpr std::array<CounterField<Metrics>, 32> kFields{{
+  static constexpr std::array<CounterField<Metrics>, 34> kFields{{
       {"app_messages_sent", &Metrics::app_messages_sent,
        "optrec_app_messages_sent_total", "Application messages sent"},
       {"control_messages_sent", &Metrics::control_messages_sent},
+      {"control_messages_malformed", &Metrics::control_messages_malformed,
+       "optrec_control_messages_malformed_total",
+       "Control messages dropped because their payload did not decode"},
       {"messages_delivered", &Metrics::messages_delivered,
        "optrec_messages_delivered_total", "Messages delivered to the app"},
       {"messages_discarded_obsolete", &Metrics::messages_discarded_obsolete,
@@ -138,6 +149,9 @@ struct Metrics {
       {"outputs_requested", &Metrics::outputs_requested},
       {"outputs_committed", &Metrics::outputs_committed},
       {"outputs_replay_suppressed", &Metrics::outputs_replay_suppressed},
+      {"stability_rounds_on_flush", &Metrics::stability_rounds_on_flush,
+       "optrec_stability_rounds_on_flush_total",
+       "Stability broadcasts triggered by a log flush after an app send"},
       {"gc_checkpoints_reclaimed", &Metrics::gc_checkpoints_reclaimed},
       {"gc_log_entries_reclaimed", &Metrics::gc_log_entries_reclaimed,
        "optrec_gc_reclaimed_intervals_total",

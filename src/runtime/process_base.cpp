@@ -299,45 +299,52 @@ void ProcessBase::request_output(const std::string& data) {
     return;
   }
   ++metrics_.outputs_requested;
+  const SimTime now = env_.now();
   if (!output_commit_gated()) {
     committed_output_ids_.insert(id);
     ++metrics_.outputs_committed;
+    if (oracle_) oracle_->record_output_commit(cur_state_);
     trace_simple(TraceEventType::kOutputCommit, 1);
     if (output_listener_) {
       output_listener_(OutputEvent::kCommitted,
-                       CommittedOutput{data, env_.now(), env_.now()});
+                       CommittedOutput{data, now, now, now});
     }
     return;
   }
   PendingOutput pending;
   pending.data = data;
-  pending.requested_at = env_.now();
+  pending.requested_at = now;
   pending.delivered_count = id.first;
   pending.output_idx = id.second;
   if (const Ftvc* clock = output_clock()) pending.clock = *clock;
+  pending.state = cur_state_;
   pending_outputs_.push_back(std::move(pending));
   if (output_listener_) {
-    output_listener_(OutputEvent::kGated, CommittedOutput{data, env_.now(), 0});
+    output_listener_(OutputEvent::kGated, CommittedOutput{data, now, 0, 0});
   }
 }
 
-void ProcessBase::commit_pending_outputs_if(
-    const std::function<bool(const PendingOutput&)>& stable) {
+void ProcessBase::commit_pending_outputs_if(const OutputPredicate& own_stable,
+                                            const OutputPredicate& stable) {
+  const SimTime now = env_.now();
   std::uint64_t committed = 0;
   SimTime oldest_latency = 0;
   auto it = pending_outputs_.begin();
   while (it != pending_outputs_.end()) {
+    if (!it->own_stable_at && own_stable(*it)) it->own_stable_at = now;
     if (stable(*it)) {
       committed_output_ids_.insert({it->delivered_count, it->output_idx});
       ++metrics_.outputs_committed;
-      const SimTime latency = env_.now() - it->requested_at;
+      if (oracle_) oracle_->record_output_commit(it->state);
+      const SimTime latency = now - it->requested_at;
       metrics_.output_commit_latency.add(static_cast<double>(latency));
       oldest_latency = std::max(oldest_latency, latency);
       ++committed;
       if (output_listener_) {
-        output_listener_(
-            OutputEvent::kCommitted,
-            CommittedOutput{std::move(it->data), it->requested_at, env_.now()});
+        output_listener_(OutputEvent::kCommitted,
+                         CommittedOutput{std::move(it->data), it->requested_at,
+                                         it->own_stable_at.value_or(now),
+                                         now});
       }
       it = pending_outputs_.erase(it);
     } else {

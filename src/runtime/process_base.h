@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -73,9 +74,16 @@ struct ProcessConfig {
 };
 
 /// One externally visible output, with commit bookkeeping (paper Remark 2).
+/// requested_at <= own_stable_at <= committed_at: the gate wait splits into
+/// waiting for this process's own log (requested -> own-stable) and for
+/// peer stability (own-stable -> committed). An ungated output has all
+/// three equal.
 struct CommittedOutput {
   std::string data;
   SimTime requested_at = 0;
+  /// When the process's own stable entry first covered the producing
+  /// interval.
+  SimTime own_stable_at = 0;
   SimTime committed_at = 0;
 };
 
@@ -133,15 +141,19 @@ class ProcessBase : public Endpoint {
   struct PendingOutput {
     std::string data;
     SimTime requested_at = 0;
+    /// Set once the process's own stable entry covers `clock`.
+    std::optional<SimTime> own_stable_at;
     std::uint64_t delivered_count = 0;  // state that produced it
     std::uint64_t output_idx = 0;       // ordinal within that state
     Ftvc clock;  // producing interval's clock (empty when untracked)
+    StateId state = 0;  // oracle identity of the producing state
   };
 
   /// Observer for the output lifecycle (service frontends releasing client
   /// replies). Invoked synchronously from the protocol's execution context —
-  /// the worker thread on live backends. kGated fires with committed_at == 0;
-  /// kCommitted fires for every committed output, gated or not.
+  /// the worker thread on live backends. kGated fires with own_stable_at
+  /// and committed_at 0; kCommitted fires for every committed output, gated
+  /// or not.
   using OutputListener =
       std::function<void(OutputEvent, const CommittedOutput&)>;
   void set_output_listener(OutputListener listener) {
@@ -197,9 +209,9 @@ class ProcessBase : public Endpoint {
   /// interval) instead of per-checkpoint. Null = no clock (baselines).
   virtual const Ftvc* output_clock() const { return nullptr; }
   /// Called after every flush-timer fire (the volatile log is empty). DG
-  /// refreshes its own stability entry here so gated outputs whose only
-  /// dependency is local state commit at flush latency, not checkpoint
-  /// latency.
+  /// refreshes its own stability entry here, and broadcasts it when an app
+  /// message left a state not yet advertised, so gated outputs commit at
+  /// flush latency, not checkpoint or gossip-timer latency.
   virtual void on_flushed() {}
 
   // ---- services for subclasses ----------------------------------------
@@ -291,10 +303,13 @@ class ProcessBase : public Endpoint {
   /// process the first time (the output analogue of replay send
   /// suppression).
   void request_output(const std::string& data);
-  /// Commit every pending output satisfying `stable` (per-output commit via
-  /// the producing interval's clock).
-  void commit_pending_outputs_if(
-      const std::function<bool(const PendingOutput&)>& stable);
+  /// Per-output commit via the producing interval's clock: stamp
+  /// own_stable_at on every pending output `own_stable` accepts (this
+  /// process's own stable entry covers it), then commit every one `stable`
+  /// accepts (the whole clock is covered, which implies own-stable).
+  using OutputPredicate = std::function<bool(const PendingOutput&)>;
+  void commit_pending_outputs_if(const OutputPredicate& own_stable,
+                                 const OutputPredicate& stable);
   /// Drop pending outputs from rolled-back states (> count).
   void drop_pending_outputs_after(std::uint64_t count);
   /// Forget committed-output identities beyond `count` (states undone by a

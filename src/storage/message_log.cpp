@@ -51,6 +51,9 @@ void MessageLog::truncate_from(std::uint64_t from) {
   if (from < base_) from = base_;
   const std::uint64_t total = total_count();
   if (from >= total) return;
+  for (std::uint64_t i = from; i < stable_; ++i) {
+    stable_bytes_ -= entry(i).wire_size();
+  }
   entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(from - base_),
                  entries_.end());
   if (stable_ > from) stable_ = from;
@@ -61,6 +64,7 @@ std::size_t MessageLog::reclaim_before(std::uint64_t before) {
   std::size_t reclaimed = 0;
   // Only the stable prefix may be reclaimed, and never past the total.
   while (base_ < before && base_ < stable_ && !entries_.empty()) {
+    stable_bytes_ -= entries_.front().wire_size();
     entries_.pop_front();
     ++base_;
     ++reclaimed;

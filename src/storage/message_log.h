@@ -55,6 +55,8 @@ class MessageLog {
   std::uint64_t base() const { return base_; }
 
   std::uint64_t flush_count() const { return flushes_; }
+  /// Wire bytes of the entries currently in the stable prefix: flush and
+  /// restore add, reclaim and truncation subtract.
   std::size_t stable_bytes() const { return stable_bytes_; }
 
   /// Mirror every stability-relevant mutation to a persistence backend

@@ -144,14 +144,23 @@ void TcpNode::setup_service() {
 
   // Output-commit gate instrumentation + reply release. The listener runs
   // on worker threads; counters are atomics and push_reply is thread-safe.
+  // The gate wait splits at the moment the process's own log covered the
+  // reply; per reply, own + peer == the whole wait.
   telemetry::AtomicHistogram& gate_latency = registry_.histogram(
       "optrec_output_gate_latency_us",
       "Request-to-commit latency of gated client replies");
+  telemetry::AtomicHistogram& gate_own = registry_.histogram(
+      "optrec_output_gate_own_us",
+      "Gate wait until the own log covered the reply (request to own-stable)");
+  telemetry::AtomicHistogram& gate_peer = registry_.histogram(
+      "optrec_output_gate_peer_us",
+      "Gate wait for peer stability (own-stable to commit)");
   telemetry::register_counters(registry_,
                                [this] { return frontend_->stats().load(); });
   for (const auto& w : host_.workers()) {
     w->proc->set_output_listener(
-        [this, &gate_latency](OutputEvent event, const CommittedOutput& out) {
+        [this, &gate_latency, &gate_own, &gate_peer](
+            OutputEvent event, const CommittedOutput& out) {
           using Stats = service::ServiceStats;
           if (event == OutputEvent::kGated) {
             frontend_->stats().add<&Stats::replies_gated>();
@@ -161,6 +170,10 @@ void TcpNode::setup_service() {
           if (out.committed_at >= out.requested_at) {
             gate_latency.observe(
                 static_cast<double>(out.committed_at - out.requested_at));
+            gate_own.observe(
+                static_cast<double>(out.own_stable_at - out.requested_at));
+            gate_peer.observe(
+                static_cast<double>(out.committed_at - out.own_stable_at));
           }
           frontend_->push_reply(out.data);
         });

@@ -79,6 +79,11 @@ void CausalityOracle::mark_rolled_back(const std::vector<StateId>& states) {
   for (StateId s : states) rolled_back_.insert(s);
 }
 
+void CausalityOracle::record_output_commit(StateId s) {
+  std::lock_guard<std::mutex> lock(mu_);
+  output_states_.insert(s);
+}
+
 void CausalityOracle::set_frontier(ProcessId pid, StateId s) {
   std::lock_guard<std::mutex> lock(mu_);
   frontier_.at(pid) = s;
@@ -174,6 +179,17 @@ std::vector<std::string> CausalityOracle::check_consistency() const {
          << ") is an orphan: it depends on a lost state";
       violations.push_back(os.str());
     }
+  }
+  for (const StateId s : output_states_) {
+    const char* fate = is_lost(s)           ? "lost"
+                       : is_orphan(s)       ? "an orphan"
+                       : was_rolled_back(s) ? "rolled back"
+                                            : nullptr;
+    if (fate == nullptr) continue;
+    std::ostringstream os;
+    os << "P" << process_of(s) << " committed an output from state " << s
+       << ", which is " << fate;
+    violations.push_back(os.str());
   }
   return violations;
 }

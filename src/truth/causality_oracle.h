@@ -19,6 +19,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -57,6 +58,11 @@ class CausalityOracle {
   void mark_lost(const std::vector<StateId>& states);
   /// The given states were undone by a protocol rollback.
   void mark_rolled_back(const std::vector<StateId>& states);
+
+  /// An output produced by state `s` was committed to the environment
+  /// (paper Remark 2): `s` must never turn out lost, orphan or rolled back.
+  void record_output_commit(StateId s);
+  const std::set<StateId>& output_states() const { return output_states_; }
 
   /// Update the surviving frontier of a process (its newest live state).
   void set_frontier(ProcessId pid, StateId s);
@@ -101,8 +107,9 @@ class CausalityOracle {
   std::size_t process_count() const { return per_process_.size(); }
 
   /// Check the global surviving frontier for consistency: no frontier state
-  /// may be lost or orphan, and every delivered-surviving message must have
-  /// a surviving send. Returns human-readable violations (empty == OK).
+  /// may be lost or orphan, and no committed output may come from a state
+  /// that is lost, orphan or rolled back. Returns human-readable violations
+  /// (empty == OK).
   std::vector<std::string> check_consistency() const;
 
   /// Recompute and cache the orphan set (forward closure of lost states).
@@ -124,6 +131,7 @@ class CausalityOracle {
   std::unordered_set<StateId> rolled_back_;
   std::vector<StateId> frontier_;
   std::unordered_map<MsgId, MessageFate> messages_;
+  std::set<StateId> output_states_;  // producers of committed outputs
 
   mutable bool orphans_valid_ = false;
   mutable std::unordered_set<StateId> orphans_;

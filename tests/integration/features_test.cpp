@@ -7,7 +7,9 @@
 
 #include "src/app/bank_app.h"
 #include "src/app/counter_app.h"
+#include "src/core/output_commit.h"
 #include "src/harness/experiment.h"
+#include "src/util/serialization.h"
 
 namespace optrec {
 namespace {
@@ -123,44 +125,232 @@ TEST(OutputCommitTest, RequestedOutputsEventuallyCommit) {
             scenario.metrics().outputs_committed);
 }
 
-TEST(OutputCommitTest, CommitsHappenAndNeverExceedRequests) {
-  // Direct construction so the app emits outputs.
-  Simulation sim(302);
-  NetworkConfig net_config;
-  Network net(sim, net_config);
-  Metrics metrics;
-  ProcessConfig pconfig;
-  pconfig.flush_interval = millis(20);
-  pconfig.checkpoint_interval = millis(50);
-  pconfig.enable_stability_tracking = true;
-  pconfig.stability_gossip_interval = millis(30);
+/// An app that receives and never sends.
+class SinkApp : public App {
+ public:
+  void on_start(AppContext&) override {}
+  void on_message(AppContext&, ProcessId, const Bytes&) override {}
+  Bytes snapshot() const override { return {}; }
+  void restore(const Bytes&) override {}
+};
 
+/// DG processes built directly, so apps can emit outputs; one Metrics per
+/// process. The processes' output listeners hold `this`.
+struct DgFleet {
+  DgFleet(std::uint64_t seed, NetworkConfig net_config, ProcessConfig pconfig,
+          std::vector<std::unique_ptr<App>> apps,
+          CausalityOracle* oracle = nullptr)
+      : sim(seed), net(sim, net_config), metrics(apps.size()) {
+    const std::size_t n = apps.size();
+    for (ProcessId pid = 0; pid < n; ++pid) {
+      procs.push_back(std::make_unique<DamaniGargProcess>(
+          RuntimeEnv(sim, sim, net), pid, n, std::move(apps[pid]), pconfig,
+          metrics[pid], oracle));
+      procs.back()->set_output_listener(
+          [this](OutputEvent event, const CommittedOutput& out) {
+            if (event == OutputEvent::kCommitted) committed.push_back(out);
+          });
+    }
+    for (auto& p : procs) {
+      sim.schedule_at(0, [&p] { p->start(); });
+    }
+  }
+
+  DgFleet(const DgFleet&) = delete;
+  DgFleet& operator=(const DgFleet&) = delete;
+
+  Metrics total() const {
+    Metrics sum;
+    for (const Metrics& m : metrics) sum.merge_from(m);
+    return sum;
+  }
+
+  Simulation sim;
+  Network net;
+  std::vector<Metrics> metrics;
+  std::vector<std::unique_ptr<DamaniGargProcess>> procs;
+  std::vector<CommittedOutput> committed;
+};
+
+std::vector<std::unique_ptr<App>> counter_apps(std::size_t n) {
   CounterAppConfig app_config;
   app_config.initial_jobs = 6;
   app_config.hops = 40;
   app_config.all_seed = true;
   app_config.output_every = 3;
-  std::vector<std::unique_ptr<DamaniGargProcess>> procs;
-  std::size_t committed_events = 0;
-  for (ProcessId pid = 0; pid < 3; ++pid) {
-    procs.push_back(std::make_unique<DamaniGargProcess>(
-        RuntimeEnv(sim, sim, net), pid, 3, std::make_unique<CounterApp>(pid, 3, app_config),
-        pconfig, metrics, nullptr));
-    procs.back()->set_output_listener(
-        [&committed_events](OutputEvent event, const CommittedOutput&) {
-          if (event == OutputEvent::kCommitted) ++committed_events;
-        });
+  std::vector<std::unique_ptr<App>> apps;
+  for (ProcessId pid = 0; pid < n; ++pid) {
+    apps.push_back(std::make_unique<CounterApp>(pid, n, app_config));
   }
-  for (auto& p : procs) {
-    sim.schedule_at(0, [&p] { p->start(); });
-  }
-  sim.run(seconds(5));
+  return apps;
+}
+
+TEST(OutputCommitTest, CommitsHappenAndNeverExceedRequests) {
+  ProcessConfig pconfig;
+  pconfig.flush_interval = millis(20);
+  pconfig.checkpoint_interval = millis(50);
+  pconfig.enable_stability_tracking = true;
+  pconfig.stability_gossip_interval = millis(30);
+  DgFleet fleet(302, NetworkConfig{}, pconfig, counter_apps(3));
+  fleet.sim.run(seconds(5));
+  const Metrics metrics = fleet.total();
   EXPECT_GT(metrics.outputs_requested, 0u);
   EXPECT_GT(metrics.outputs_committed, 0u);
   EXPECT_LE(metrics.outputs_committed, metrics.outputs_requested);
   EXPECT_GT(metrics.output_commit_latency.count(), 0u);
   // Every committed output reached the output listener.
-  EXPECT_EQ(committed_events, metrics.outputs_committed);
+  EXPECT_EQ(fleet.committed.size(), metrics.outputs_committed);
+}
+
+TEST(OutputCommitTest, FlushTriggeredGossipCommitsWithoutTheTimer) {
+  // The gossip timer fires only after the run: stability spreads through
+  // the rounds a flush sends after an app send. Every output then commits
+  // within two flush intervals and two network delays of its request
+  // (a dependency's sender flushes within one interval — two for the
+  // staggered first flush — and its broadcast takes one delay).
+  ProcessConfig pconfig;
+  pconfig.flush_interval = millis(20);
+  pconfig.checkpoint_interval = millis(50);
+  pconfig.enable_stability_tracking = true;
+  pconfig.stability_gossip_interval = seconds(10);
+  const NetworkConfig net_config;
+  DgFleet fleet(302, net_config, pconfig, counter_apps(3));
+  fleet.sim.run(seconds(5));
+
+  const Metrics m = fleet.total();
+  EXPECT_GT(m.outputs_requested, 0u);
+  EXPECT_EQ(m.outputs_committed, m.outputs_requested);
+  EXPECT_GT(m.stability_rounds_on_flush, 0u);
+  EXPECT_EQ(m.control_messages_sent,
+            m.stability_rounds_on_flush * (fleet.procs.size() - 1))
+      << "every control message came from a flush round";
+  ASSERT_EQ(fleet.committed.size(), m.outputs_committed);
+  const SimTime bound =
+      2 * pconfig.flush_interval + 2 * net_config.max_delay;
+  for (const CommittedOutput& out : fleet.committed) {
+    EXPECT_LE(out.requested_at, out.own_stable_at);
+    EXPECT_LE(out.own_stable_at, out.committed_at);
+    EXPECT_LE(out.committed_at - out.requested_at, bound);
+  }
+}
+
+TEST(OutputCommitTest, ProcessThatSendsNothingAddsNoFlushRounds) {
+  // P2 only receives: its flushes never advertise a sent state, so all of
+  // its control traffic is the backstop timer's.
+  ProcessConfig pconfig;
+  pconfig.flush_interval = millis(20);
+  pconfig.enable_stability_tracking = true;
+  pconfig.stability_gossip_interval = millis(40);
+  CounterAppConfig app_config;
+  app_config.initial_jobs = 4;
+  app_config.hops = 30;
+  app_config.all_seed = true;
+  std::vector<std::unique_ptr<App>> apps;
+  apps.push_back(std::make_unique<CounterApp>(0, 3, app_config));
+  apps.push_back(std::make_unique<CounterApp>(1, 3, app_config));
+  apps.push_back(std::make_unique<SinkApp>());
+  DgFleet fleet(305, NetworkConfig{}, pconfig, std::move(apps));
+  fleet.sim.run(seconds(1));
+
+  EXPECT_GT(fleet.metrics[2].messages_delivered, 0u);
+  EXPECT_EQ(fleet.metrics[2].app_messages_sent, 0u);
+  EXPECT_EQ(fleet.metrics[2].stability_rounds_on_flush, 0u);
+  EXPECT_GT(fleet.metrics[2].control_messages_sent, 0u);
+  EXPECT_GT(fleet.metrics[0].stability_rounds_on_flush, 0u);
+  EXPECT_GT(fleet.metrics[1].stability_rounds_on_flush, 0u);
+}
+
+TEST(OutputCommitTest, CommittedOutputsComeOnlyFromStatesThatSurvive) {
+  // The oracle records the producing state of every committed output; two
+  // crashes lose unflushed states and roll their dependents back, and no
+  // committed output may come from any of them.
+  ProcessConfig pconfig;
+  pconfig.flush_interval = millis(20);
+  pconfig.checkpoint_interval = millis(50);
+  pconfig.enable_stability_tracking = true;
+  pconfig.stability_gossip_interval = millis(30);
+  CausalityOracle oracle;
+  DgFleet fleet(306, NetworkConfig{}, pconfig, counter_apps(3), &oracle);
+  fleet.sim.schedule_at(millis(30), [&fleet] { fleet.procs[1]->crash(); });
+  fleet.sim.schedule_at(millis(70), [&fleet] { fleet.procs[2]->crash(); });
+  fleet.sim.run(seconds(5));
+
+  const Metrics m = fleet.total();
+  EXPECT_EQ(m.crashes, 2u);
+  EXPECT_GT(m.rollbacks, 0u);
+  EXPECT_GT(m.outputs_committed, 0u);
+  EXPECT_FALSE(oracle.output_states().empty());
+  EXPECT_FALSE(oracle.lost_states().empty());
+  const std::vector<std::string> violations = oracle.check_consistency();
+  EXPECT_TRUE(violations.empty())
+      << violations.size() << " violations, first: " << violations.front();
+}
+
+TEST(StabilityGossipTest, MalformedControlMessagesAreDroppedAndCounted) {
+  // No transport checks a control payload; a peer's bad bytes must be
+  // dropped and counted, never thrown out of the receiver.
+  ProcessConfig pconfig;
+  pconfig.enable_stability_tracking = true;
+  std::vector<std::unique_ptr<App>> apps;
+  apps.push_back(std::make_unique<SinkApp>());
+  apps.push_back(std::make_unique<SinkApp>());
+  DgFleet fleet(307, NetworkConfig{}, pconfig, std::move(apps));
+
+  const auto control = [](const Bytes& inner, std::uint8_t tag = 1) {
+    Writer w;
+    w.put_u8(tag);
+    w.put_bytes(inner);
+    return w.take();
+  };
+  StabilityTracker peer(2);
+  peer.note_stable(1, 0, 99);
+  const Bytes good = peer.encode();
+  Bytes inner_trailing = good;
+  inner_trailing.push_back(0);
+  Bytes outer_trailing = control(good);
+  outer_trailing.push_back(0);
+  Writer truncated;  // announces two entries, carries one
+  truncated.put_u32(2);
+  truncated.put_u32(1);
+  truncated.put_u32(0);
+  truncated.put_u64(99);
+  Writer bad_pid;  // a valid entry, then a pid outside the 2-process fleet
+  bad_pid.put_u32(2);
+  bad_pid.put_u32(1);
+  bad_pid.put_u32(0);
+  bad_pid.put_u64(99);
+  bad_pid.put_u32(7);
+  bad_pid.put_u32(0);
+  bad_pid.put_u64(1);
+  Bytes short_outer = control(good);
+  short_outer.resize(3);
+  const std::vector<Bytes> malformed = {
+      {},                          // no tag
+      control(good, 9),            // unknown tag
+      control(truncated.take()),   // truncated vector
+      short_outer,                 // truncated length-prefixed blob
+      control(inner_trailing),     // trailing bytes inside the vector
+      outer_trailing,              // trailing bytes after it
+      control(bad_pid.take()),     // pid >= n
+  };
+  const auto send = [&fleet](Bytes payload) {
+    Message m;
+    m.kind = MessageKind::kControl;
+    m.src = 1;
+    m.dst = 0;
+    m.payload = std::move(payload);
+    fleet.net.send(std::move(m));
+  };
+  for (const Bytes& payload : malformed) send(payload);
+  EXPECT_NO_THROW(fleet.sim.run(millis(50)));
+  EXPECT_EQ(fleet.metrics[0].control_messages_malformed, malformed.size());
+  EXPECT_NE(fleet.procs[0]->stability().stable_ts(1, 0), 99u)
+      << "a rejected vector must not be merged in part";
+
+  send(control(good));
+  fleet.sim.run(millis(100));
+  EXPECT_EQ(fleet.metrics[0].control_messages_malformed, malformed.size());
+  EXPECT_EQ(fleet.procs[0]->stability().stable_ts(1, 0), 99u);
 }
 
 TEST(GarbageCollectionTest, ReclaimsStorageDuringLongRun) {

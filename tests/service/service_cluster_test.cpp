@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <string>
 #include <thread>
 
 #include "src/service/service_msg.h"
@@ -152,6 +153,84 @@ TEST(ServiceCluster, GatedRepliesFlowThroughRealSockets) {
   // The output-commit point did real work: with a 250ms flush cadence at
   // least one reply had to wait for stability before release.
   EXPECT_GE(gated, 1u);
+}
+
+TEST(ServiceCluster, GateWaitSplitsIntoOwnAndPeerStability) {
+  TcpClusterConfig config;
+  config.n = 4;
+  config.nodes = 2;
+  config.seed = 12;
+  config.serve = true;
+  config.enable_oracle = false;  // client requests have no oracle records
+  config.workload.kind = WorkloadKind::kService;
+  config.process.flush_interval = millis(10);
+  config.process.checkpoint_interval = millis(200);
+  config.time_cap = millis(3000);
+  TcpCluster cluster(config);
+
+  // One client per node, both at once, each moving money out of accounts
+  // its node owns into accounts the other node owns: credits cross TCP in
+  // both directions, so replies depend on peer states and some wait on
+  // peer stability after the own log covers them.
+  const auto owned_by = [&](std::uint32_t node, std::uint64_t from) {
+    std::uint64_t key = from;
+    while (cluster.topology().node_of(service::key_owner(key, config.n)) !=
+           node) {
+      ++key;
+    }
+    return key;
+  };
+  const auto client = [&](std::uint32_t node) {
+    const int fd = dial_loopback(cluster.node(node).service_port());
+    if (fd < 0) return;
+    Bytes buf;
+    std::size_t pos = 0;
+    std::uint64_t key = 0;
+    for (std::uint64_t seq = 1; seq <= 24; ++seq) {
+      key = owned_by(node, key + 1);
+      Request transfer;
+      transfer.op = Op::kTransfer;
+      transfer.client_id = 0x5917 + node;
+      transfer.seq = seq;
+      transfer.key = key;
+      transfer.to_account = owned_by(1 - node, key + 1);
+      transfer.value = 1;
+      EXPECT_TRUE(send_request(fd, transfer));
+      const auto reply = read_response(fd, buf, pos);
+      EXPECT_TRUE(reply.has_value()) << "no reply within the socket timeout";
+      if (!reply) break;
+      EXPECT_EQ(reply->status, Status::kOk);
+    }
+    ::close(fd);
+  };
+  TcpClusterResult result;
+  std::thread runner([&] { result = cluster.run(); });
+  std::thread client0(client, 0);
+  std::thread client1(client, 1);
+  client0.join();
+  client1.join();
+  runner.join();
+  EXPECT_EQ(result.exit_code, 0);
+
+  double peer_wait = 0;
+  for (std::uint32_t node = 0; node < config.nodes; ++node) {
+    SCOPED_TRACE("node " + std::to_string(node));
+    // Looks up the node's registered histogram (an unregistered name
+    // would come back empty and fail the count checks).
+    const auto histogram = [&](const char* name) {
+      return cluster.node(node).registry().histogram(name, "").snapshot();
+    };
+    const auto gate = histogram("optrec_output_gate_latency_us");
+    const auto own = histogram("optrec_output_gate_own_us");
+    const auto peer = histogram("optrec_output_gate_peer_us");
+    EXPECT_EQ(gate.count(), result.per_node[node].service.replies_released);
+    EXPECT_EQ(own.count(), gate.count());
+    EXPECT_EQ(peer.count(), gate.count());
+    // Per reply own + peer == the whole wait, so the sums agree exactly.
+    EXPECT_EQ(own.sum() + peer.sum(), gate.sum());
+    peer_wait += peer.sum();
+  }
+  EXPECT_GT(peer_wait, 0) << "some reply waited on a peer's stability";
 }
 
 }  // namespace

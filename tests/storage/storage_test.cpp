@@ -89,6 +89,45 @@ TEST(MessageLogTest, IndicesSurviveReclaim) {
   EXPECT_EQ(log.entry(4).send_seq, 4u);
 }
 
+TEST(MessageLogTest, StableBytesCountOnlyTheCurrentStablePrefix) {
+  // stable_bytes() is the stable footprint now, not every byte ever
+  // flushed: GC reclaim and rollback truncation free what they drop.
+  MessageLog log;
+  std::size_t bytes[8] = {};
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    Message m = make_msg(i);
+    m.payload.resize(1 + 10 * i);  // distinct sizes per entry
+    bytes[i] = m.wire_size();
+    log.append(std::move(m));
+  }
+  log.flush();
+  log.append(make_msg(6));  // volatile: never counted
+  const auto sum = [&bytes](std::uint64_t from, std::uint64_t to) {
+    std::size_t s = 0;
+    for (std::uint64_t i = from; i < to; ++i) s += bytes[i];
+    return s;
+  };
+  EXPECT_EQ(log.stable_bytes(), sum(0, 6));
+  EXPECT_EQ(log.reclaim_before(2), 2u);
+  EXPECT_EQ(log.stable_bytes(), sum(2, 6));
+  log.truncate_from(4);  // drops stable 4, 5 and volatile 6
+  EXPECT_EQ(log.stable_bytes(), sum(2, 4));
+  log.append(make_msg(4));
+  EXPECT_EQ(log.on_crash(), 1u);
+  EXPECT_EQ(log.stable_bytes(), sum(2, 4));
+  EXPECT_EQ(log.reclaim_before(100), 2u);
+  EXPECT_EQ(log.stable_bytes(), 0u);
+
+  MessageLog restored;
+  std::vector<Message> entries{make_msg(7), make_msg(8)};
+  const std::size_t restored_bytes =
+      entries[0].wire_size() + entries[1].wire_size();
+  restored.restore(std::move(entries), 7);
+  EXPECT_EQ(restored.stable_bytes(), restored_bytes);
+  restored.truncate_from(8);
+  EXPECT_EQ(restored.stable_bytes(), make_msg(7).wire_size());
+}
+
 TEST(CheckpointTest, EncodeDecodeRoundTrip) {
   Checkpoint c;
   c.version = 3;

@@ -91,6 +91,34 @@ TEST(CausalityOracleTest, ConsistencyCheckFlagsOrphanFrontier) {
   EXPECT_TRUE(o.check_consistency().empty());
 }
 
+TEST(CausalityOracleTest, ConsistencyCheckFlagsOutputsOfUndoneStates) {
+  CausalityOracle o;
+  const StateId p0 = o.initial_state(0);
+  const StateId p1 = o.initial_state(1);
+  const StateId p2 = o.initial_state(2);
+  const StateId lost = o.delivery_state(0, p0, p1);
+  const StateId orphan = o.delivery_state(1, p1, lost);
+  const StateId useful = o.delivery_state(2, p2, p0);
+  const StateId undone = o.delivery_state(2, useful, p1);
+  o.mark_lost({lost});
+  o.mark_rolled_back({undone});
+  o.set_frontier(0, p0);
+  o.set_frontier(1, p1);
+  o.set_frontier(2, p2);
+  o.record_output_commit(useful);
+  EXPECT_TRUE(o.check_consistency().empty())
+      << "an output of a surviving state is fine";
+
+  for (const StateId s : {lost, orphan, undone}) {
+    o.record_output_commit(s);
+  }
+  const auto violations = o.check_consistency();
+  ASSERT_EQ(violations.size(), 3u);
+  EXPECT_NE(violations[0].find("is lost"), std::string::npos);
+  EXPECT_NE(violations[1].find("is an orphan"), std::string::npos);
+  EXPECT_NE(violations[2].find("is rolled back"), std::string::npos);
+}
+
 TEST(CausalityOracleTest, RecoveryStateDependsOnlyOnRestored) {
   CausalityOracle o;
   const StateId p0 = o.initial_state(0);
