@@ -1,7 +1,7 @@
 // Fleet-scale characterization of the src/scale/ subsystem; emits
 // BENCH_fleet.json (override with --out=FILE) for the CI `scale` job.
 //
-// Four studies, mirroring the subsystem's four parts:
+// Three studies, mirroring the subsystem's three parts:
 //   1. piggyback sweep — run_fleet_piggyback at n=256/512/1024: the delta
 //      codec's piggyback bytes/msg vs the flat FTVC, byte-exact fidelity
 //      checked on every frame. Expectation: delta <= 0.35x flat at n=256
@@ -10,15 +10,12 @@
 //   2. crash schedules — the same model with random crash plans plus the
 //      causality oracle and trace auditor: every schedule must come back
 //      clean with <= 1 rollback per process per failure.
-//   3. dissemination — simulate_dissemination over the k-ary relay overlay,
-//      with healthy fleets and 10% of interior nodes down: O(n) messages,
-//      O(log_k n) depth, fallback splits bounded by the down count.
-//   4. GC sweep — run_fleet_gc across the three Remark-2 aggressiveness
+//   3. GC sweep — run_fleet_gc across the three Remark-2 aggressiveness
 //      levels: reclaimed counts rise monotonically with the level.
 //
 // A final live row drives a real loopback TcpCluster (whose connections
-// always run the codec and the relay tree), so the JSON ties the model to
-// measured socket traffic.
+// always run the codec), so the JSON ties the model to measured socket
+// traffic.
 //
 // --smoke shrinks the workloads (CI gate on a 1-core runner); the studied
 // sizes stay the same so the 0.35x assertion is made at real fleet width.
@@ -26,14 +23,11 @@
 // quiesce — "oracle-clean" is the exit code, the JSON carries the numbers.
 #include <cstring>
 #include <fstream>
-#include <unordered_set>
 #include <vector>
 
 #include "bench_util.h"
 #include "src/scale/fleet_model.h"
-#include "src/scale/overlay.h"
 #include "src/tcp/tcp_cluster.h"
-#include "src/util/rng.h"
 
 using namespace optrec;
 using namespace optrec::bench;
@@ -153,63 +147,7 @@ std::vector<scale::FleetPiggybackReport> run_crash_schedules() {
   return reports;
 }
 
-// --- 3. dissemination ------------------------------------------------------
-
-struct DissemRow {
-  std::uint32_t n_nodes = 0;
-  std::uint32_t fanout = 0;
-  std::uint64_t down = 0;
-  scale::DisseminationReport report;
-};
-
-std::vector<DissemRow> run_dissemination() {
-  print_header("hierarchical dissemination", "flat broadcast replacement",
-               "O(n) messages, O(log_k n) depth, down interiors only delay");
-  std::vector<DissemRow> rows;
-  TablePrinter table({"nodes", "fanout", "down", "messages", "depth",
-                      "latency", "splits", "reached"});
-  for (std::uint32_t n : {64u, 256u, 1024u, 4096u}) {
-    for (std::uint32_t fanout : {2u, 4u, 8u}) {
-      for (bool faulty : {false, true}) {
-        std::unordered_set<std::uint32_t> down;
-        if (faulty) {
-          // 10% of nodes down, origin excluded, deterministic per cell.
-          Rng rng(g_seed * 1000003 + n * 31 + fanout);
-          while (down.size() < n / 10) {
-            const auto victim =
-                static_cast<std::uint32_t>(1 + rng.uniform(n - 1));
-            down.insert(victim);
-          }
-        }
-        const scale::DisseminationReport r =
-            scale::simulate_dissemination(0, n, fanout, down, 3);
-        require(r.reached + r.unreachable == n - 1,
-                "dissemination covers every remote node");
-        require(r.unreachable == down.size(),
-                "only down nodes are left with pending singletons");
-        // O(n) messages: relays+acks ~ 2(n-1), retries bounded by the
-        // fallback budget per down head.
-        require(r.total_messages() <= 3u * n + 3u * 3u * down.size(),
-                "dissemination stays O(n) messages");
-        require(r.depth <= scale::tree_depth(n - 1, fanout) + 1 +
-                               static_cast<std::uint32_t>(down.empty() ? 0 : 32),
-                "dissemination depth stays O(log_k n)");
-        rows.push_back({n, fanout, down.size(), r});
-        table.add_row({std::to_string(n), std::to_string(fanout),
-                       std::to_string(down.size()),
-                       std::to_string(r.total_messages()),
-                       std::to_string(r.depth),
-                       std::to_string(r.latency_units),
-                       std::to_string(r.splits), std::to_string(r.reached)});
-      }
-    }
-  }
-  table.print(std::cout);
-  std::printf("\n");
-  return rows;
-}
-
-// --- 4. GC sweep -----------------------------------------------------------
+// --- 3. GC sweep -----------------------------------------------------------
 
 std::vector<scale::FleetGcReport> run_gc_sweep() {
   print_header("Remark-2 GC sweep", "Section 5 Remark 2",
@@ -245,7 +183,7 @@ std::vector<scale::FleetGcReport> run_gc_sweep() {
   return reports;
 }
 
-// --- 5. live TCP row -------------------------------------------------------
+// --- 4. live TCP row -------------------------------------------------------
 
 struct LiveRow {
   std::size_t n = 0;
@@ -284,13 +222,16 @@ LiveRow run_live() {
           "live TCP fleet oracle clean");
   require(row.result.tcp.protocol_errors == 0, "live fleet protocol-clean");
   require(row.result.tcp.delta_frames_tx > 0, "live fleet used the codec");
-  require(row.result.tcp.relays_tx > 0, "live fleet used the relay overlay");
-  std::printf("  delivered=%llu delta_frames=%llu relays=%llu resyncs=%llu "
+  for (const TcpNodeResult& node : row.result.per_node) {
+    require(node.tcp.tokens_tx == (nodes - 1) * node.net.token_broadcasts,
+            "live fleet sent one kToken per remote node per broadcast");
+  }
+  std::printf("  delivered=%llu delta_frames=%llu tokens=%llu resyncs=%llu "
               "rollback_max=%llu\n\n",
               static_cast<unsigned long long>(
                   row.result.net.messages_delivered),
               static_cast<unsigned long long>(row.result.tcp.delta_frames_tx),
-              static_cast<unsigned long long>(row.result.tcp.relays_tx),
+              static_cast<unsigned long long>(row.result.tcp.tokens_tx),
               static_cast<unsigned long long>(row.result.tcp.delta_resyncs),
               static_cast<unsigned long long>(
                   row.result.metrics.max_rollbacks_per_process_per_failure()));
@@ -323,7 +264,6 @@ void write_piggyback_fields(JsonWriter& w,
 int write_json(const std::string& out_file,
                const std::vector<SweepRow>& sweep,
                const std::vector<scale::FleetPiggybackReport>& crash_runs,
-               const std::vector<DissemRow>& dissemination,
                const std::vector<scale::FleetGcReport>& gc,
                const LiveRow& live) {
   std::ofstream os(out_file, std::ios::binary);
@@ -357,25 +297,6 @@ int write_json(const std::string& out_file,
   }
   w.end_array();
 
-  w.key("dissemination").begin_array();
-  for (const DissemRow& d : dissemination) {
-    w.begin_object();
-    w.kv("nodes", std::uint64_t{d.n_nodes});
-    w.kv("fanout", std::uint64_t{d.fanout});
-    w.kv("down", d.down);
-    w.kv("relays", d.report.relays);
-    w.kv("retries", d.report.retries);
-    w.kv("acks", d.report.acks);
-    w.kv("total_messages", d.report.total_messages());
-    w.kv("splits", d.report.splits);
-    w.kv("depth", std::uint64_t{d.report.depth});
-    w.kv("latency_units", std::uint64_t{d.report.latency_units});
-    w.kv("reached", d.report.reached);
-    w.kv("unreachable", d.report.unreachable);
-    w.end_object();
-  }
-  w.end_array();
-
   w.key("gc_sweep").begin_array();
   for (const auto& r : gc) {
     w.begin_object();
@@ -399,8 +320,7 @@ int write_json(const std::string& out_file,
   w.kv("delta_bytes_tx", live.result.tcp.delta_bytes_tx);
   w.kv("delta_flat_bytes", live.result.tcp.delta_flat_bytes);
   w.kv("delta_resyncs", live.result.tcp.delta_resyncs);
-  w.kv("relays_tx", live.result.tcp.relays_tx);
-  w.kv("relay_splits", live.result.tcp.relay_splits);
+  w.kv("tokens_tx", live.result.tcp.tokens_tx);
   w.kv("protocol_errors", live.result.tcp.protocol_errors);
   w.kv("rollbacks", live.result.metrics.rollbacks);
   w.kv("max_rollbacks_per_process_per_failure",
@@ -435,12 +355,10 @@ int main(int argc, char** argv) {
 
   const auto sweep = run_piggyback_sweep();
   const auto crash_runs = run_crash_schedules();
-  const auto dissemination = run_dissemination();
   const auto gc = run_gc_sweep();
   const LiveRow live = run_live();
 
-  if (const int rc = write_json(out_file, sweep, crash_runs, dissemination,
-                                gc, live);
+  if (const int rc = write_json(out_file, sweep, crash_runs, gc, live);
       rc != 0) {
     return rc;
   }

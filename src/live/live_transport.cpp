@@ -17,16 +17,6 @@ LiveTransport::LiveTransport(const LiveClock& clock, std::size_t n,
     channels_.push_back(std::make_unique<LiveChannel>());
     send_rng_.push_back(base.fork());
   }
-  fanout_thread_ = std::thread([this] { fanout_main(); });
-}
-
-LiveTransport::~LiveTransport() {
-  {
-    std::lock_guard<std::mutex> lock(fanout_mu_);
-    fanout_stop_ = true;
-  }
-  fanout_cv_.notify_all();
-  fanout_thread_.join();
 }
 
 void LiveTransport::attach(ProcessId pid, Endpoint* endpoint) {
@@ -81,31 +71,6 @@ void LiveTransport::push_wire(ProcessId src, ProcessId dst, FrameRef wire,
   channels_.at(dst)->push(std::move(f));
 }
 
-void LiveTransport::fanout_main() {
-  std::unique_lock<std::mutex> lock(fanout_mu_);
-  for (;;) {
-    fanout_cv_.wait(lock,
-                    [this] { return fanout_stop_ || !fanout_queue_.empty(); });
-    if (fanout_queue_.empty()) {
-      if (fanout_stop_) return;
-      continue;
-    }
-    PendingBroadcast b = std::move(fanout_queue_.front());
-    fanout_queue_.pop_front();
-    lock.unlock();
-    for (std::size_t i = 0; i < b.dst_delays.size(); ++i) {
-      const auto& [dst, delay] = b.dst_delays[i];
-      // Shared ref: every destination's channel frame points at the same
-      // encoded token image (one atomic inc per clone, zero byte copies).
-      FrameRef wire =
-          i + 1 == b.dst_delays.size() ? std::move(b.wire) : b.wire;
-      push_wire(b.src, dst, std::move(wire), /*app=*/false, /*token=*/true,
-                delay);
-    }
-    lock.lock();
-  }
-}
-
 MsgId LiveTransport::send(Message msg) {
   if (msg.src == msg.dst) throw std::invalid_argument("send: src == dst");
   if (msg.dst >= endpoints_.size() || endpoints_[msg.dst] == nullptr) {
@@ -138,27 +103,18 @@ MsgId LiveTransport::send(Message msg) {
 void LiveTransport::broadcast_token(const Token& token) {
   counters_.net.add<&Network::Stats::token_broadcasts>();
   if (trace_) trace_->emit(token_broadcast_event(clock_.now(), token));
-  // Account + draw everything on the announcing worker (cheap), then let
-  // the fan-out thread do the O(n) encode-once pushes. tokens_sent is
-  // bumped here, before the handoff, so tokens_in_flight() covers frames
-  // that are queued for fan-out but not yet pushed.
-  PendingBroadcast b;
-  b.src = token.from;
+  // Encode once: every destination's channel frame is a clone of this ref
+  // (one atomic increment, zero byte copies).
+  FrameRef wire = FramePool::global().wrap(encode_token_frame(token));
   Rng& rng = send_rng_.at(token.from);
   const std::size_t bytes = token_wire_bytes(token);
   for (ProcessId dst = 0; dst < endpoints_.size(); ++dst) {
     if (dst == token.from || endpoints_[dst] == nullptr) continue;
     counters_.net.add<&Network::Stats::tokens_sent>();
     counters_.net.add<&Network::Stats::token_bytes>(bytes);
-    b.dst_delays.emplace_back(dst, draw_delay(rng));
+    push_wire(token.from, dst, wire, /*app=*/false, /*token=*/true,
+              draw_delay(rng));
   }
-  if (b.dst_delays.empty()) return;
-  b.wire = FramePool::global().wrap(encode_token_frame(token));
-  {
-    std::lock_guard<std::mutex> lock(fanout_mu_);
-    fanout_queue_.push_back(std::move(b));
-  }
-  fanout_cv_.notify_one();
 }
 
 }  // namespace optrec

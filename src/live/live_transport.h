@@ -12,12 +12,9 @@
 //   * send()/broadcast_token() for source process p run only on p's worker
 //     thread (protocols always send as themselves), so the per-sender fault
 //     RNGs need no locks.
-//   * broadcast_token() does its accounting and RNG draws on the caller,
-//     then hands the encoded frame to a dedicated fan-out thread which does
-//     the O(n) channel pushes — a recovering process announces its failure
-//     without stalling behind the unicast loop (ROADMAP: sharded token
-//     broadcast). Token in-flight counts are bumped synchronously, so
-//     quiescence can never observe a not-yet-fanned-out broadcast as done.
+//   * broadcast_token() encodes the token once and pushes a shared ref of
+//     it into every other process's channel on the announcing worker, as
+//     TcpTransport does for its local copies.
 //   * Delivery accounting (counters(), src/live/delivery_counters.h) is
 //     atomics only: the receiving worker notes deliveries, and stats()
 //     snapshots may run anywhere, any time.
@@ -29,13 +26,8 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "src/harness/failure_plan.h"
@@ -73,7 +65,6 @@ class LiveTransport : public Transport {
  public:
   LiveTransport(const LiveClock& clock, std::size_t n, std::uint64_t seed,
                 LiveFaultConfig faults);
-  ~LiveTransport() override;
 
   void attach(ProcessId pid, Endpoint* endpoint) override;
   MsgId send(Message msg) override;
@@ -92,24 +83,12 @@ class LiveTransport : public Transport {
   const DeliveryCounters& counters() const { return counters_; }
 
  private:
-  /// One queued broadcast: the frame is encoded once into a shared
-  /// FrameRef and fanned out to every destination by the fan-out thread, so
-  /// the announcing worker is never stalled behind an O(n) unicast loop and
-  /// the n-1 pushes share one byte image (delays are pre-drawn on the
-  /// caller to keep the per-sender RNGs single-threaded).
-  struct PendingBroadcast {
-    ProcessId src = kNoProcess;
-    FrameRef wire;
-    std::vector<std::pair<ProcessId, SimTime>> dst_delays;
-  };
-
   SimTime draw_delay(Rng& rng);
   /// Earliest instant >= t at which the src->dst link is outside every
   /// scripted partition window (t itself when none applies).
   SimTime link_clear_at(ProcessId src, ProcessId dst, SimTime t) const;
   void push_wire(ProcessId src, ProcessId dst, FrameRef wire, bool app,
                  bool token, SimTime delay);
-  void fanout_main();
 
   const LiveClock& clock_;
   LiveFaultConfig faults_;
@@ -119,12 +98,6 @@ class LiveTransport : public Transport {
   /// by the thread contract above).
   std::vector<Rng> send_rng_;
   TraceRecorder* trace_ = nullptr;
-
-  std::mutex fanout_mu_;
-  std::condition_variable fanout_cv_;
-  std::deque<PendingBroadcast> fanout_queue_;
-  bool fanout_stop_ = false;
-  std::thread fanout_thread_;
 
   std::atomic<MsgId> next_msg_id_{1};
   DeliveryCounters counters_;

@@ -55,20 +55,14 @@ Bytes encode_envelope(const Envelope& e) {
       break;
     case EnvelopeKind::kShutdownAck:
       break;
-    case EnvelopeKind::kTokenRelay:
-      w.put_u32(e.origin_node);
-      w.put_u64(e.epoch);      // origin incarnation
-      w.put_u64(e.token_seq);  // origin-unique broadcast seq
-      w.put_u64(e.relay_id);
+    case EnvelopeKind::kToken:
+      w.put_u64(e.token_seq);
       w.put_u32(e.src_pid);  // the failed process (token.from)
-      w.put_u64(e.delay_us);
-      w.put_u32(static_cast<std::uint32_t>(e.subtree.size()));
-      for (std::uint32_t node : e.subtree) w.put_u32(node);
       w.put_bytes(e.wire);
       break;
-    case EnvelopeKind::kRelayAck:
-      w.put_u64(e.epoch);  // echo of the requester incarnation
-      w.put_u64(e.relay_id);
+    case EnvelopeKind::kTokenAck:
+      w.put_u64(e.epoch);  // echo of the token sender's incarnation
+      w.put_u64(e.token_seq);
       break;
   }
   return w.take();
@@ -114,30 +108,18 @@ Envelope decode_envelope(const Bytes& body) {
         break;
       case EnvelopeKind::kShutdownAck:
         break;
-      case EnvelopeKind::kTokenRelay: {
-        e.origin_node = r.get_u32();
-        e.epoch = r.get_u64();
+      case EnvelopeKind::kToken:
         e.token_seq = r.get_u64();
-        e.relay_id = r.get_u64();
         e.src_pid = r.get_u32();
-        e.delay_us = r.get_u64();
-        const std::uint32_t count = r.get_u32();
-        if (count > body.size()) {
-          throw FrameError(FrameError::Kind::kCorrupt,
-                           "relay subtree count exceeds body size");
-        }
-        e.subtree.resize(count);
-        for (std::uint32_t& node : e.subtree) node = r.get_u32();
         e.wire = r.get_bytes();
         if (e.wire.size() > kMaxFrameBytes) {
           throw FrameError(FrameError::Kind::kOversized,
                            "nested wire frame exceeds kMaxFrameBytes");
         }
         break;
-      }
-      case EnvelopeKind::kRelayAck:
+      case EnvelopeKind::kTokenAck:
         e.epoch = r.get_u64();
-        e.relay_id = r.get_u64();
+        e.token_seq = r.get_u64();
         break;
     }
     if (!r.at_end()) {

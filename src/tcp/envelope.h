@@ -6,8 +6,8 @@
 // delta codec output (src/scale/delta_codec.h) or the flat src/wire/
 // wire_codec frame the in-process backends use — and the TCP layer adds
 // only addressing (source node/pid, destination pid) plus the
-// injected-delay and latency timestamps. Failure tokens travel in
-// kTokenRelay envelopes down the dissemination tree (src/scale/overlay.h).
+// injected-delay and latency timestamps. A failure token travels in one
+// kToken envelope per remote node, re-sent until that node's kTokenAck.
 //
 // The codec is hardened the same way decode_frame is: every decode failure
 // is a FrameError (never UB, never an assert), the length prefix is checked
@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "src/harness/metrics.h"
 #include "src/util/bytes.h"
@@ -35,8 +34,8 @@ enum class EnvelopeKind : std::uint8_t {
   kStatus = 3,       // node -> coordinator quiescence report
   kShutdown = 4,     // coordinator -> node: stop with exit_code
   kShutdownAck = 5,  // node -> coordinator: shutdown order received
-  kTokenRelay = 6,   // failure-token dissemination: cover `subtree`
-  kRelayAck = 7,     // receipt: the relay's WHOLE subtree is covered
+  kToken = 6,        // one failure token, re-sent until acked
+  kTokenAck = 7,     // receiver -> token sender: kToken received
 };
 
 struct NodeStatsBlock;
@@ -88,7 +87,7 @@ struct NodeStatsBlock {
 
 /// One node's quiescence report, sent to the coordinator every status tick.
 /// `quiet` folds every local condition (workers up, nothing pending, no
-/// local frames in flight, outbound queues drained, no unacked relays);
+/// local frames in flight, outbound queues drained, no unacked tokens);
 /// `signature` is the node's progress signature, so the coordinator can
 /// require cluster-wide stability on top of everyone claiming quiet.
 struct NodeStatusReport {
@@ -105,7 +104,7 @@ struct Envelope {
   /// Sender node, on every kind (kShutdown uses the coordinator's id).
   std::uint32_t src_node = 0;
 
-  // kHello
+  // kHello (kTokenAck echoes the token sender's epoch)
   std::uint64_t epoch = 0;  // sender incarnation (wall micros at node start)
   std::string cluster;      // topology name; mismatch = config error
 
@@ -120,15 +119,11 @@ struct Envelope {
   std::uint64_t delay_us = 0;
   Bytes wire;  // the nested frame
 
-  // kTokenRelay (reuses epoch = ORIGIN incarnation, src_pid = failed
-  // process, delay_us = injected delay, wire = the nested token frame).
-  std::uint32_t origin_node = 0;  // root of the dissemination tree
-  std::uint64_t token_seq = 0;    // origin-unique broadcast seq (dedupe)
-  /// Requester-unique; kRelayAck echoes it with epoch = the requester
-  /// incarnation the relay arrived from.
-  std::uint64_t relay_id = 0;
-  /// Node ids this relay must cover; front() is the receiver itself.
-  std::vector<std::uint32_t> subtree;
+  // kToken (reuses src_pid = failed process, wire = the nested token
+  // frame) and kTokenAck.
+  /// Sender-unique broadcast seq; the receiver dedupes on it under the
+  /// connection's hello epoch, and kTokenAck echoes both.
+  std::uint64_t token_seq = 0;
 
   // kStatus
   NodeStatusReport status;

@@ -11,7 +11,7 @@
 // way LiveRuntime compares them across threads (a killed node's counters
 // vanish), so the cluster settles by gossip instead. Every node folds its
 // local conditions — workers up, nothing pending, local frames handled,
-// outbound queues drained, no unacked relays — into a NodeStatusReport and
+// outbound queues drained, no unacked tokens — into a NodeStatusReport and
 // streams it to node 0 (the coordinator) every status tick. The
 // coordinator declares quiescence when every node claims quiet on a fresh
 // report AND the cluster-wide progress signature has been stable for a

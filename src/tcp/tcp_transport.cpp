@@ -28,14 +28,6 @@ constexpr std::size_t kRecvChunk = 64 * 1024;
 /// sendmsg rarely accepts more than a socket buffer anyway.
 constexpr std::size_t kMaxIov = 64;
 
-/// Relay tree fanout over node ids: every node holds at most two
-/// outstanding relays per broadcast, whatever the fleet size.
-constexpr std::uint32_t kTokenFanout = 2;
-
-/// Retries spent on an unresponsive subtree head before the requester
-/// splits the head's subtree and relays around it.
-constexpr std::uint32_t kRelayFallbackRetries = 3;
-
 }  // namespace
 
 TcpTransport::TcpTransport(const LiveClock& clock, const TcpTopology& topo,
@@ -45,9 +37,9 @@ TcpTransport::TcpTransport(const LiveClock& clock, const TcpTopology& topo,
       topo_(topo),
       node_id_(node_id),
       epoch_(epoch == 0 ? unix_micros() : epoch),
-      // Independent per-node stream: relay delays must not perturb (or be
-      // perturbed by) the per-sender fault streams.
-      relay_rng_(seed ^ (0x9e3779b97f4a7c15ull * (node_id + 1))) {
+      // Independent per-node stream: received-token delays must not
+      // perturb (or be perturbed by) the per-sender fault streams.
+      token_rng_(seed ^ (0x9e3779b97f4a7c15ull * (node_id + 1))) {
   topo_.validate();
   if (node_id_ >= topo_.nodes.size()) {
     throw std::invalid_argument("TcpTransport: node id out of range");
@@ -283,12 +275,10 @@ void TcpTransport::broadcast_token(const Token& token) {
   if (trace_) trace_->emit(token_broadcast_event(clock_.now(), token));
   Rng& rng = *send_rng_.at(token.from);
   // One encode for the whole broadcast: every local channel frame is a
-  // clone of this ref. The logical broadcast still addresses every remote
-  // pid, so cluster-summed Network stats balance, but the wire carries one
-  // relay per top-level subtree.
+  // clone of this ref, and one kToken frame carries it to every remote
+  // node.
   FrameRef wire = FramePool::global().wrap(encode_token_frame(token));
   const std::size_t bytes = token_wire_bytes(token);
-  bool remote = false;
   for (ProcessId dst = 0; dst < topo_.n; ++dst) {
     if (dst == token.from) continue;
     counters_.net.add<&Network::Stats::tokens_sent>();
@@ -296,65 +286,37 @@ void TcpTransport::broadcast_token(const Token& token) {
     const SimTime delay = draw_delay(rng);
     if (topo_.node_of(dst) == node_id_) {
       push_local(token.from, dst, wire, /*app=*/false, /*token=*/true, delay);
-    } else {
-      remote = true;
     }
   }
-  if (!remote) return;
-  const auto plan = scale::plan_broadcast(
-      node_id_, static_cast<std::uint32_t>(topo_.nodes.size()), kTokenFanout);
-  Envelope tmpl;
-  tmpl.kind = EnvelopeKind::kTokenRelay;
-  tmpl.src_node = node_id_;
-  tmpl.origin_node = node_id_;
-  tmpl.epoch = epoch_;
-  tmpl.src_pid = token.from;
-  tmpl.wire = Bytes(wire.data(), wire.data() + wire.size());
+  Envelope e;
+  e.kind = EnvelopeKind::kToken;
+  e.src_node = node_id_;
+  e.src_pid = token.from;
+  e.wire = Bytes(wire.data(), wire.data() + wire.size());
   {
     std::lock_guard<std::mutex> lock(tokens_mu_);
-    tmpl.token_seq = next_token_seq_++;
-    const std::uint64_t agg_id = next_agg_id_++;
-    RelayAgg agg;
-    agg.pending = plan.size();
-    relay_aggs_.emplace(agg_id, agg);
-    for (const scale::RelayAssignment& chunk : plan) {
-      start_relay_locked(chunk, tmpl, agg_id);
+    e.token_seq = next_token_seq_++;
+    TokenSend send;
+    send.msg = control_msg(e);
+    send.next_retry = clock_.now() + topo_.faults.token_retry;
+    for (const auto& p : peers_) {
+      if (p == nullptr) continue;
+      token_sends_.emplace(std::make_pair(p->node, e.token_seq), send);
+      tokens_pending_.fetch_add(1, std::memory_order_acq_rel);
+      stats_.add<&TcpStats::tokens_tx>();
+      queue_to_peer(p->node, send.msg);  // ref clone; no byte copy
     }
   }
   wake();
 }
 
-void TcpTransport::start_relay_locked(const scale::RelayAssignment& chunk,
-                                      const Envelope& tmpl,
-                                      std::uint64_t agg_id) {
-  RelayTask task;
-  task.dst_node = chunk.head;
-  task.env = tmpl;
-  task.env.relay_id = next_relay_id_++;
-  // Fresh fault delay per chunk (and, recursively, per relay level):
-  // sharing one draw across the whole remote tree would collapse the
-  // delivery-reordering variance the fault matrix relies on.
-  task.env.delay_us = draw_delay(relay_rng_);
-  task.env.subtree = chunk.subtree;
-  task.subtree = chunk.subtree;
-  task.agg = agg_id;
-  task.next_retry = clock_.now() + topo_.faults.token_retry;
-  task.msg = control_msg(task.env);
-  stats_.add<&TcpStats::relays_tx>();
-  relay_pending_.fetch_add(1, std::memory_order_acq_rel);
-  OutMsg first = task.msg;  // ref clone; retries share the same buffers
-  const std::uint64_t id = task.env.relay_id;
-  relay_tasks_.emplace(id, std::move(task));
-  queue_to_peer(chunk.head, std::move(first));
-}
-
 std::uint64_t TcpTransport::outbound_pending() const {
-  // Lock-free: ring occupancy atomics + the relay mirror + staged bytes.
+  // Lock-free: ring occupancy atomics + the token mirror + staged bytes.
   std::uint64_t pending = 0;
   for (const auto& p : peers_) {
     if (p != nullptr) pending += p->outq.size();
   }
-  pending += relay_pending_.load(std::memory_order_acquire);
+  pending += tokens_pending_.load(std::memory_order_acquire);
   return pending + outbuf_bytes_.load(std::memory_order_acquire);
 }
 
@@ -492,7 +454,7 @@ void TcpTransport::io_step() {
       start_connect(*p);
     }
   }
-  retry_relays();
+  retry_tokens();
   std::size_t staged = 0;
   for (auto& p : peers_) {
     if (p != nullptr && p->connected) staged += flush_peer(*p);
@@ -777,14 +739,25 @@ void TcpTransport::process_envelope(Peer& p, Envelope& e) {
       channels_[e.dst_pid]->push(std::move(f));
       return;
     }
+    // Control envelopes speak only for their own connection: a status
+    // names the node that sent it, only the coordinator (node 0) orders a
+    // shutdown, and only the coordinator collects the acks. Anything else
+    // could report another node quiet or stop a node, so it drops the
+    // connection like a malformed frame.
     case EnvelopeKind::kStatus: {
-      std::lock_guard<std::mutex> lock(status_mu_);
-      if (e.status.node < statuses_.size()) {
-        statuses_[e.status.node] = {e.status, clock_.now()};
+      if (e.status.node != p.node) {
+        close_peer(p, /*was_protocol_error=*/true);
+        return;
       }
+      std::lock_guard<std::mutex> lock(status_mu_);
+      statuses_[p.node] = {e.status, clock_.now()};
       return;
     }
     case EnvelopeKind::kShutdown: {
+      if (p.node != 0) {
+        close_peer(p, /*was_protocol_error=*/true);
+        return;
+      }
       shutdown_code_.store(e.exit_code, std::memory_order_release);
       shutdown_flag_.store(true, std::memory_order_release);
       Envelope ack;
@@ -794,174 +767,78 @@ void TcpTransport::process_envelope(Peer& p, Envelope& e) {
       return;
     }
     case EnvelopeKind::kShutdownAck: {
+      if (node_id_ != 0) {
+        close_peer(p, /*was_protocol_error=*/true);
+        return;
+      }
       p.shutdown_acked.store(true, std::memory_order_release);
       return;
     }
-    case EnvelopeKind::kTokenRelay:
-      process_token_relay(p, e);
+    case EnvelopeKind::kToken:
+      process_token(p, e);
       return;
-    case EnvelopeKind::kRelayAck:
-      process_relay_ack(e);
+    case EnvelopeKind::kTokenAck:
+      process_token_ack(p, e);
       return;
     case EnvelopeKind::kHello:
       return;  // handled above; unreachable
   }
 }
 
-void TcpTransport::process_token_relay(Peer& p, Envelope& e) {
-  // The nested frame must be the failed process's token: workers decode
-  // it again without a handler, so a malformed one drops the connection
-  // here.
+void TcpTransport::process_token(Peer& p, Envelope& e) {
+  // The nested frame must be a token of a process the sending node hosts:
+  // workers decode it again without a handler, and no node announces
+  // another node's failures, so anything else drops the connection here.
   try {
     const Frame f = decode_frame(e.wire);
-    if (f.type != FrameType::kToken || f.token.from != e.src_pid) {
-      throw FrameError(FrameError::Kind::kCorrupt, "relay holds no token");
+    if (f.type != FrameType::kToken || f.token.from != e.src_pid ||
+        e.src_pid >= topo_.n || topo_.node_of(e.src_pid) != p.node) {
+      throw FrameError(FrameError::Kind::kCorrupt,
+                       "kToken holds no token of the sending node");
     }
   } catch (const FrameError&) {
     close_peer(p, /*was_protocol_error=*/true);
     return;
   }
-  // Sanity before trusting the routing: this relay must name us as its
-  // head, and every node it covers must exist.
-  if (e.subtree.empty() || e.subtree.front() != node_id_) {
-    stats_.add<&TcpStats::protocol_errors>();
-    return;
+  // Keyed by the sender INCARNATION: a respawned node restarts its seqs at
+  // 1, and its previous incarnation's connections are gone, so their sets
+  // can go too.
+  for (auto it = tokens_seen_.lower_bound({p.node, 0});
+       it != tokens_seen_.end() && it->first.first == p.node &&
+       it->first.second < p.peer_epoch;) {
+    it = tokens_seen_.erase(it);
   }
-  for (std::uint32_t node : e.subtree) {
-    if (node >= peers_.size() ||
-        (node != node_id_ && peers_[node] == nullptr)) {
-      stats_.add<&TcpStats::protocol_errors>();
-      return;
-    }
-  }
-  // Keyed by the requester INCARNATION, not just its node: a respawned
-  // requester restarts relay ids at 1, and matching the dead incarnation's
-  // entry would instantly re-ack without ever delivering the new token.
-  const auto relay_key = std::make_tuple(p.node, p.peer_epoch, e.relay_id);
-  const auto origin_key = std::make_pair(e.origin_node, e.epoch);
-  bool deliver = false;
-  bool ack_now = false;
-  std::vector<SimTime> local_delays;
-  {
-    std::lock_guard<std::mutex> lock(tokens_mu_);
-    const auto done_it = relay_done_.find(relay_key);
-    if (done_it != relay_done_.end()) {
-      if (!done_it->second.done) {
-        return;  // still covering; requester will retry
-      }
-      done_it->second.at = clock_.now();  // re-touched: keep until idle
-      ack_now = true;                     // retried after our ack was lost
-    } else {
-      relay_done_[relay_key] = {false, clock_.now()};
-      // A newer incarnation of the origin supersedes older delivery-dedupe
-      // state: the dead epoch's seqs can only reappear as relay retries,
-      // which relay_done_ above already absorbs.
-      for (auto it = relay_delivered_.lower_bound({e.origin_node, 0});
-           it != relay_delivered_.end() &&
-           it->first.first == e.origin_node && it->first.second < e.epoch;) {
-        it = relay_delivered_.erase(it);
-      }
-      // Local delivery exactly once per origin broadcast, however many
-      // relays or retries carry it here.
-      deliver = relay_delivered_[origin_key].insert(e.token_seq).second;
-      if (!deliver) {
-        stats_.add<&TcpStats::dup_tokens_dropped>();
-      } else {
-        // Per-destination delay variance: each local copy draws its own
-        // injected delay rather than inheriting the one value the relay
-        // happened to carry.
-        for (ProcessId pid : topo_.node(node_id_).processes) {
-          if (pid != e.src_pid) local_delays.push_back(draw_delay(relay_rng_));
-        }
-      }
-      std::vector<std::uint32_t> rest(e.subtree.begin() + 1, e.subtree.end());
-      if (rest.empty()) {
-        relay_done_[relay_key] = {true, clock_.now()};  // leaf: subtree == us
-        ack_now = true;
-      } else {
-        const auto chunks = scale::split_subtree(rest, kTokenFanout);
-        const std::uint64_t agg_id = next_agg_id_++;
-        RelayAgg agg;
-        agg.has_requester = true;
-        agg.requester_node = p.node;
-        agg.requester_epoch = p.peer_epoch;
-        agg.requester_relay_id = e.relay_id;
-        agg.pending = chunks.size();
-        relay_aggs_.emplace(agg_id, agg);
-        Envelope tmpl;
-        tmpl.kind = EnvelopeKind::kTokenRelay;
-        tmpl.src_node = node_id_;
-        tmpl.origin_node = e.origin_node;
-        tmpl.epoch = e.epoch;
-        tmpl.token_seq = e.token_seq;
-        tmpl.src_pid = e.src_pid;
-        tmpl.wire = e.wire;
-        for (const scale::RelayAssignment& chunk : chunks) {
-          start_relay_locked(chunk, tmpl, agg_id);
-        }
-      }
-    }
-  }
-  if (deliver) {
-    FrameRef wire = FramePool::global().wrap(Bytes(e.wire));
-    std::size_t di = 0;
+  if (tokens_seen_[{p.node, p.peer_epoch}].insert(e.token_seq).second) {
+    // Local delivery exactly once per broadcast, however many retries carry
+    // it here; each local copy draws its own injected delay. The token's
+    // own process lives on the sender, so every local process gets one.
+    FrameRef wire = FramePool::global().wrap(std::move(e.wire));
     for (ProcessId pid : topo_.node(node_id_).processes) {
-      if (pid == e.src_pid) continue;
       push_local(e.src_pid, pid, wire, /*app=*/false, /*token=*/true,
-                 local_delays.at(di++));
+                 draw_delay(token_rng_));
     }
+  } else {
+    stats_.add<&TcpStats::dup_tokens_dropped>();
   }
-  if (ack_now) {
-    Envelope ack;
-    ack.kind = EnvelopeKind::kRelayAck;
-    ack.src_node = node_id_;
-    ack.epoch = p.peer_epoch;  // echo the requester incarnation
-    ack.relay_id = e.relay_id;
-    stats_.add<&TcpStats::acks_tx>();
-    queue_to_peer(p.node, control_msg(ack));
-  }
+  // Every copy is acked: the first ack may have died with a connection.
+  Envelope ack;
+  ack.kind = EnvelopeKind::kTokenAck;
+  ack.src_node = node_id_;
+  ack.epoch = p.peer_epoch;  // echo the sender incarnation
+  ack.token_seq = e.token_seq;
+  stats_.add<&TcpStats::acks_tx>();
+  queue_to_peer(p.node, control_msg(ack));
 }
 
-void TcpTransport::process_relay_ack(const Envelope& e) {
+void TcpTransport::process_token_ack(const Peer& p, const Envelope& e) {
   stats_.add<&TcpStats::acks_rx>();
+  // Only the addressed node clears its send, and only for this
+  // incarnation: the pending key is the connection's node, never a field
+  // a peer could set to someone else's.
   if (e.epoch != epoch_) return;  // receipt for a previous incarnation
-  bool ack_up = false;
-  std::uint32_t up_node = 0;
-  std::uint64_t up_epoch = 0;
-  std::uint64_t up_relay_id = 0;
-  {
-    std::lock_guard<std::mutex> lock(tokens_mu_);
-    const auto it = relay_tasks_.find(e.relay_id);
-    if (it == relay_tasks_.end()) return;  // dup ack
-    const std::uint64_t agg_id = it->second.agg;
-    relay_tasks_.erase(it);
-    relay_pending_.fetch_sub(1, std::memory_order_acq_rel);
-    const auto ag = relay_aggs_.find(agg_id);
-    if (ag == relay_aggs_.end()) return;
-    if (--ag->second.pending != 0) return;
-    if (ag->second.has_requester) {
-      // Whole delegated subtree covered: receipt flows one level up, under
-      // the incarnation that asked for it.
-      relay_done_[{ag->second.requester_node, ag->second.requester_epoch,
-                   ag->second.requester_relay_id}] = {true, clock_.now()};
-      ack_up = true;
-      up_node = ag->second.requester_node;
-      up_epoch = ag->second.requester_epoch;
-      up_relay_id = ag->second.requester_relay_id;
-    }
-    relay_aggs_.erase(ag);
-  }
-  if (ack_up) {
-    Envelope ack;
-    ack.kind = EnvelopeKind::kRelayAck;
-    ack.src_node = node_id_;
-    // Echo the requester incarnation captured when the relay arrived, not
-    // the peer's CURRENT epoch: if it respawned mid-coverage, this stale
-    // receipt must not match one of the new incarnation's (reused) ids.
-    ack.epoch = up_epoch;
-    ack.relay_id = up_relay_id;
-    stats_.add<&TcpStats::acks_tx>();
-    queue_to_peer(up_node, control_msg(ack));
+  std::lock_guard<std::mutex> lock(tokens_mu_);
+  if (token_sends_.erase({p.node, e.token_seq}) != 0) {
+    tokens_pending_.fetch_sub(1, std::memory_order_acq_rel);
   }
 }
 
@@ -1101,59 +978,21 @@ void TcpTransport::update_partition_masks() {
   }
 }
 
-void TcpTransport::retry_relays() {
+void TcpTransport::retry_tokens() {
   const SimTime now = clock_.now();
   std::lock_guard<std::mutex> lock(tokens_mu_);
-  // Sweep acked relay entries nobody has retried for a while — without it
-  // the map grows with total failure-token traffic forever. The horizon
-  // dwarfs the retry cadence, so a requester still retrying (lost acks)
-  // keeps refreshing its entry; if one IS forgotten too early the worst
-  // case is a re-covered subtree, which relay_delivered_ still dedupes.
-  if (now >= relay_prune_at_) {
-    const SimTime horizon =
-        std::max<SimTime>(seconds(5), 64 * topo_.faults.token_retry);
-    relay_prune_at_ = now + horizon / 2;
-    for (auto it = relay_done_.begin(); it != relay_done_.end();) {
-      if (it->second.done && now - it->second.at > horizon) {
-        it = relay_done_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  // After kRelayFallbackRetries silent attempts we assume the head is down
-  // and route around it: its subtree is re-split into fresh relays under
-  // the SAME aggregation, while the original task shrinks to a singleton
-  // that keeps retrying forever — per-node retry-until-acked (a dead node
-  // keeps us non-quiet until it respawns and acks).
-  for (auto& [id, task] : relay_tasks_) {
-    if (now < task.next_retry) continue;
-    task.next_retry = now + topo_.faults.token_retry;
-    ++task.attempts;
-    if (!task.fallback_done && task.subtree.size() > 1 &&
-        task.attempts > kRelayFallbackRetries) {
-      stats_.add<&TcpStats::relay_splits>();
-      std::vector<std::uint32_t> rest(task.subtree.begin() + 1,
-                                      task.subtree.end());
-      const auto chunks = scale::split_subtree(rest, kTokenFanout);
-      const auto ag = relay_aggs_.find(task.agg);
-      if (ag != relay_aggs_.end()) ag->second.pending += chunks.size();
-      task.subtree = {task.subtree.front()};
-      task.env.subtree = task.subtree;
-      task.msg = control_msg(task.env);
-      task.fallback_done = true;
-      // std::map: inserting new tasks does not invalidate this iteration.
-      for (const scale::RelayAssignment& chunk : chunks) {
-        start_relay_locked(chunk, task.env, task.agg);
-      }
-    }
+  // Per-node retry-until-acked: a dead node keeps the sender non-quiet
+  // until it comes back and acks.
+  for (auto& [key, send] : token_sends_) {
+    if (now < send.next_retry) continue;
+    send.next_retry = now + topo_.faults.token_retry;
     // Re-send only where the copy could actually have been lost: over an
     // established, unmasked connection. While disconnected or partitioned
     // the original still sits in the ring.
-    Peer& rp = *peers_.at(task.dst_node);
-    if (!rp.connected || rp.blocked) continue;
+    Peer& p = *peers_[key.first];
+    if (!p.connected || p.blocked) continue;
     stats_.add<&TcpStats::token_retries>();
-    rp.outq.push(task.msg);  // ref clones; the bytes are never copied
+    p.outq.push(send.msg);  // ref clones; the bytes are never copied
   }
 }
 

@@ -16,13 +16,11 @@
 // a protocol error and drops the connection.
 //
 // Reliability model, mirroring the paper's assumptions:
-//   * Failure tokens travel down a fanout-2 relay tree over node ids
-//     (src/scale/overlay.h). Every relay is retried until its head acks,
-//     and a head acks only once its whole subtree has; local delivery is
-//     deduped per origin incarnation. Token delivery therefore survives
-//     connection loss, node kills and scripted partitions — the
-//     transport-level reliable broadcast the protocol's liveness argument
-//     needs.
+//   * A failure token goes straight to every remote node as one kToken,
+//     re-sent until that node acks it; the receiver dedupes per sending
+//     node incarnation. Token delivery therefore survives connection loss,
+//     node kills and scripted partitions — the transport-level reliable
+//     broadcast the protocol's liveness argument needs.
 //   * Application frames queue per peer (never lost while queued, bounded
 //     by outbound_cap_frames; overflow is dropped and counted). Frames
 //     already staged into a dying connection's write buffer are lost, like
@@ -48,11 +46,11 @@
 //     after they join (the destructor stops too).
 //   * send()/broadcast_token() for local pid p run on p's worker thread
 //     (per-sender fault RNGs stay lock-free); queue pushes are lock-free
-//     ring pushes (tokens_mu_ guards only the relay bookkeeping).
+//     ring pushes (tokens_mu_ guards only the unacked token sends).
 //   * The IO thread owns all sockets, per-connection state (codecs
-//     included) and the staged segment queues; it shares only the peer
-//     rings, the relay bookkeeping (tokens_mu_), the coordinator status
-//     table (status_mu_) and the atomic counters.
+//     included), the staged segment queues and the received-token dedupe;
+//     it shares only the peer rings, the unacked token sends (tokens_mu_),
+//     the coordinator status table (status_mu_) and the atomic counters.
 //   * The quiescence surface (send_status/peer_statuses/broadcast_shutdown/
 //     shutdown_received) is for the node supervisor thread.
 //   * queue_depths()/outbound_pending()/tcp_stats()/counters() read only
@@ -69,7 +67,6 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -81,7 +78,6 @@
 #include "src/net/message.h"
 #include "src/runtime/env.h"
 #include "src/scale/delta_codec.h"
-#include "src/scale/overlay.h"
 #include "src/tcp/envelope.h"
 #include "src/tcp/poller.h"
 #include "src/tcp/socket_util.h"
@@ -107,25 +103,24 @@ class TcpTransport : public Transport {
     std::uint64_t frames_rx = 0;         // envelopes decoded
     std::uint64_t bytes_tx = 0;
     std::uint64_t bytes_rx = 0;
-    std::uint64_t acks_tx = 0;            // kRelayAck envelopes
+    std::uint64_t tokens_tx = 0;          // kToken envelopes queued
+    std::uint64_t acks_tx = 0;            // kTokenAck envelopes
     std::uint64_t acks_rx = 0;
-    std::uint64_t token_retries = 0;      // unacked relay re-sends
+    std::uint64_t token_retries = 0;      // unacked kToken re-sends
     std::uint64_t dup_tokens_dropped = 0; // dedupe suppressions
     std::uint64_t backpressure_drops = 0; // app frames over the queue cap
     std::uint64_t protocol_errors = 0;    // FrameError / bad hello
     std::uint64_t writev_calls = 0;       // scatter-gather socket writes
     std::uint64_t ring_overflows = 0;     // peer-ring pushes that spilled
-    // Wire codec and relay tree (docs/SCALING.md).
+    // Wire codec (docs/SCALING.md).
     std::uint64_t delta_frames_tx = 0;    // message frames through a codec
     std::uint64_t delta_bytes_tx = 0;     // their on-wire frame bytes
     std::uint64_t delta_flat_bytes = 0;   // what flat encoding would cost
     std::uint64_t delta_resyncs = 0;      // codec resets forced by decode
-    std::uint64_t relays_tx = 0;          // kTokenRelay envelopes queued
-    std::uint64_t relay_splits = 0;       // fallback subtree re-splits
 
     /// Every counter with its JSON key and /metrics family
     /// (src/util/counter_fields.h).
-    static constexpr std::array<CounterField<TcpStats>, 22> kFields{{
+    static constexpr std::array<CounterField<TcpStats>, 21> kFields{{
         {"connects", &TcpStats::connects, "optrec_tcp_connects_total"},
         {"accepts", &TcpStats::accepts, "optrec_tcp_accepts_total"},
         {"disconnects", &TcpStats::disconnects, "optrec_tcp_disconnects_total"},
@@ -135,6 +130,7 @@ class TcpTransport : public Transport {
         {"frames_rx", &TcpStats::frames_rx, "optrec_tcp_frames_rx_total"},
         {"bytes_tx", &TcpStats::bytes_tx, "optrec_tcp_bytes_tx_total"},
         {"bytes_rx", &TcpStats::bytes_rx, "optrec_tcp_bytes_rx_total"},
+        {"tokens_tx", &TcpStats::tokens_tx, "optrec_tcp_tokens_tx_total"},
         {"acks_tx", &TcpStats::acks_tx, "optrec_tcp_acks_tx_total"},
         {"acks_rx", &TcpStats::acks_rx, "optrec_tcp_acks_rx_total"},
         {"token_retries", &TcpStats::token_retries,
@@ -157,9 +153,6 @@ class TcpTransport : public Transport {
          "optrec_piggyback_flat_bytes_total"},
         {"delta_resyncs", &TcpStats::delta_resyncs,
          "optrec_piggyback_delta_resyncs_total"},
-        {"relays_tx", &TcpStats::relays_tx, "optrec_token_fanout_msgs_total"},
-        {"relay_splits", &TcpStats::relay_splits,
-         "optrec_token_fanout_splits_total"},
     }};
   };
 
@@ -243,7 +236,7 @@ class TcpTransport : public Transport {
   const DeliveryCounters& counters() const { return counters_; }
 
   /// Outbound work not yet on the wire: queued frames, staged write-buffer
-  /// bytes, unacked relays. Zero is a necessary condition for this node's
+  /// bytes, unacked token sends. Zero is a necessary condition for this node's
   /// "quiet" claim.
   std::uint64_t outbound_pending() const;
 
@@ -336,47 +329,10 @@ class TcpTransport : public Transport {
     std::atomic<bool> shutdown_acked{false};
   };
 
-  // --- failure-token dissemination (src/scale/overlay.h) ---------------
-  // The origin relays one kTokenRelay per top-level subtree; each head
-  // delivers locally, re-splits the rest with the same fanout, and acks
-  // only once its WHOLE subtree acked. Retry-until-acked + a fallback
-  // re-split around unresponsive heads make the broadcast reliable. All
-  // state under tokens_mu_.
-
-  /// One outstanding kTokenRelay this node sent (origin or interior).
-  struct RelayTask {
-    std::uint32_t dst_node = 0;
-    OutMsg msg;               // prebuilt envelope frame; retries clone refs
-    Envelope env;             // template for the fallback rebuild
-    std::vector<std::uint32_t> subtree;
+  /// One kToken awaiting its destination's kTokenAck (under tokens_mu_).
+  struct TokenSend {
+    OutMsg msg;  // prebuilt envelope frame; retries clone the refs
     SimTime next_retry = 0;
-    std::uint32_t attempts = 0;
-    bool fallback_done = false;
-    std::uint64_t agg = 0;    // owning aggregation id
-  };
-
-  /// One covering duty being aggregated: the origin broadcast itself, or
-  /// an incoming relay whose requester waits for our subtree ack.
-  struct RelayAgg {
-    bool has_requester = false;
-    std::uint32_t requester_node = 0;
-    /// Requester incarnation at the time the relay arrived. The completion
-    /// receipt is keyed and echoed with THIS epoch, never the peer's
-    /// current one: a requester that respawned mid-coverage reuses relay
-    /// ids, and a stale receipt stamped with the new epoch would falsely
-    /// complete one of the new incarnation's relays.
-    std::uint64_t requester_epoch = 0;
-    std::uint64_t requester_relay_id = 0;
-    std::size_t pending = 0;  // outstanding child RelayTasks
-  };
-
-  /// Coverage state of an incoming relay we accepted: done=false while our
-  /// subtree is still being covered (duplicates wait), done=true once
-  /// acked (duplicates re-ack). `at` is refreshed on every touch so the
-  /// periodic sweep only forgets entries no requester retries any more.
-  struct RelayDone {
-    bool done = false;
-    SimTime at = 0;
   };
 
   /// An accepted connection whose hello has not arrived yet.
@@ -394,8 +350,8 @@ class TcpTransport : public Transport {
   /// frames are subject to the backpressure cap; returns false when
   /// dropped.
   bool queue_to_peer(std::uint32_t node, OutMsg msg);
-  /// Head-only OutMsg for a control envelope (hello/ack/status/shutdown/
-  /// relay).
+  /// Head-only OutMsg for a control envelope (hello/status/shutdown/token
+  /// and their acks).
   static OutMsg control_msg(const Envelope& e);
 
   // IO-thread internals.
@@ -414,18 +370,13 @@ class TcpTransport : public Transport {
   /// number of frames newly staged.
   std::size_t flush_peer(Peer& p);
   void update_partition_masks();
-  /// Re-send unacked relays (splitting around silent heads) and sweep idle
-  /// relay dedupe entries.
-  void retry_relays();
+  /// Re-send every unacked token whose retry time has come.
+  void retry_tokens();
   bool link_blocked_now(std::uint32_t peer_node) const;
   void update_interest(Peer& p);
 
-  /// Create + queue one RelayTask under an aggregation. Caller holds
-  /// tokens_mu_.
-  void start_relay_locked(const scale::RelayAssignment& chunk,
-                          const Envelope& tmpl, std::uint64_t agg_id);
-  void process_token_relay(Peer& p, Envelope& e);
-  void process_relay_ack(const Envelope& e);
+  void process_token(Peer& p, Envelope& e);
+  void process_token_ack(const Peer& p, const Envelope& e);
   /// Stage an OutMsg whose delta field is set: encode the message against
   /// the connection codec and build the head/payload refs in place.
   void materialize_delta(Peer& p, OutMsg& m);
@@ -455,36 +406,25 @@ class TcpTransport : public Transport {
   std::atomic<bool> io_running_{false};
   std::atomic<bool> stop_{false};
 
-  /// Relay bookkeeping: the ONLY shared state left behind a lock — it is
+  /// Unacked token sends: the ONLY shared state left behind a lock — it is
   /// touched a handful of times per failure, not per message; the hot path
   /// never takes tokens_mu_.
-  mutable std::mutex tokens_mu_;
-  std::map<std::uint64_t, RelayTask> relay_tasks_;       // by our relay id
-  std::map<std::uint64_t, RelayAgg> relay_aggs_;         // by aggregation id
-  /// Incoming relays by (requester node, requester incarnation epoch,
-  /// requester relay id). The epoch is load-bearing: a SIGKILLed+respawned
-  /// requester restarts its relay-id counter, so without it the previous
-  /// incarnation's entries would swallow the new incarnation's first
-  /// broadcasts (stale instant re-ack, token never delivered). Acked
-  /// entries are swept after kRelayDoneRetention of idleness.
-  std::map<std::tuple<std::uint32_t, std::uint64_t, std::uint64_t>, RelayDone>
-      relay_done_;
-  /// Local-delivery dedupe for relayed tokens, keyed by the ORIGIN's
-  /// (node, epoch) -> broadcast seqs (relays arrive via interior nodes, so
-  /// no per-connection state can cover them). Epochs superseded by a newer
-  /// incarnation of the same origin are dropped.
+  std::mutex tokens_mu_;
+  /// By (destination node, token seq).
+  std::map<std::pair<std::uint32_t, std::uint64_t>, TokenSend> token_sends_;
+  std::uint64_t next_token_seq_ = 1;  // tokens_mu_
+  /// token_sends_.size() mirror for the lock-free quiescence read.
+  std::atomic<std::uint64_t> tokens_pending_{0};
+  /// Token seqs received, by (sending node, that connection's hello epoch)
+  /// (IO-thread-only). The epoch is load-bearing: a SIGKILLed+respawned
+  /// node restarts its seqs at 1, and without it the previous
+  /// incarnation's set would swallow the new incarnation's first tokens.
+  /// A node's older epochs are dropped once a newer one sends a token.
   std::map<std::pair<std::uint32_t, std::uint64_t>,
-           std::unordered_set<std::uint64_t>> relay_delivered_;
-  std::uint64_t next_token_seq_ = 1;                     // tokens_mu_
-  std::uint64_t next_relay_id_ = 1;                      // tokens_mu_
-  std::uint64_t next_agg_id_ = 1;                        // tokens_mu_
-  SimTime relay_prune_at_ = 0;                           // tokens_mu_
-  /// Fault-delay stream for relay traffic (per-chunk relay delays and the
-  /// per-pid local delivery delays at interior heads — paths where no
-  /// sending worker's RNG is on the stack). Guarded by tokens_mu_.
-  Rng relay_rng_;
-  /// relay_tasks_.size() mirror for the lock-free quiescence read.
-  std::atomic<std::uint64_t> relay_pending_{0};
+           std::unordered_set<std::uint64_t>> tokens_seen_;
+  /// Fault-delay stream for the local copies of received tokens, where no
+  /// sending worker's RNG is on the stack (IO-thread-only).
+  Rng token_rng_;
   /// Bytes staged in connection sendqs (IO thread updates; pure gauge).
   std::atomic<std::uint64_t> outbuf_bytes_{0};
 

@@ -63,7 +63,7 @@ struct TcpFaultConfig {
   /// Worker-side backoff while the receiving process is down (the park-and-
   /// retry loop of the reliable transport model).
   SimTime retry_interval = millis(2);
-  /// Re-send period for token relays that have not been acked yet.
+  /// Re-send period for kTokens that have not been acked yet.
   SimTime token_retry = millis(25);
   /// Reconnect backoff bounds (exponential, doubling from min to max).
   SimTime reconnect_min = millis(10);

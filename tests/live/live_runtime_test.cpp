@@ -222,9 +222,8 @@ TEST(LiveRuntimeTest, InjectedDuplicatesAreFiltered) {
 }
 
 TEST(LiveTransportTest, BroadcastFanoutDeliversToAllPeersOffCallerThread) {
-  // Unit test of the sharded broadcast: the caller returns immediately
-  // (accounting done synchronously), the fan-out thread does the pushes,
-  // and every channel except the announcer's ends up with the token frame.
+  // Unit test of the broadcast: the announcing caller pushes one shared
+  // token frame into every channel except its own.
   LiveClock clock;
   LiveFaultConfig faults;
   faults.min_delay = 0;
@@ -247,8 +246,6 @@ TEST(LiveTransportTest, BroadcastFanoutDeliversToAllPeersOffCallerThread) {
   token.failed = {1, 7};
   transport.broadcast_token(token);
 
-  // tokens_sent is bumped before the handoff, so in-flight is immediately
-  // visible even if the fan-out thread has not run yet.
   EXPECT_EQ(transport.counters().stats().tokens_sent, kN - 1);
   Rng rng(9);
   for (ProcessId pid = 0; pid < kN; ++pid) {

@@ -81,9 +81,9 @@ TEST(TcpCluster, FourNodeCrashRecoveryWithPartitionStaysConsistent) {
 
   const AuditReport report = audit_trace(cluster.trace()->events());
   EXPECT_TRUE(report.ok()) << report.summary();
-  // Cross-node failure announcements really went down the relay tree.
+  // Cross-node failure announcements really went out as kTokens.
   EXPECT_GT(result.net.tokens_delivered, 0u);
-  EXPECT_GT(result.tcp.relays_tx, 0u);
+  EXPECT_GT(result.tcp.tokens_tx, 0u);
 }
 
 TEST(TcpCluster, DuplicateAndDropInjectionSurvivesTheFilters) {

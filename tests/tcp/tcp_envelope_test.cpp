@@ -41,19 +41,33 @@ TEST(Envelope, RoundTripsEveryKind) {
     EXPECT_EQ(d.wire, e.wire);
   }
   {
-    // The ack must carry BOTH the relay id and the epoch echo: a requester
+    Envelope e;
+    e.kind = EnvelopeKind::kToken;
+    e.src_node = 1;
+    e.token_seq = 9;
+    e.src_pid = 3;
+    e.wire = {2, 4, 6};
+    const Envelope d = decode_envelope(encode_envelope(e));
+    EXPECT_EQ(d.kind, EnvelopeKind::kToken);
+    EXPECT_EQ(d.src_node, 1u);
+    EXPECT_EQ(d.token_seq, 9u);
+    EXPECT_EQ(d.src_pid, 3u);
+    EXPECT_EQ(d.wire, e.wire);
+  }
+  {
+    // The ack must carry BOTH the token seq and the epoch echo: a sender
     // ignores acks stamped with a previous incarnation's epoch, so an ack
     // that loses the epoch on the wire would be ignored forever and the
-    // relay would retry until the time cap.
+    // token would retry until the time cap.
     Envelope e;
-    e.kind = EnvelopeKind::kRelayAck;
+    e.kind = EnvelopeKind::kTokenAck;
     e.src_node = 2;
     e.epoch = 0xdeadbeefull;
-    e.relay_id = 42;
+    e.token_seq = 42;
     const Envelope d = decode_envelope(encode_envelope(e));
-    EXPECT_EQ(d.kind, EnvelopeKind::kRelayAck);
+    EXPECT_EQ(d.kind, EnvelopeKind::kTokenAck);
     EXPECT_EQ(d.epoch, 0xdeadbeefull);
-    EXPECT_EQ(d.relay_id, 42u);
+    EXPECT_EQ(d.token_seq, 42u);
   }
   {
     Envelope e;
@@ -148,10 +162,10 @@ TEST(EnvelopeReader, ReassemblesByteAtATimeAndBackToBack) {
   a.epoch = 5;
   a.cluster = "c";
   Envelope b;
-  b.kind = EnvelopeKind::kRelayAck;
+  b.kind = EnvelopeKind::kTokenAck;
   b.src_node = 2;
   b.epoch = 9;
-  b.relay_id = 77;
+  b.token_seq = 77;
 
   Bytes stream = frame_envelope(a);
   const Bytes second = frame_envelope(b);
@@ -166,8 +180,8 @@ TEST(EnvelopeReader, ReassemblesByteAtATimeAndBackToBack) {
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].kind, EnvelopeKind::kHello);
   EXPECT_EQ(got[0].epoch, 5u);
-  EXPECT_EQ(got[1].kind, EnvelopeKind::kRelayAck);
-  EXPECT_EQ(got[1].relay_id, 77u);
+  EXPECT_EQ(got[1].kind, EnvelopeKind::kTokenAck);
+  EXPECT_EQ(got[1].token_seq, 77u);
   EXPECT_EQ(reader.buffered(), 0u);
 }
 

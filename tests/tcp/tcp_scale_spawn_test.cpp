@@ -1,7 +1,7 @@
 // Respawn regression for the fleet-scale transport paths: a real
 // multi-process fleet (optrec_node --spawn), whose connections always run
-// the delta clock piggyback and hierarchical token dissemination, where
-// one node is SIGKILLed mid-run and respawned warm from disk.
+// the delta clock piggyback and carry failure tokens straight to every
+// node, where one node is SIGKILLed mid-run and respawned warm from disk.
 //
 // This is the transport-level half of the reused-send-seq hazard the codec
 // test (DeltaCodecTest.RebirthWithReusedSeqsDecodesByteExact) covers in
@@ -51,9 +51,10 @@ TEST(TcpScaleSpawn, KillNineRespawnKeepsDeltaAndRelayFleetClean) {
   }
 
   // Fold every node's metrics JSON: the fleet quiesced (exit 0 above), the
-  // respawn was warm, delta frames and relays actually flowed, and no
-  // stream ever desynchronised into a protocol error.
-  std::uint64_t delta_frames = 0, relays = 0, protocol_errors = 0;
+  // respawn was warm, delta frames and kTokens actually flowed, every node
+  // sent one kToken per remote node per broadcast, and no stream ever
+  // desynchronised into a protocol error.
+  std::uint64_t delta_frames = 0, tokens = 0, protocol_errors = 0;
   std::uint64_t warm = 0;
   for (int node = 0; node < 4; ++node) {
     std::ifstream in(metrics + ".node" + std::to_string(node));
@@ -64,14 +65,19 @@ TEST(TcpScaleSpawn, KillNineRespawnKeepsDeltaAndRelayFleetClean) {
     const JsonValue* tcp = root.find("tcp");
     ASSERT_NE(tcp, nullptr) << text.str();
     delta_frames += tcp->u64_or("delta_frames_tx", 0);
-    relays += tcp->u64_or("relays_tx", 0);
+    tokens += tcp->u64_or("tokens_tx", 0);
+    const JsonValue* net = root.find("network");
+    ASSERT_NE(net, nullptr) << text.str();
+    EXPECT_EQ(tcp->u64_or("tokens_tx", 0),
+              3 * net->u64_or("token_broadcasts", 0))
+        << "node " << node;
     protocol_errors += tcp->u64_or("protocol_errors", 0);
     if (const JsonValue* durable = root.find("durable")) {
       warm += durable->u64_or("warm_recovered", 0);
     }
   }
   EXPECT_GT(delta_frames, 0u);
-  EXPECT_GT(relays, 0u);  // the kill forced a hierarchical announcement
+  EXPECT_GT(tokens, 0u);  // the kill forced a failure announcement
   EXPECT_EQ(protocol_errors, 0u);
   EXPECT_GE(warm, 1u) << "respawn fell back to a cold crash-announce";
 }

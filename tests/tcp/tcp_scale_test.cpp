@@ -1,10 +1,9 @@
 // Fleet-scale TCP integration tests (docs/SCALING.md): the delta clock
-// piggyback over real connections and hierarchical failure-token
-// dissemination, validated by the same shared causality oracle every
-// cluster test uses. The codec- and overlay-level properties live in
-// tests/scale/; these tests prove the TRANSPORT integration — the part
-// where encode order, connection lifecycle and relay acks could diverge
-// from the models.
+// piggyback over real connections and failure tokens sent straight to
+// every node, validated by the same shared causality oracle every cluster
+// test uses. The codec-level properties live in tests/scale/; these tests
+// prove the TRANSPORT integration — the part where encode order,
+// connection lifecycle and token acks could diverge from the models.
 #include <gtest/gtest.h>
 
 #include "src/tcp/tcp_cluster.h"
@@ -86,10 +85,9 @@ TEST(TcpScale, DeltaPiggybackSurvivesCrashesDropsAndDuplicates) {
 }
 
 TEST(TcpScale, HierarchicalTokenDisseminationReachesEveryone) {
-  // Fanout 2 over 4 nodes: the origin sends 2 relays and interior heads
-  // forward — fewer envelopes at the origin than one per remote node, and
-  // every process still gets the token (quiescence + oracle prove
-  // delivery).
+  // Every broadcast sends one kToken to each of the 3 remote nodes, and
+  // no node forwards a token it did not announce; every process still gets
+  // the token (quiescence + oracle prove delivery).
   TcpClusterConfig config = base_config();
   config.process.retransmit_on_failure = true;
   config.crashes.push_back({millis(30), 2});
@@ -110,18 +108,22 @@ TEST(TcpScale, HierarchicalTokenDisseminationReachesEveryone) {
       << "first violation: " << (violations.empty() ? "" : violations[0]);
   const AuditReport report = audit_trace(cluster.trace()->events());
   EXPECT_TRUE(report.ok()) << report.summary();
-  // Relays actually carried the broadcasts; every remote process received
+  // kTokens actually carried the broadcasts; every remote process received
   // its copy (logical sends all delivered, nothing stuck unacked).
-  EXPECT_GT(result.tcp.relays_tx, 0u);
+  EXPECT_GT(result.tcp.tokens_tx, 0u);
   EXPECT_GT(result.net.tokens_delivered, 0u);
   EXPECT_EQ(result.net.tokens_sent, result.net.tokens_delivered);
+  for (std::size_t node = 0; node < result.per_node.size(); ++node) {
+    const TcpNodeResult& r = result.per_node[node];
+    EXPECT_EQ(r.tcp.tokens_tx, (config.nodes - 1) * r.net.token_broadcasts)
+        << "node " << node;
+  }
 }
 
 TEST(TcpScale, HierarchicalDisseminationSurvivesPartition) {
-  // A partition splits the relay tree mid-broadcast: heads inside the far
-  // group are unreachable until heal. Retry-until-acked plus the fallback
-  // re-split must still cover every node — the run cannot quiesce before
-  // every subtree acked.
+  // A partition cuts the fleet mid-broadcast: nodes in the far group are
+  // unreachable until heal. Retry-until-acked must still cover every node
+  // — the run cannot quiesce before every node acked.
   TcpClusterConfig config = base_config();
   config.process.retransmit_on_failure = true;
   config.crashes.push_back({millis(30), 2});
@@ -137,7 +139,7 @@ TEST(TcpScale, HierarchicalDisseminationSurvivesPartition) {
   EXPECT_EQ(result.exit_code, 0);
   EXPECT_TRUE(result.quiesced);
   EXPECT_TRUE(cluster.oracle()->check_consistency().empty());
-  EXPECT_GT(result.tcp.relays_tx, 0u);
+  EXPECT_GT(result.tcp.tokens_tx, 0u);
   EXPECT_EQ(result.net.tokens_sent, result.net.tokens_delivered);
 }
 
@@ -159,7 +161,7 @@ TEST(TcpScale, DeltaAndHierarchicalComposeUnderFaults) {
   EXPECT_TRUE(cluster.oracle()->check_consistency().empty());
   EXPECT_LE(result.metrics.max_rollbacks_per_process_per_failure(), 1u);
   EXPECT_GT(result.tcp.delta_frames_tx, 0u);
-  EXPECT_GT(result.tcp.relays_tx, 0u);
+  EXPECT_GT(result.tcp.tokens_tx, 0u);
 }
 
 TEST(TcpScale, TunedGcReclaimsStorageOnTheTcpPath) {

@@ -1,14 +1,16 @@
-// Socket-level tests for TcpTransport: delivery, token relay retry/dedupe,
-// reconnect backoff, scripted partition masking, hostile nested frames, and
-// the poller backends — all over real loopback sockets with ephemeral or
-// pid-derived fixed ports.
+// Socket-level tests for TcpTransport: delivery, token retry/dedupe/acks,
+// reconnect backoff, scripted partition masking, hostile nested frames and
+// spoofed control envelopes, and the poller backends — all over real
+// loopback sockets with ephemeral or pid-derived fixed ports.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <memory>
@@ -94,9 +96,9 @@ TEST(TcpTransport, DeliversAppMessagesAcrossNodes) {
 
 TEST(TcpTransport, RetriedTokensDedupeToSingleDelivery) {
   // Zero retry interval + a receiver whose IO thread starts late: the
-  // sender's relay goes into the kernel-accepted socket and is then
+  // sender's kToken goes into the kernel-accepted socket and is then
   // re-sent every IO tick until the receiver comes up and acks. All
-  // copies but the first must be suppressed by the relay dedupe.
+  // copies but the first must be suppressed by the receiver's dedupe.
   TcpFaultConfig faults;
   faults.min_delay = 0;
   faults.max_delay = micros(100);
@@ -118,7 +120,7 @@ TEST(TcpTransport, RetriedTokensDedupeToSingleDelivery) {
   // No second copy ever surfaces.
   EXPECT_FALSE(pair.pop(*pair.b, 1, millis(200)).has_value());
 
-  // The ack must eventually clear the outstanding relay.
+  // The ack must eventually clear the outstanding send.
   const SimTime deadline = pair.clock.now() + seconds(2);
   while (pair.a->outbound_pending() != 0 && pair.clock.now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -227,12 +229,11 @@ TEST(TcpTransport, BackpressureCapIsExactAndDropsAreAccounted) {
 }
 
 TEST(TcpTransport, RespawnedOriginReusedRelayIdsStillDisseminate) {
-  // Regression: the head's relay dedupe must be keyed by the requester's
-  // incarnation epoch. A SIGKILLed+respawned origin restarts both its
-  // relay-id and token-seq counters at 1; keyed by (node, relay id) alone,
-  // the surviving head would match the dead incarnation's acked entry,
-  // instantly re-ack, and never deliver the new failure token — orphans in
-  // its subtree would never learn to roll back.
+  // Regression: the receiver's token dedupe must be keyed by the sender's
+  // incarnation epoch. A SIGKILLed+respawned origin restarts its token-seq
+  // counter at 1; keyed by (node, seq) alone, the surviving receiver would
+  // match the dead incarnation's entry, ack, and never deliver the new
+  // failure token — its orphans would never learn to roll back.
   TcpTopology topo = TcpTopology::loopback(2, 2);
   topo.faults.min_delay = 0;
   topo.faults.max_delay = micros(100);
@@ -265,8 +266,8 @@ TEST(TcpTransport, RespawnedOriginReusedRelayIdsStillDisseminate) {
     ASSERT_TRUE(frame.has_value());
     EXPECT_TRUE(frame->token);
     b.counters().note_delivered_token();
-    // Wait for the relay ack, so the head has marked the first broadcast's
-    // relay id covered before the origin dies.
+    // Wait for the ack, so the receiver has recorded the first broadcast's
+    // token seq before the origin dies.
     const SimTime deadline = clock.now() + seconds(2);
     while (a.outbound_pending() != 0 && clock.now() < deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -274,8 +275,8 @@ TEST(TcpTransport, RespawnedOriginReusedRelayIdsStillDisseminate) {
     EXPECT_EQ(a.outbound_pending(), 0u);
   }  // kill-9 stand-in: the origin vanishes with all its transport state
 
-  // The respawned incarnation deterministically reuses relay id 1 and
-  // token seq 1 toward the same head.
+  // The respawned incarnation deterministically reuses token seq 1 toward
+  // the same receiver.
   TcpTransport a2(clock, topo, 0, /*seed=*/7, /*epoch=*/2000);
   a2.set_peer_port(1, b.listen_port());
   a2.start();
@@ -285,14 +286,14 @@ TEST(TcpTransport, RespawnedOriginReusedRelayIdsStillDisseminate) {
   auto frame = pop_b(seconds(2));
   ASSERT_TRUE(frame.has_value())
       << "post-respawn broadcast swallowed by the previous incarnation's "
-         "relay state";
+         "dedupe state";
   EXPECT_TRUE(frame->token);
   b.counters().note_delivered_token();
   const Frame decoded = decode_frame(frame->wire.bytes());
   ASSERT_EQ(decoded.type, FrameType::kToken);
   EXPECT_EQ(decoded.token.failed.ver, 2u);
   EXPECT_EQ(b.tcp_stats().protocol_errors, 0u);
-  // The origin's tracked relay must complete through the real ack path.
+  // The origin's tracked send must complete through the real ack path.
   const SimTime deadline = clock.now() + seconds(2);
   while (a2.outbound_pending() != 0 && clock.now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -337,6 +338,46 @@ bool closed_by_peer(int fd) {
   }
 }
 
+/// Next envelope of `kind` on a raw connection (other kinds are skipped),
+/// or nullopt if none completes within `wait_ms`; 0 takes only what has
+/// already arrived.
+std::optional<Envelope> next_envelope(int fd, EnvelopeReader& reader,
+                                      EnvelopeKind kind, int wait_ms = 2000) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(wait_ms);
+  for (;;) {
+    while (auto body = reader.next()) {
+      Envelope e = decode_envelope(*body);
+      if (e.kind == kind) return e;
+    }
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, static_cast<int>(std::max<std::int64_t>(
+                            0, left.count()))) <= 0) {
+      return std::nullopt;
+    }
+    std::uint8_t buf[4096];
+    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    if (n <= 0) return std::nullopt;
+    reader.feed(buf, static_cast<std::size_t>(n));
+  }
+}
+
+/// Dial `t` posing as `node` of `topo`: the hello is sent, nothing read.
+int dial_as(const TcpTransport& t, const TcpTopology& topo,
+            std::uint32_t node) {
+  const int fd = dial_loopback(t.listen_port());
+  if (fd < 0) return fd;
+  Envelope hello;
+  hello.kind = EnvelopeKind::kHello;
+  hello.src_node = node;
+  hello.epoch = 1;
+  hello.cluster = topo.cluster;
+  send_all(fd, frame_envelope(hello));
+  return fd;
+}
+
 TEST(TcpTransport, MalformedNestedFramesDropTheConnectionNotTheNode) {
   // Regression: workers decode nested frames without an error handler, so
   // a nested frame that is not what its envelope promises must be refused
@@ -356,15 +397,15 @@ TEST(TcpTransport, MalformedNestedFramesDropTheConnectionNotTheNode) {
   wire.src_pid = 0;
   wire.dst_pid = 1;
   wire.app = true;
-  Envelope relay;
-  relay.kind = EnvelopeKind::kTokenRelay;
-  relay.epoch = 1;
-  relay.token_seq = 1;
-  relay.relay_id = 1;
-  relay.src_pid = 0;
-  relay.subtree = {1};
+  Envelope token_env;
+  token_env.kind = EnvelopeKind::kToken;
+  token_env.token_seq = 1;
+  token_env.src_pid = 0;
   Token token;
   token.from = 0;
+  // Node 0 may announce only the failures of the processes it hosts.
+  Token foreign;
+  foreign.from = 1;
   Message misaddressed = app_message(0, 1, 1);
   misaddressed.dst = 0;
   // The receive path indexes a clock by pid: one with neither 0 nor n
@@ -381,20 +422,18 @@ TEST(TcpTransport, MalformedNestedFramesDropTheConnectionNotTheNode) {
   cases.back().second.wire = encode_message_frame(misaddressed);
   cases.emplace_back("kWire: 1-entry clock in a 2-process fleet", wire);
   cases.back().second.wire = encode_message_frame(short_clock);
-  cases.emplace_back("kTokenRelay: message frame", relay);
+  cases.emplace_back("kToken: message frame", token_env);
   cases.back().second.wire = encode_message_frame(app_message(0, 1, 2));
-  cases.emplace_back("kTokenRelay: truncated token", relay);
+  cases.emplace_back("kToken: truncated token", token_env);
   cases.back().second.wire = {0x02, 0xff};
+  cases.emplace_back("kToken: another node's process", token_env);
+  cases.back().second.src_pid = 1;
+  cases.back().second.wire = encode_token_frame(foreign);
 
   std::uint64_t errors = 0;
   for (const auto& [what, envelope] : cases) {
-    const int fd = dial_loopback(b.listen_port());
+    const int fd = dial_as(b, topo, 0);
     ASSERT_GE(fd, 0);
-    Envelope hello;
-    hello.kind = EnvelopeKind::kHello;
-    hello.epoch = 1;
-    hello.cluster = topo.cluster;
-    send_all(fd, frame_envelope(hello));
     send_all(fd, frame_envelope(envelope));
     EXPECT_TRUE(closed_by_peer(fd)) << what;
     ::close(fd);
@@ -403,6 +442,143 @@ TEST(TcpTransport, MalformedNestedFramesDropTheConnectionNotTheNode) {
   EXPECT_FALSE(
       b.channel(1).pop_ready(clock, clock.now() + millis(50), rng).has_value())
       << "a malformed frame reached a worker's channel";
+}
+
+TEST(TcpTransport, TokenAckFromAnotherNodeLeavesTheSendPending) {
+  // An ack clears only the send addressed to the node whose connection
+  // carried it. Node 2 broadcasts to raw peers posing as nodes 0 and 1;
+  // node 1 acks the token seq node 0 was sent. Node 1's send is done, but
+  // node 0's must stay pending and keep being retried until node 0 acks.
+  TcpTopology topo = TcpTopology::loopback(3, 3);
+  topo.faults.min_delay = 0;
+  topo.faults.max_delay = 0;
+  topo.faults.token_retry = millis(5);
+  LiveClock clock;
+  TcpTransport t(clock, topo, 2, /*seed=*/7, /*epoch=*/900);
+  t.start();
+  int fds[2];
+  EnvelopeReader readers[2];
+  for (std::uint32_t node = 0; node < 2; ++node) {
+    fds[node] = dial_as(t, topo, node);
+    ASSERT_GE(fds[node], 0);
+  }
+
+  Token token;
+  token.from = 2;
+  token.failed = FtvcEntry{1, 0};
+  t.broadcast_token(token);
+  const auto sent = next_envelope(fds[0], readers[0], EnvelopeKind::kToken);
+  ASSERT_TRUE(sent.has_value());
+  Envelope ack;
+  ack.kind = EnvelopeKind::kTokenAck;
+  ack.src_node = 1;
+  ack.epoch = t.epoch();
+  ack.token_seq = sent->token_seq;
+  send_all(fds[1], frame_envelope(ack));
+
+  // Let the ack land, then forget every copy sent before it did.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (int i = 0; i < 2; ++i) {
+    while (next_envelope(fds[i], readers[i], EnvelopeKind::kToken, 0)) {
+    }
+  }
+  const auto retried = next_envelope(fds[0], readers[0], EnvelopeKind::kToken);
+  ASSERT_TRUE(retried.has_value()) << "node 1's ack cleared node 0's send";
+  EXPECT_EQ(retried->token_seq, sent->token_seq);
+  EXPECT_FALSE(
+      next_envelope(fds[1], readers[1], EnvelopeKind::kToken, 100).has_value())
+      << "node 1's own send survived its ack";
+  EXPECT_NE(t.outbound_pending(), 0u);
+
+  ack.src_node = 0;
+  send_all(fds[0], frame_envelope(ack));
+  const SimTime deadline = clock.now() + seconds(2);
+  while (t.outbound_pending() != 0 && clock.now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(t.outbound_pending(), 0u);
+  EXPECT_EQ(t.tcp_stats().tokens_tx, 2u);
+  EXPECT_EQ(t.tcp_stats().acks_rx, 2u);
+  EXPECT_EQ(t.tcp_stats().protocol_errors, 0u);
+  for (int fd : fds) ::close(fd);
+}
+
+TEST(TcpTransport, SpoofedStatusAndShutdownDropTheConnection) {
+  // Control envelopes speak only for their own connection. A status that
+  // names another node could report it quiet and let the coordinator shut
+  // the fleet down with work in flight; a shutdown from anyone but the
+  // coordinator (node 0) would stop a node; and only the coordinator
+  // collects shutdown acks. Each drops the connection as a protocol error.
+  TcpTopology topo = TcpTopology::loopback(3, 3);
+  LiveClock clock;
+  TcpTransport coordinator(clock, topo, 0, /*seed=*/7);
+  TcpTransport node1(clock, topo, 1, /*seed=*/7);
+  coordinator.start();
+  node1.start();
+
+  NodeStatusReport quiet;
+  quiet.node = 1;
+  quiet.quiet = true;
+  Envelope spoofed_status;
+  spoofed_status.kind = EnvelopeKind::kStatus;
+  spoofed_status.src_node = 2;
+  spoofed_status.status = quiet;
+  Envelope shutdown;
+  shutdown.kind = EnvelopeKind::kShutdown;
+  shutdown.src_node = 2;
+  Envelope shutdown_ack;
+  shutdown_ack.kind = EnvelopeKind::kShutdownAck;
+  shutdown_ack.src_node = 2;
+
+  struct Case {
+    const char* what;
+    TcpTransport* target;
+    Envelope envelope;
+  };
+  const Case cases[] = {
+      {"status naming node 1 from node 2", &coordinator, spoofed_status},
+      {"shutdown from node 2", &coordinator, shutdown},
+      {"shutdown from node 2", &node1, shutdown},
+      {"shutdown ack at node 1", &node1, shutdown_ack},
+  };
+  for (const Case& c : cases) {
+    const std::uint64_t errors = c.target->tcp_stats().protocol_errors;
+    const int fd = dial_as(*c.target, topo, 2);
+    ASSERT_GE(fd, 0);
+    send_all(fd, frame_envelope(c.envelope));
+    EXPECT_TRUE(closed_by_peer(fd)) << c.what;
+    ::close(fd);
+    EXPECT_EQ(c.target->tcp_stats().protocol_errors, errors + 1) << c.what;
+  }
+  EXPECT_FALSE(coordinator.peer_statuses()[1].has_value());
+  std::uint8_t code = 0;
+  EXPECT_FALSE(coordinator.shutdown_received(&code));
+  EXPECT_FALSE(node1.shutdown_received(&code));
+
+  // The same envelopes on their own connections are honoured: node 2's own
+  // status reaches the coordinator, and node 0's shutdown stops node 1,
+  // which acks it.
+  const int from2 = dial_as(coordinator, topo, 2);
+  quiet.node = 2;
+  spoofed_status.status = quiet;
+  send_all(from2, frame_envelope(spoofed_status));
+  const int from0 = dial_as(node1, topo, 0);
+  shutdown.src_node = 0;
+  shutdown.exit_code = 4;
+  send_all(from0, frame_envelope(shutdown));
+  EnvelopeReader reader;
+  EXPECT_TRUE(
+      next_envelope(from0, reader, EnvelopeKind::kShutdownAck).has_value());
+  EXPECT_TRUE(node1.shutdown_received(&code));
+  EXPECT_EQ(code, 4u);
+  const SimTime deadline = clock.now() + seconds(2);
+  while (!coordinator.peer_statuses()[2].has_value() &&
+         clock.now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_TRUE(coordinator.peer_statuses()[2].has_value());
+  ::close(from2);
+  ::close(from0);
 }
 
 TEST(Poller, ReportsReadableWritableAndHangupOnBothBackends) {
