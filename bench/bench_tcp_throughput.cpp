@@ -1,16 +1,18 @@
-// TCP-backend throughput/latency bench.
+// Runtime throughput/latency bench over loopback TcpCluster fleets.
 //
-// Like bench_live_throughput, but the fleet spans real loopback sockets:
-// an in-process TcpCluster (one TcpNode per node id, ephemeral ports, the
-// gossip quiescence protocol) instead of in-process channels. Every
-// protocol runs the same workload twice — failure-free, and with two
-// injected crashes — and we report wall-clock throughput, delivery-latency
-// percentiles, exact piggyback bytes per message, recovery time, and the
-// socket-layer counters (frames, bytes, token retries).
+// Not a google-benchmark microbenchmark: each measurement drives a real
+// fleet (one TcpNode per node id, ephemeral ports, the gossip quiescence
+// protocol), so one run IS the timed unit. With --nodes=1 one node hosts
+// every process and opens no peer socket: that fleet is the threads
+// backend. Every protocol runs the same workload twice — failure-free, and
+// with two injected crashes — and we report wall-clock throughput,
+// delivery-latency percentiles, exact piggyback bytes per message,
+// recovery time, and the socket-layer counters (frames, bytes, token
+// retries). A channel fan-in sweep follows (n = 2/5/17).
 //
 // Emits BENCH_tcp.json (override with --out=FILE) for CI artifact upload;
 // prints a human-readable table to stdout. Exits non-zero if any run fails
-// to quiesce, so CI catches TCP-backend regressions.
+// to quiesce, so CI catches runtime regressions.
 //
 // Topology-file mode (scripts/run_tcp_bench.sh drives it): --topology=FILE
 // skips the in-process sweep and instead runs the fleet the file describes
@@ -27,7 +29,7 @@
 #include <thread>
 #include <vector>
 
-#include "runtime_rows.h"
+#include "bench_util.h"
 #include "src/harness/failure_plan.h"
 #include "src/tcp/tcp_cluster.h"
 #include "src/util/json.h"
@@ -36,10 +38,52 @@ using namespace optrec;
 
 namespace {
 
-using Row = bench::RuntimeRow;
+/// The protocols the sweep compares.
+constexpr ProtocolKind kProtocols[] = {
+    ProtocolKind::kDamaniGarg,
+    ProtocolKind::kPessimistic,
+    ProtocolKind::kCoordinated,
+    ProtocolKind::kCascading,
+};
 
-Row with_tcp(Row row, const TcpTransport::TcpStats& tcp) {
-  row.tcp = true;
+/// One fleet run: a row of the tables and of the BENCH_tcp.json "results".
+struct Row {
+  const char* protocol = "";
+  const char* phase = "";
+  std::size_t producers = 0;  // per-channel fan-in: n - 1
+  bool quiesced = false;
+  std::uint64_t delivered = 0;
+  SimTime wall_us = 0;
+  double msgs_per_sec = 0;
+  bench::LatencySummary latency;
+  double piggyback_per_msg = 0;
+  double recovery_mean_us = 0;
+  double recovery_max_us = 0;
+  std::uint64_t rollbacks = 0;
+  std::uint64_t frames_tx = 0;
+  std::uint64_t bytes_tx = 0;
+  std::uint64_t token_retries = 0;
+};
+
+Row make_row(ProtocolKind protocol, const char* phase, std::size_t n,
+             bool quiesced, SimTime wall_us, const Metrics& m,
+             const telemetry::FixedHistogram& latency,
+             const TcpTransport::TcpStats& tcp) {
+  Row row;
+  row.protocol = protocol_name(protocol);
+  row.phase = phase;
+  row.producers = n - 1;
+  row.quiesced = quiesced;
+  row.delivered = m.messages_delivered;
+  row.wall_us = wall_us;
+  const double wall_s = static_cast<double>(wall_us) / 1e6;
+  row.msgs_per_sec =
+      wall_s > 0 ? static_cast<double>(row.delivered) / wall_s : 0.0;
+  row.latency = bench::LatencySummary::of(latency);
+  row.piggyback_per_msg = m.piggyback_per_message();
+  row.recovery_mean_us = m.restart_latency.mean();
+  row.recovery_max_us = m.restart_latency.max();
+  row.rollbacks = m.rollbacks;
   row.frames_tx = tcp.frames_tx;
   row.bytes_tx = tcp.bytes_tx;
   row.token_retries = tcp.token_retries;
@@ -69,11 +113,9 @@ Row run_one(ProtocolKind protocol, std::size_t n, std::size_t nodes,
 
   TcpCluster cluster(config);
   const TcpClusterResult result = cluster.run();
-  return with_tcp(
-      bench::runtime_row(protocol, crashes > 0 ? "crashes" : "failure_free", n,
-                         result.quiesced, result.wall_time, result.metrics,
-                         result.delivery_latency_us),
-      result.tcp);
+  return make_row(protocol, crashes > 0 ? "crashes" : "failure_free", n,
+                  result.quiesced, result.wall_time, result.metrics,
+                  result.delivery_latency_us, result.tcp);
 }
 
 Row row_of_node_results(ProtocolKind protocol, const char* phase,
@@ -89,14 +131,64 @@ Row row_of_node_results(ProtocolKind protocol, const char* phase,
     wall_us = std::max(wall_us, node.wall_time);
     metrics.merge_from(node.metrics);
     latency.merge_from(node.delivery_latency_us);
-    tcp.frames_tx += node.tcp.frames_tx;
-    tcp.bytes_tx += node.tcp.bytes_tx;
-    tcp.token_retries += node.tcp.token_retries;
+    add_counters(tcp, node.tcp);
   }
-  return with_tcp(
-      bench::runtime_row(protocol, phase, n, quiesced, wall_us, metrics,
-                         latency),
-      tcp);
+  return make_row(protocol, phase, n, quiesced, wall_us, metrics, latency,
+                  tcp);
+}
+
+/// The per-protocol table, then the fan-in sweep table when there is one.
+void print_tables(const std::vector<Row>& rows, const std::vector<Row>& fanin) {
+  const auto fmt = TablePrinter::fmt;
+  TablePrinter table({"protocol", "phase", "msgs/s", "p50 us", "p90 us",
+                      "p99 us", "piggyback B/msg", "recovery ms", "rollbacks",
+                      "tok-retry", "quiesced"});
+  for (const Row& r : rows) {
+    table.add_row({r.protocol, r.phase, fmt(r.msgs_per_sec, 0),
+                   fmt(r.latency.p50, 0), fmt(r.latency.p90, 0),
+                   fmt(r.latency.p99, 0), fmt(r.piggyback_per_msg, 1),
+                   fmt(r.recovery_mean_us / 1000.0, 2),
+                   std::to_string(r.rollbacks),
+                   std::to_string(r.token_retries),
+                   r.quiesced ? "yes" : "NO"});
+  }
+  table.print(std::cout);
+  if (fanin.empty()) return;
+
+  std::printf("\nchannel fan-in sweep (dg, failure-free):\n");
+  TablePrinter fanin_table({"producers/chan", "msgs/s", "p50 us", "p90 us",
+                            "p99 us", "quiesced"});
+  for (const Row& r : fanin) {
+    fanin_table.add_row({std::to_string(r.producers), fmt(r.msgs_per_sec, 0),
+                         fmt(r.latency.p50, 0), fmt(r.latency.p90, 0),
+                         fmt(r.latency.p99, 0), r.quiesced ? "yes" : "NO"});
+  }
+  fanin_table.print(std::cout);
+}
+
+/// The "results" array of BENCH_tcp.json.
+void write_rows(JsonWriter& w, const std::vector<Row>& rows) {
+  w.key("results").begin_array();
+  for (const Row& r : rows) {
+    w.begin_object();
+    w.kv("protocol", r.protocol);
+    w.kv("phase", r.phase);
+    w.kv("producers_per_channel", std::uint64_t{r.producers});
+    w.kv("quiesced", r.quiesced);
+    w.kv("messages_delivered", r.delivered);
+    w.kv("wall_time_us", r.wall_us);
+    w.kv("msgs_per_sec", r.msgs_per_sec);
+    bench::write_latency_fields(w, "delivery_latency", r.latency);
+    w.kv("piggyback_bytes_per_msg", r.piggyback_per_msg);
+    w.kv("recovery_mean_us", r.recovery_mean_us);
+    w.kv("recovery_max_us", r.recovery_max_us);
+    w.kv("rollbacks", r.rollbacks);
+    w.kv("tcp_frames_tx", r.frames_tx);
+    w.kv("tcp_bytes_tx", r.bytes_tx);
+    w.kv("tcp_token_retries", r.token_retries);
+    w.end_object();
+  }
+  w.end_array();
 }
 
 /// Run the fleet a topology file describes on its fixed ports: all nodes in
@@ -244,7 +336,7 @@ int main(int argc, char** argv) {
   std::printf("bench_tcp_throughput: n=%zu nodes=%zu seed=%llu crashes=%zu\n\n",
               n, nodes, (unsigned long long)seed, crashes);
 
-  for (ProtocolKind protocol : bench::kRuntimeProtocols) {
+  for (ProtocolKind protocol : kProtocols) {
     rows.push_back(run_one(protocol, n, nodes, seed, 0));
     rows.push_back(run_one(protocol, n, nodes, seed, crashes));
   }
@@ -260,7 +352,7 @@ int main(int argc, char** argv) {
   }
   }
 
-  bench::print_runtime_tables(rows, fanin_rows);
+  print_tables(rows, fanin_rows);
   rows.insert(rows.end(), fanin_rows.begin(), fanin_rows.end());
 
   std::ofstream os(out_file, std::ios::binary);
@@ -284,10 +376,17 @@ int main(int argc, char** argv) {
     w.kv("node", node_arg);
   }
   w.end_object();
-  bench::write_runtime_rows(w, rows);
+  write_rows(w, rows);
   w.end_object();
   os << "\n";
   os.flush();
   std::printf("\nwrote %s\n", out_file.c_str());
-  return bench::quiescence_gate(rows);
+  for (const Row& r : rows) {
+    if (!r.quiesced) {
+      std::fprintf(stderr, "FAIL: %s/%s did not quiesce\n", r.protocol,
+                   r.phase);
+      return 1;
+    }
+  }
+  return 0;
 }

@@ -41,12 +41,12 @@ struct FailurePlan {
                             bool concurrent = false);
 };
 
-/// Parse the CLI partition syntax shared by every runner (optrec_sim's
-/// scenarios, optrec_live, optrec_node): "AT_MS:HEAL_MS:G0/G1[/G2...]",
-/// each group a comma-separated id list — e.g. "100:400:0,1/2,3" splits
-/// {0,1} from {2,3} between t=100ms and t=400ms. Ids are process ids on the
-/// live backend and node ids on the TCP backend. Throws
-/// std::invalid_argument on malformed specs.
+/// Parse the CLI partition syntax shared by both runners (optrec_sim's
+/// scenarios, optrec_node): "AT_MS:HEAL_MS:G0/G1[/G2...]", each group a
+/// comma-separated id list — e.g. "100:400:0,1/2,3" splits {0,1} from
+/// {2,3} between t=100ms and t=400ms. Ids are process ids on the simulator
+/// and node ids on the TCP backend. Throws std::invalid_argument on
+/// malformed specs.
 PartitionEvent parse_partition_spec(const std::string& spec);
 
 }  // namespace optrec

@@ -184,7 +184,7 @@ struct Metrics {
   std::uint64_t progress_signature() const;
 
   /// Fold another Metrics object into this one (kFields rows add, stats
-  /// merge, attribution maps union). The live runtime gives each worker
+  /// merge, attribution maps union). WorkerHost gives each worker
   /// thread a private Metrics and merges them post-join, so the hot path
   /// never takes a lock on a shared counter block.
   void merge_from(const Metrics& other);

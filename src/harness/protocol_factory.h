@@ -1,9 +1,9 @@
 // Protocol registry: the one place that knows every recovery protocol.
 //
-// Both runners — the deterministic simulator harness (Scenario) and the live
-// threaded runtime (src/live/LiveRuntime) — construct processes through
-// make_protocol_process, so a protocol added here is immediately available
-// on either backend and in every CLI.
+// Both backends — the deterministic simulator harness (Scenario) and the
+// real-time worker threads (src/live/worker_host.h, under every TcpNode) —
+// construct processes through make_protocol_process, so a protocol added
+// here is immediately available on either backend and in every CLI.
 #pragma once
 
 #include <cstdint>

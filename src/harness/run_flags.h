@@ -1,8 +1,8 @@
 // Command-line plumbing shared by the tools in src/tools/.
 //
-// Flag spelling, value parsers and the usage-error exit serve all six
-// tools. RunFlags is the flag surface the three runners (optrec_sim,
-// optrec_live, optrec_node) share: a runner fills in its defaults,
+// Flag spelling, value parsers and the usage-error exit serve all five
+// tools. RunFlags is the flag surface the two runners (optrec_sim,
+// optrec_node) share: a runner fills in its defaults,
 // parse_run_flags() applies argv on top, validates it, and hands every
 // argument it does not own to the runner's backend-only handler. Usage
 // errors come back as values; the runner exits 2. After the run,
@@ -98,7 +98,7 @@ void announce_run(const char* backend, const RunFlags& flags);
 
 /// What a finished run hands to finish_run().
 struct RunReport {
-  std::string backend;  // "sim" | "live" | "tcp"
+  std::string backend;  // "sim" | "tcp"
   ProtocolKind protocol = ProtocolKind::kDamaniGarg;
   WorkloadSpec workload;
   std::size_t n = 0;

@@ -1,4 +1,4 @@
-// Real-time Clock backend for the live runtime.
+// Real-time Clock backend for the worker threads (src/live/, src/tcp/).
 //
 // SimTime on this backend means microseconds of wall time since the runtime
 // was constructed, measured on the monotonic clock. All live components

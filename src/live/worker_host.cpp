@@ -32,16 +32,10 @@ WorkerHost::WorkerHost(LiveClock& clock, Transport& transport,
         spec.protocol, RuntimeEnv(clock_, *w->timers, transport), pid, spec.n,
         factory(pid, spec.n), spec.process, w->metrics, spec.oracle);
     w->proc->set_trace(spec.trace);
-    if (spec.registry != nullptr) {
-      w->gauges =
-          std::make_unique<telemetry::ProcessGauges>(*spec.registry, pid);
-      w->latency = &spec.registry->histogram(
-          "optrec_delivery_latency_us", "Send-to-handler delivery latency",
-          {{"pid", std::to_string(pid)}});
-    } else {
-      w->own_latency = std::make_unique<telemetry::AtomicHistogram>();
-      w->latency = w->own_latency.get();
-    }
+    w->gauges = std::make_unique<telemetry::ProcessGauges>(*spec.registry, pid);
+    w->latency = &spec.registry->histogram(
+        "optrec_delivery_latency_us", "Send-to-handler delivery latency",
+        {{"pid", std::to_string(pid)}});
     by_pid_[pid] = w.get();
     workers_.push_back(std::move(w));
   }
@@ -75,11 +69,9 @@ void WorkerHost::sync_mirrors(Worker& w) {
   w.up.store(up, std::memory_order_release);
   w.pending.store(w.proc->pending_count(), std::memory_order_release);
   w.signature.store(w.metrics.progress_signature(), std::memory_order_release);
-  if (w.gauges) {
-    // Relaxed stores; the telemetry endpoint reads them from the IO thread.
-    w.gauges->update(w.metrics);
-    w.gauges->set_up(up);
-  }
+  // Relaxed stores; the telemetry endpoint reads them from the IO thread.
+  w.gauges->update(w.metrics);
+  w.gauges->set_up(up);
   if (w.durable) {
     w.durable->set_memory_stable_bytes(w.proc->storage().stable_bytes());
   }

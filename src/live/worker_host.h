@@ -1,12 +1,12 @@
-// WorkerHost: the per-process worker threads of the thread-backed runtimes.
+// WorkerHost: the per-process worker threads of the real-time backend.
 //
-// LiveRuntime (in-process channels) and TcpNode (sockets) host their
-// protocol processes the same way, and this class is that one way. Each
-// worker owns its process object (the same ProcessBase subclasses the
-// simulator hosts, built through src/harness/protocol_factory), a private
-// timer queue, a private Metrics block, and the consumer end of its
-// LiveChannel. The worker loop fires due timers, pops ready frames, and
-// hands decoded messages and tokens to the process.
+// Every TcpNode hosts its share of the protocol processes here, one OS
+// thread per process (a one-node fleet hosts them all). Each worker owns
+// its process object (the same ProcessBase subclasses the simulator hosts,
+// built through src/harness/protocol_factory), a private timer queue, a
+// private Metrics block, and the consumer end of its LiveChannel. The
+// worker loop fires due timers, pops ready frames, and hands decoded
+// messages and tokens to the process.
 //
 // Failure injection is real: a kCrash frame makes the worker call
 // ProcessBase::crash() and EXIT ITS THREAD. The owner's supervisor loop
@@ -20,12 +20,11 @@
 //
 // After every step a worker publishes is_up/pending/progress-signature
 // mirrors as atomics, so the supervisor never touches process internals
-// while threads run. Given a MetricsRegistry, each worker also mirrors its
-// Metrics into per-process gauges and records delivery latency into the
-// registry's optrec_delivery_latency_us{pid} histogram (a private one
-// otherwise). Given a DurableBackend, it mirrors the in-memory stable
-// footprint into the backend's counters for the scrape thread. The host
-// varies only by this data, never by which owner it serves.
+// while threads run. Each worker also mirrors its Metrics into per-process
+// gauges of the node's MetricsRegistry and records delivery latency into
+// the registry's optrec_delivery_latency_us{pid} histogram. Given a
+// DurableBackend, it mirrors the in-memory stable footprint into the
+// backend's counters for the scrape thread.
 #pragma once
 
 #include <atomic>
@@ -67,7 +66,7 @@ class WorkerHost {
     ProcessConfig process;
     CausalityOracle* oracle = nullptr;
     TraceRecorder* trace = nullptr;
-    /// Mirror target for gauges and latency; null = none.
+    /// Mirror target for gauges and latency (required).
     telemetry::MetricsRegistry* registry = nullptr;
     /// Upper bound on one worker wait, so mirrors refresh even when idle.
     SimTime max_block = millis(5);
@@ -85,11 +84,9 @@ class WorkerHost {
     std::unique_ptr<WorkerTimers> timers;
     std::unique_ptr<ProcessBase> proc;
     Metrics metrics;  // worker-private; merged post-join
-    /// Send-to-handler latency of every delivered frame (registry-owned,
-    /// or `own_latency` without a registry).
+    /// Send-to-handler latency of every delivered frame (registry-owned).
     telemetry::AtomicHistogram* latency = nullptr;
-    std::unique_ptr<telemetry::AtomicHistogram> own_latency;
-    std::unique_ptr<telemetry::ProcessGauges> gauges;  // registry only
+    std::unique_ptr<telemetry::ProcessGauges> gauges;
     /// Optional file-backed persistence, attached before spawn.
     std::unique_ptr<DurableBackend> durable;
     /// Storage was rebuilt from disk before spawn (the backend's

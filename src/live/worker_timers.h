@@ -1,4 +1,4 @@
-// Per-worker TimerService for the live runtime.
+// Per-worker TimerService for the real-time backend.
 //
 // Each live process owns one WorkerTimers; every schedule/cancel/fire runs
 // on that process's worker thread (or on threads sequenced with it by the

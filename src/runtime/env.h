@@ -1,16 +1,16 @@
 // Backend-neutral runtime services: Clock, TimerService, Transport.
 //
 // Protocol code (ProcessBase and its subclasses) talks to the outside world
-// only through these three interfaces, bundled into a RuntimeEnv. Three
+// only through these three interfaces, bundled into a RuntimeEnv. Two
 // backends implement them:
 //   * the discrete-event simulator (src/sim/Simulation is the Clock and the
 //     TimerService, src/net/Network is the Transport) — deterministic,
 //     single-threaded, seed-replayable;
-//   * the live runtime (src/live/) — one OS thread per process, real time,
-//     MPSC channels carrying wire-encoded frames;
-//   * the TCP backend (src/tcp/) — the same worker threads, but frames to
-//     remote processes cross real nonblocking sockets as length-delimited
-//     envelopes, so one fleet spans multiple OS processes or machines.
+//   * the real-time backend (src/tcp/ over the src/live/ substrate) — one
+//     OS thread per process, MPSC channels carrying wire-encoded frames,
+//     and frames to processes on other nodes crossing real nonblocking
+//     sockets as length-delimited envelopes, so one fleet spans multiple
+//     OS processes or machines. A one-node fleet opens no peer socket.
 // RuntimeEnv's method names mirror the Simulation/Network surface the
 // protocols were written against, so DgProcess and the baselines run
 // unmodified on either backend.

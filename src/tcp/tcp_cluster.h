@@ -4,13 +4,15 @@
 // per node id (binding resolves the kernel-picked ports), exchanges the
 // ports, and runs every node on its own supervisor thread over real
 // sockets. All nodes share one CausalityOracle and one TraceRecorder, so
-// tests and benches get the same cross-process validation the live
-// runtime has — something a multi-machine deployment can only approximate
-// by merging per-node traces after the fact.
+// tests and benches get the same cross-process validation the simulator
+// has — something a multi-machine deployment can only approximate by
+// merging per-node traces after the fact.
 //
 // This is the loopback configuration the TCP integration tests and
-// bench_tcp_throughput use; real multi-machine runs use tools/optrec_node
-// with a shared topology file instead.
+// bench_tcp_throughput use, and with nodes = 1 it is the threads backend:
+// one node hosts every process and opens no socket but its listener. Real
+// multi-machine runs use tools/optrec_node with a shared topology file
+// instead.
 #pragma once
 
 #include <cstdint>

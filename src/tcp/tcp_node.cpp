@@ -96,7 +96,7 @@ void TcpNode::attach_durable(WorkerHost::Worker& w) {
   // Warm recovery rebuilds the exact pre-kill storage, which the shared
   // oracle cannot follow across incarnations — in-process clusters with an
   // oracle attached always recover cold.
-  if (config_.recover && !config_.recover_cold && config_.oracle == nullptr) {
+  if (config_.recover && config_.oracle == nullptr) {
     w.warm = w.durable->recover_into(w.proc->storage()).warm;
   }
   if (!w.warm) w.durable->start_fresh();
@@ -329,7 +329,7 @@ TcpNode::~TcpNode() {
 
 bool TcpNode::local_quiet() const {
   return host_.quiet() && transport_.counters().frames_in_flight() == 0 &&
-         transport_.outbound_pending() == 0;
+         transport_.outbound_app_and_tokens() == 0;
 }
 
 void TcpNode::coordinate_shutdown(std::uint8_t exit_code, SimTime grace) {

@@ -1,34 +1,34 @@
 // TcpNode: one node's share of a TCP-backed recovery fleet.
 //
 // Hosts the protocol processes the topology assigns to this node, each as
-// a real OS thread (the same src/live/worker_host.h as LiveRuntime: private
-// timers, private metrics, crash = thread death + supervisor respawn),
-// wired to a TcpTransport instead of an in-process LiveTransport. A
-// cluster is one TcpNode per machine/process plus the topology file; the
-// in-process variant for tests and benches is src/tcp/tcp_cluster.h.
+// a real OS thread (src/live/worker_host.h: private timers, private
+// metrics, crash = thread death + supervisor respawn), wired to a
+// TcpTransport. A cluster is one TcpNode per machine/process plus the
+// topology file; the in-process variant for tests and benches is
+// src/tcp/tcp_cluster.h, and with one node it is the threads backend.
 //
-// Distributed quiescence: counters cannot be compared across machines the
-// way LiveRuntime compares them across threads (a killed node's counters
-// vanish), so the cluster settles by gossip instead. Every node folds its
-// local conditions — workers up, nothing pending, local frames handled,
-// outbound queues drained, no unacked tokens — into a NodeStatusReport and
-// streams it to node 0 (the coordinator) every status tick. The
-// coordinator declares quiescence when every node claims quiet on a fresh
-// report AND the cluster-wide progress signature has been stable for a
-// settle window, then broadcasts kShutdown (retried until acked) carrying
-// the exit code every node returns. A node that never hears a shutdown
-// exits 4 at its own time cap, so a dead coordinator cannot hang the
-// fleet.
+// Distributed quiescence: a killed node's counters vanish, so nodes do not
+// compare counters; the cluster settles by gossip instead. Every node
+// folds its local conditions — workers up, nothing pending, every local
+// app message and token handled, no app message queued for a peer, no
+// unacked token — into a NodeStatusReport and streams it to node 0 (the
+// coordinator) every status tick. Control messages (checkpoint markers,
+// stability vectors) do not hold the claim back, as in Scenario::run. The coordinator declares quiescence when
+// every node claims quiet on a fresh report AND the cluster-wide progress
+// signature has been stable for a settle window, then broadcasts kShutdown
+// (retried until acked) carrying the exit code every node returns. A node
+// that never hears a shutdown exits 4 at its own time cap, so a dead
+// coordinator cannot hang the fleet.
 //
 // Node-kill recovery: a respawned node runs with `recover = true`. With a
 // data dir, each local process is first rebuilt from its durable state
 // (latest checkpoint + WAL replay, src/durable/) and boots through the
 // restart path — announcing a failure token at the RESTORED point, so
 // peers only roll back what the disk genuinely lost. A pid with no usable
-// durable state (no data dir, corrupt files, or `recover_cold`) instead
-// crashes right after start(): the fresh incarnation announces a
-// version-0 failure token and the cluster absorbs the full "lost
-// everything since the initial checkpoint" failure.
+// durable state (no data dir, or corrupt files) instead crashes right
+// after start(): the fresh incarnation announces a version-0 failure token
+// and the cluster absorbs the full "lost everything since the initial
+// checkpoint" failure.
 #pragma once
 
 #include <atomic>
@@ -71,16 +71,13 @@ struct TcpNodeConfig {
   /// Respawned-after-kill mode. With a data dir, each local process is
   /// restored from its on-disk state (latest checkpoint + WAL replay) and
   /// announces its failure at the restored point; pids with no usable
-  /// durable state — and every pid when there is no data dir or
-  /// `recover_cold` is set — fall back to crash-announcing right after
-  /// start, the version-0 "lost everything" failure.
+  /// durable state — and every pid when there is no data dir — fall back
+  /// to crash-announcing right after start, the version-0 "lost
+  /// everything" failure.
   bool recover = false;
   /// Per-node durable storage root; each local pid persists under
   /// `<data_dir>/p<pid>`. Empty = in-memory stable storage only.
   std::string data_dir;
-  /// Ignore on-disk state on --recover: wipe and crash-announce every local
-  /// pid (the pre-durability behavior, kept as an explicit fallback).
-  bool recover_cold = false;
   SimTime time_cap = seconds(30);
   /// Cluster-signature stability window required before shutdown.
   SimTime settle = millis(150);

@@ -47,9 +47,9 @@ TcpTransport::TcpTransport(const LiveClock& clock, const TcpTopology& topo,
   channels_.resize(topo_.n);
   endpoints_.resize(topo_.n, nullptr);
   send_rng_.resize(topo_.n);
-  // Per-sender streams seeded like LiveTransport: fork() in pid order from
-  // one base RNG, so a process's fault stream is a function of (seed, pid),
-  // not of which node hosts it.
+  // Per-sender streams: fork() in pid order from one base RNG, so a
+  // process's fault stream is a function of (seed, pid), not of which node
+  // hosts it.
   Rng base(seed);
   for (ProcessId pid = 0; pid < topo_.n; ++pid) {
     Rng forked = base.fork();
@@ -164,7 +164,7 @@ void TcpTransport::push_local(ProcessId src, ProcessId dst, FrameRef wire,
   f.token = token;
   f.sent_at = clock_.now();
   f.not_before = f.sent_at + delay;
-  counters_.note_pushed();
+  counters_.note_pushed(app, token);
   channels_.at(dst)->push(std::move(f));
 }
 
@@ -318,6 +318,14 @@ std::uint64_t TcpTransport::outbound_pending() const {
   }
   pending += tokens_pending_.load(std::memory_order_acquire);
   return pending + outbuf_bytes_.load(std::memory_order_acquire);
+}
+
+std::uint64_t TcpTransport::outbound_app_and_tokens() const {
+  std::uint64_t pending = tokens_pending_.load(std::memory_order_acquire);
+  for (const auto& p : peers_) {
+    if (p != nullptr) pending += p->pending_app.load(std::memory_order_acquire);
+  }
+  return pending;
 }
 
 void TcpTransport::send_status(const NodeStatusReport& s) {
@@ -728,14 +736,16 @@ void TcpTransport::process_envelope(Peer& p, Envelope& e) {
       f.kind = LiveFrame::Kind::kWire;
       f.src = e.src_pid;
       f.wire = FramePool::global().wrap(std::move(e.wire));
-      f.app = e.app;
+      // From the decoded kind, not the envelope flag: the worker counts the
+      // delivery by the same kind, so a lying flag cannot skew in-flight.
+      f.app = m.kind == MessageKind::kApp;
       const SimTime now = clock_.now();
       const std::uint64_t unix_now = unix_micros();
       const std::uint64_t elapsed =
           unix_now > e.sent_unix_us ? unix_now - e.sent_unix_us : 0;
       f.sent_at = now > elapsed ? now - elapsed : 0;
       f.not_before = now + e.delay_us;
-      counters_.note_pushed();
+      counters_.note_pushed(f.app, /*token=*/false);
       channels_[e.dst_pid]->push(std::move(f));
       return;
     }

@@ -1,12 +1,14 @@
-// TCP Transport: the recovery fleet over real sockets.
+// TCP Transport: the recovery fleet in real time, over real sockets.
 //
-// The third Transport backend (after src/net/Network and src/live/
-// LiveTransport): one TcpTransport per NODE hosts the LiveChannel inboxes
-// of its local processes and exchanges length-delimited envelopes
-// (src/tcp/envelope.h) with every other node over nonblocking TCP. A
-// single IO thread per node owns all sockets through a Poller (epoll on
-// Linux, poll(2) elsewhere); worker threads only queue and poke the IO
-// thread through a wake pipe.
+// The real-time Transport backend (the simulator's is src/net/Network):
+// one TcpTransport per NODE hosts the LiveChannel inboxes of its local
+// processes and exchanges length-delimited envelopes (src/tcp/envelope.h)
+// with every other node over nonblocking TCP. A single IO thread per node
+// owns all sockets through a Poller (epoll on Linux, poll(2) elsewhere);
+// worker threads only queue and poke the IO thread through a wake pipe.
+// A one-node transport hosts every process and never opens a peer socket:
+// every frame goes straight into a local channel, which makes a one-node
+// fleet the threads backend.
 //
 // Topology: one connection per unordered node pair, dialed by the
 // lower-numbered node ("initiator") and re-dialed by it with exponential
@@ -53,9 +55,9 @@
 //     the coordinator status table (status_mu_) and the atomic counters.
 //   * The quiescence surface (send_status/peer_statuses/broadcast_shutdown/
 //     shutdown_received) is for the node supervisor thread.
-//   * queue_depths()/outbound_pending()/tcp_stats()/counters() read only
-//     atomics — the /metrics scrape path never contends with senders or
-//     the IO thread.
+//   * queue_depths()/outbound_pending()/outbound_app_and_tokens()/
+//     tcp_stats()/counters() read only atomics — the /metrics scrape path
+//     never contends with senders or the IO thread.
 #pragma once
 
 #include <array>
@@ -236,9 +238,13 @@ class TcpTransport : public Transport {
   const DeliveryCounters& counters() const { return counters_; }
 
   /// Outbound work not yet on the wire: queued frames, staged write-buffer
-  /// bytes, unacked token sends. Zero is a necessary condition for this node's
-  /// "quiet" claim.
+  /// bytes, unacked token sends. The node drains it before closing sockets.
   std::uint64_t outbound_pending() const;
+  /// The outbound share of this node's quiet claim: app frames queued for a
+  /// peer plus unacked token sends. Control frames (checkpoint markers,
+  /// stability vectors, statuses, acks) are left out, as they are from
+  /// counters().frames_in_flight().
+  std::uint64_t outbound_app_and_tokens() const;
 
   // --- quiescence protocol (node supervisor thread) -------------------
   /// Queue a status report to the coordinator (node 0). No-op on node 0.

@@ -50,11 +50,12 @@ struct TcpNodeSpec {
   std::vector<ProcessId> processes;
 };
 
-/// Fault plan of the TCP transport. Delay/drop/dup mirror LiveFaultConfig;
-/// the rest is socket-specific (reconnect backoff, token ack retry,
-/// outbound backpressure). Partition groups name NODES, not processes —
-/// co-located processes can never be split, which is what a real network
-/// partition looks like.
+/// Fault plan of the TCP transport: injected delay, drop and duplicate
+/// draws from each sending process's own stream, plus the socket settings
+/// (reconnect backoff, token ack retry, outbound backpressure). Partition
+/// groups name NODES, not processes — co-located processes can never be
+/// split, which is what a real network partition looks like; a
+/// per-process partition runs one process per node.
 struct TcpFaultConfig {
   SimTime min_delay = micros(50);
   SimTime max_delay = millis(2);

@@ -95,7 +95,7 @@ void write_recovery_timeline_json(std::ostream& os,
 
 /// Write the report's fields into an object the caller has already begun —
 /// the shared shape embedded under "recovery_timeline" in --metrics-json
-/// output (optrec_sim/optrec_live/optrec_node) and in the BENCH file.
+/// output (optrec_sim/optrec_node) and in the BENCH file.
 void write_recovery_timeline_fields(JsonWriter& w,
                                     const RecoveryTimelineReport& report);
 

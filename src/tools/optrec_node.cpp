@@ -26,12 +26,15 @@
 //                (the respawned child runs --recover=warm: it rebuilds from
 //                DIR/node-1 and announces its failure at the restored point)
 //
-// Takes the run flags shared with optrec_sim and optrec_live, plus the
-// TCP-only flags; "Run flags" in README.md lists both with defaults and
-// validation. Partition groups (--partition=AT_MS:HEAL_MS:G0/G1) are NODE
-// ids here. --oracle and --audit need every process in one address space,
-// so they are valid only with --node=all. --spawn returns the worst
-// child's exit code.
+// Takes the run flags shared with optrec_sim, plus the TCP-only flags;
+// "Run flags" in README.md lists both with defaults and validation.
+// --tcp-nodes=1 puts every process on one node: no peer socket opens, and
+// the run is the threads backend. Partition groups
+// (--partition=AT_MS:HEAL_MS:G0/G1) are NODE ids here; a per-process
+// partition runs one process per node (--tcp-nodes=N --processes=N).
+// --oracle and --audit need every process in one address space, so they
+// are valid only with --node=all. --spawn returns the worst child's exit
+// code.
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -97,7 +100,6 @@ struct NodeFlags {
   std::string topology_file;
   std::string node_arg = "all";
   bool recover = false;
-  bool recover_cold = false;
   std::string data_dir;
   SimTime settle = TcpClusterConfig{}.settle;
   SimTime status_interval = TcpClusterConfig{}.status_interval;
@@ -136,9 +138,8 @@ bool parse_node_flag(const char* arg, NodeFlags& nf, RunFlags& flags) {
     nf.node_arg = v;
   } else if (parse_flag(arg, "--recover", &v)) {
     nf.recover = true;
-    nf.recover_cold = v == "cold";
-    if (!v.empty() && v != "warm" && v != "cold") {
-      throw UsageError("--recover wants no value, =warm, or =cold");
+    if (!v.empty() && v != "warm") {
+      throw UsageError("--recover wants no value or =warm");
     }
   } else if (parse_flag(arg, "--data-dir", &v)) {
     nf.data_dir = non_empty(v, "--data-dir wants a directory");
@@ -273,11 +274,11 @@ std::uint64_t unix_micros() {
 /// --spawn: fork a child running `--node=K` with the given base argv plus
 /// per-node extras (trace file, metrics file).
 pid_t spawn_child(const std::vector<std::string>& base_args,
-                  std::uint32_t node, bool recover, bool recover_cold,
+                  std::uint32_t node, bool recover,
                   const std::vector<std::string>& extra) {
   std::vector<std::string> args = base_args;
   args.push_back("--node=" + std::to_string(node));
-  if (recover) args.push_back(recover_cold ? "--recover=cold" : "--recover");
+  if (recover) args.push_back("--recover");
   args.insert(args.end(), extra.begin(), extra.end());
   const pid_t pid = ::fork();
   if (pid < 0) die("fork failed");
@@ -295,12 +296,11 @@ pid_t spawn_child(const std::vector<std::string>& base_args,
 
 int run_spawn_harness(const std::vector<std::string>& base_args,
                       std::size_t tcp_nodes, std::vector<KillSpec> kills,
-                      bool verbose, bool recover_cold,
+                      bool verbose,
                       const std::vector<std::vector<std::string>>& extra) {
   std::vector<pid_t> child(tcp_nodes, -1);
   for (std::uint32_t k = 0; k < tcp_nodes; ++k) {
-    child[k] = spawn_child(base_args, k, /*recover=*/false, recover_cold,
-                           extra[k]);
+    child[k] = spawn_child(base_args, k, /*recover=*/false, extra[k]);
   }
 
   // Apply the kill/respawn schedule in event-time order.
@@ -329,7 +329,7 @@ int run_spawn_harness(const std::vector<std::string>& base_args,
                      event.node);
       }
       child[event.node] =
-          spawn_child(base_args, event.node, /*recover=*/true, recover_cold,
+          spawn_child(base_args, event.node, /*recover=*/true,
                       extra[event.node]);
     } else {
       if (verbose) {
@@ -557,7 +557,7 @@ int main(int argc, char** argv) {
       }
     }
     return run_spawn_harness(child_args, nf.tcp_nodes, nf.kills,
-                             flags.verbose, nf.recover_cold, extra);
+                             flags.verbose, extra);
   }
 
   if (!nf.write_topology_file.empty()) {
@@ -592,7 +592,6 @@ int main(int argc, char** argv) {
     if (!nf.recover) nc.crashes = crash_plan;
     nc.recover = nf.recover;
     nc.data_dir = nf.data_dir;
-    nc.recover_cold = nf.recover_cold;
     nc.time_cap = flags.time_cap;
     nc.settle = nf.settle;
     nc.status_interval = nf.status_interval;

@@ -7,8 +7,8 @@
 //   optrec_sim --protocol=damani-garg --n=6 --workload=bank
 //              --crashes=2 --seed=7 --retransmit --verbose
 //
-// Takes the run flags shared with optrec_live and optrec_node ("Run flags"
-// in README.md: spelling, defaults, validation, exit codes), plus two
+// Takes the run flags shared with optrec_node ("Run flags" in README.md:
+// spelling, defaults, validation, exit codes), plus two
 // simulator-only switches:
 //   --fifo             FIFO channels (default: arbitrary reordering)
 //   --concurrent       make the --crashes simultaneous

@@ -133,7 +133,7 @@ std::uint64_t trace_digest(const std::vector<TraceEvent>& events);
 /// network hold a non-owning pointer (null when tracing is disabled, which
 /// keeps the hot path allocation- and branch-cheap: a single pointer test).
 ///
-/// emit() is thread-safe so worker threads of the live runtime can share one
+/// emit() is thread-safe so the worker threads of a fleet can share one
 /// recorder; the seq stamped under the lock gives the total order the
 /// auditor replays. The read accessors are NOT synchronized — call them only
 /// after the run (single-threaded simulator, or post-join on the live

@@ -2,8 +2,8 @@
 //
 // Frames what the simulator passes around as structs into self-describing
 // varint-encoded byte strings, so piggyback overhead is measured in real
-// serialized bytes and the live runtime (src/live/) can move traffic through
-// channels as flat buffers, the way a socket transport would.
+// serialized bytes and worker threads (src/live/) can move traffic through
+// channels as flat buffers, the same bytes a socket carries.
 //
 // Frame layout:   [type u8] [body] [telemetry trailer]
 //   kMessage body = Message::encode  (headers, optional FTVC, payload);

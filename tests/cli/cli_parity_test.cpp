@@ -1,5 +1,5 @@
-// CLI parity: optrec_sim, optrec_live and optrec_node share one run-flag
-// parser and one --metrics-json emitter. These tests exec the real
+// CLI parity: optrec_sim and optrec_node share one run-flag parser and one
+// --metrics-json emitter. These tests exec the real
 // binaries (paths injected by CMake) exactly as a user would.
 #include <sys/wait.h>
 
@@ -19,13 +19,11 @@
 namespace optrec {
 namespace {
 
-#if defined(OPTREC_SIM_BIN) && defined(OPTREC_LIVE_BIN) && \
-    defined(OPTREC_NODE_BIN)
+#if defined(OPTREC_SIM_BIN) && defined(OPTREC_NODE_BIN)
 
 namespace fs = std::filesystem;
 
-const char* const kRunners[] = {OPTREC_SIM_BIN, OPTREC_LIVE_BIN,
-                                OPTREC_NODE_BIN};
+const char* const kRunners[] = {OPTREC_SIM_BIN, OPTREC_NODE_BIN};
 
 /// Run `bin args` with its output discarded; returns the exit code.
 int run(const std::string& bin, const std::string& args) {
@@ -102,7 +100,7 @@ TEST(CliParity, MalformedFlagsExitTwoOnEveryRunner) {
   EXPECT_EQ(run(OPTREC_SIM_BIN, "--protocol=no-recovery"), 0);
 }
 
-#endif  // OPTREC_SIM_BIN && OPTREC_LIVE_BIN && OPTREC_NODE_BIN
+#endif  // OPTREC_SIM_BIN && OPTREC_NODE_BIN
 
 }  // namespace
 }  // namespace optrec

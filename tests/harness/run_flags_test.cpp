@@ -1,5 +1,5 @@
 // Unit tests for the shared run-flag parser (src/harness/run_flags.h): the
-// validation optrec_sim, optrec_live and optrec_node all inherit.
+// validation optrec_sim and optrec_node both inherit.
 #include "src/harness/run_flags.h"
 
 #include <gtest/gtest.h>

@@ -1,11 +1,13 @@
 // In-process TCP cluster integration tests: whole fleets over loopback
 // sockets with crash + partition injection, validated by the shared
-// causality oracle and the trace auditor — the TCP analogue of
-// tests/live/live_runtime_test.cpp.
+// causality oracle and the trace auditor. One-node fleets (the threads
+// backend) are in tests/live/one_node_fleet_test.cpp; a per-process
+// partition here runs one process per node.
 #include <gtest/gtest.h>
 
 #include "src/tcp/tcp_cluster.h"
 #include "src/trace/trace_auditor.h"
+#include "tests/support/oracle_checks.h"
 
 namespace optrec {
 namespace {
@@ -49,11 +51,51 @@ TEST(TcpCluster, FaultFreeRunQuiescesWithBalancedStats) {
   EXPECT_EQ(result.metrics.crashes, 0u);
 }
 
+/// Four processes, one per node, running the small smoke workload: node
+/// partitions are process partitions.
+TcpClusterConfig one_process_per_node(std::uint64_t seed) {
+  TcpClusterConfig config = base_config();
+  config.n = 4;
+  config.nodes = 4;
+  config.seed = seed;
+  config.workload.intensity = 4;
+  config.workload.depth = 24;
+  config.process.flush_interval = millis(8);
+  config.process.checkpoint_interval = millis(30);
+  config.enable_oracle = true;
+  config.enable_trace = true;
+  config.time_cap = seconds(20);
+  return config;
+}
+
+/// Runs a crash + partition fleet and checks that it quiesces, passes the
+/// causality oracle and the trace auditor, leaves zero orphans, and rolls
+/// back at most once per process per failure.
+void expect_recovers_consistently(const TcpClusterConfig& config) {
+  TcpCluster cluster(config);
+  const TcpClusterResult result = cluster.run();
+  EXPECT_EQ(result.exit_code, 0);
+  EXPECT_TRUE(result.quiesced);
+  EXPECT_EQ(result.metrics.crashes, config.crashes.size());
+  EXPECT_EQ(result.metrics.restarts, config.crashes.size());
+  EXPECT_LE(result.metrics.max_rollbacks_per_process_per_failure(), 1u);
+
+  const std::vector<std::string> violations =
+      cluster.oracle()->check_consistency();
+  EXPECT_TRUE(violations.empty())
+      << "first violation: " << (violations.empty() ? "" : violations[0]);
+  expect_no_double_delivery(*cluster.oracle());
+
+  const AuditReport report = audit_trace(cluster.trace()->events());
+  EXPECT_TRUE(report.ok()) << report.summary();
+  // Cross-node failure announcements really went out as kTokens.
+  EXPECT_GT(result.net.tokens_delivered, 0u);
+  EXPECT_GT(result.tcp.tokens_tx, 0u);
+}
+
 TEST(TcpCluster, FourNodeCrashRecoveryWithPartitionStaysConsistent) {
-  // The PR's acceptance scenario: a 4-node loopback fleet running DG with
-  // two injected crashes and one scripted partition/heal must quiesce,
-  // pass the causality oracle and the trace auditor, leave zero orphans,
-  // and roll back at most once per process per failure.
+  // The acceptance scenario: a 4-node loopback fleet running DG with two
+  // injected crashes and one scripted partition/heal.
   TcpClusterConfig config = base_config();
   config.process.retransmit_on_failure = true;
   config.crashes.push_back({millis(30), 2});
@@ -65,25 +107,66 @@ TEST(TcpCluster, FourNodeCrashRecoveryWithPartitionStaysConsistent) {
   config.faults.partitions.push_back(part);
   config.enable_oracle = true;
   config.enable_trace = true;
+  expect_recovers_consistently(config);
+}
 
+TEST(TcpCluster, CrashDuringPartitionStillRecovers) {
+  // One process per node: a crash on one side while the partition splits
+  // the processes {0,1} | {2,3}.
+  TcpClusterConfig config = one_process_per_node(108);
+  config.crashes = {{millis(30), 2}};
+  PartitionEvent split;
+  split.at = millis(10);
+  split.heal_at = millis(160);
+  split.groups = {{0, 1}, {2, 3}};
+  config.faults.partitions.push_back(split);
+  expect_recovers_consistently(config);
+}
+
+TEST(TcpCluster, ScriptedPartitionHoldsCrossGroupTrafficUntilHeal) {
+  TcpClusterConfig config = one_process_per_node(107);
+  // Cut early, while the causal web is still being seeded, so cross-group
+  // traffic is guaranteed to be in flight when the partition lands.
+  PartitionEvent split;
+  split.at = millis(10);
+  split.heal_at = millis(180);
+  split.groups = {{0, 1}, {2, 3}};
+  config.faults.partitions.push_back(split);
   TcpCluster cluster(config);
   const TcpClusterResult result = cluster.run();
-  EXPECT_EQ(result.exit_code, 0);
+
+  // The counter workload's causal web crosses the cut, so the run cannot
+  // quiesce before the heal — and must still quiesce cleanly after it.
   EXPECT_TRUE(result.quiesced);
-  EXPECT_EQ(result.metrics.crashes, 2u);
-  EXPECT_EQ(result.metrics.restarts, 2u);
-  EXPECT_LE(result.metrics.max_rollbacks_per_process_per_failure(), 1u);
+  EXPECT_GE(result.wall_time, split.heal_at);
+  EXPECT_EQ(cluster.oracle()->check_consistency(),
+            std::vector<std::string>{});
+  expect_no_double_delivery(*cluster.oracle());
+}
 
-  const std::vector<std::string> violations =
-      cluster.oracle()->check_consistency();
-  EXPECT_TRUE(violations.empty())
-      << "first violation: " << (violations.empty() ? "" : violations[0]);
-
-  const AuditReport report = audit_trace(cluster.trace()->events());
-  EXPECT_TRUE(report.ok()) << report.summary();
-  // Cross-node failure announcements really went out as kTokens.
-  EXPECT_GT(result.net.tokens_delivered, 0u);
-  EXPECT_GT(result.tcp.tokens_tx, 0u);
+TEST(TcpCluster, FailureFreeCoordinatedRunQuiescesPromptly) {
+  // Coordinated checkpointing keeps a marker round in flight every
+  // checkpoint interval, long after the application traffic is done. A
+  // node's quiet claim waits only on app messages and tokens (as
+  // Scenario::run does), so the fleet settles right after the workload
+  // instead of waiting for a gap between marker rounds.
+  for (const std::size_t nodes : {std::size_t{1}, std::size_t{4}}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE("nodes=" + std::to_string(nodes) +
+                   " seed=" + std::to_string(seed));
+      TcpClusterConfig config = base_config();
+      config.nodes = nodes;
+      config.seed = seed;
+      config.protocol = ProtocolKind::kCoordinated;
+      config.enable_oracle = false;
+      config.time_cap = seconds(3);
+      TcpCluster cluster(config);
+      const TcpClusterResult result = cluster.run();
+      EXPECT_TRUE(result.quiesced);
+      EXPECT_EQ(result.exit_code, 0);
+      EXPECT_GT(result.metrics.control_messages_sent, 0u);
+    }
+  }
 }
 
 TEST(TcpCluster, DuplicateAndDropInjectionSurvivesTheFilters) {

@@ -1,7 +1,8 @@
 // Socket-level tests for TcpTransport: delivery, token retry/dedupe/acks,
 // reconnect backoff, scripted partition masking, hostile nested frames and
 // spoofed control envelopes, and the poller backends — all over real
-// loopback sockets with ephemeral or pid-derived fixed ports.
+// loopback sockets with ephemeral or pid-derived fixed ports — plus a
+// one-node transport, which opens no peer socket at all.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -92,6 +93,55 @@ TEST(TcpTransport, DeliversAppMessagesAcrossNodes) {
   // Both sides: exactly one established connection for the pair.
   EXPECT_EQ(pair.a->tcp_stats().connects, 1u);
   EXPECT_EQ(pair.b->tcp_stats().accepts, 1u);
+}
+
+TEST(TcpTransport, OneNodeBroadcastReachesEveryLocalChannelButTheSender) {
+  // One node hosts all six processes: the announcing caller pushes one
+  // shared token frame into every channel except its own, and nothing goes
+  // near a socket.
+  constexpr std::size_t kN = 6;
+  LiveClock clock;
+  TcpTopology topo = TcpTopology::loopback(kN, 1);
+  topo.faults.min_delay = 0;
+  topo.faults.max_delay = 0;
+  TcpTransport transport(clock, topo, 0, /*seed=*/5);
+
+  struct NullEndpoint : Endpoint {
+    bool is_up() const override { return true; }
+    void on_message(const Message&) override {}
+    void on_token(const Token&) override {}
+  };
+  NullEndpoint endpoints[kN];
+  for (ProcessId pid = 0; pid < kN; ++pid) {
+    transport.attach(pid, &endpoints[pid]);
+  }
+  transport.start();
+
+  Token token;
+  token.from = 2;
+  token.failed = {1, 7};
+  transport.broadcast_token(token);
+
+  EXPECT_EQ(transport.counters().stats().tokens_sent, kN - 1);
+  Rng rng(9);
+  for (ProcessId pid = 0; pid < kN; ++pid) {
+    if (pid == token.from) continue;
+    auto frame = transport.channel(pid).pop_ready(
+        clock, clock.now() + seconds(5), rng);
+    ASSERT_TRUE(frame.has_value()) << "no token reached P" << pid;
+    EXPECT_TRUE(frame->token);
+    const Frame decoded = decode_frame(frame->wire.bytes());
+    ASSERT_EQ(decoded.type, FrameType::kToken);
+    EXPECT_EQ(decoded.token.from, token.from);
+    EXPECT_EQ(decoded.token.failed, token.failed);
+    transport.counters().note_delivered_token();
+  }
+  EXPECT_EQ(transport.counters().frames_in_flight(), 0u);
+  EXPECT_EQ(transport.counters().stats().tokens_delivered, kN - 1);
+  EXPECT_EQ(transport.channel(token.from).size(), 0u);
+  EXPECT_EQ(transport.outbound_pending(), 0u);
+  EXPECT_EQ(transport.tcp_stats().tokens_tx, 0u);
+  EXPECT_EQ(transport.tcp_stats().frames_tx, 0u);
 }
 
 TEST(TcpTransport, RetriedTokensDedupeToSingleDelivery) {
@@ -442,6 +492,73 @@ TEST(TcpTransport, MalformedNestedFramesDropTheConnectionNotTheNode) {
   EXPECT_FALSE(
       b.channel(1).pop_ready(clock, clock.now() + millis(50), rng).has_value())
       << "a malformed frame reached a worker's channel";
+}
+
+TEST(TcpTransport, ReceivedFramesAreCountedByTheirDecodedKind) {
+  // The quiet claim counts app messages only, pushed on arrival and handed
+  // over by the worker, which goes by the decoded message kind. The
+  // envelope's app flag comes from the peer, so the IO thread must not
+  // trust it: a mislabelled frame would leave the count off for good.
+  TcpTopology topo = TcpTopology::loopback(2, 2);
+  topo.faults.min_delay = 0;
+  topo.faults.max_delay = 0;
+  LiveClock clock;
+  Rng rng(99);
+  TcpTransport b(clock, topo, 1, /*seed=*/7);
+  b.start();
+  const int fd = dial_as(b, topo, 0);
+  ASSERT_GE(fd, 0);
+
+  Message control = app_message(0, 1, 2);
+  control.kind = MessageKind::kControl;
+  Envelope wire;
+  wire.kind = EnvelopeKind::kWire;
+  wire.src_pid = 0;
+  wire.dst_pid = 1;
+  wire.app = false;  // a lie: an app message
+  wire.wire = encode_message_frame(app_message(0, 1, 1));
+  send_all(fd, frame_envelope(wire));
+  wire.app = true;  // a lie: a control message
+  wire.wire = encode_message_frame(control);
+  send_all(fd, frame_envelope(wire));
+
+  for (int i = 0; i < 2; ++i) {
+    auto frame = b.channel(1).pop_ready(clock, clock.now() + seconds(2), rng);
+    ASSERT_TRUE(frame.has_value());
+    const Frame decoded = decode_frame(frame->wire.bytes());
+    ASSERT_EQ(decoded.type, FrameType::kMessage);
+    const bool app = decoded.message.kind == MessageKind::kApp;
+    EXPECT_EQ(frame->app, app);
+    b.counters().note_delivered_message(app);
+  }
+  EXPECT_EQ(b.counters().frames_in_flight(), 0u);
+  EXPECT_EQ(b.tcp_stats().protocol_errors, 0u);
+  ::close(fd);
+}
+
+TEST(TcpTransport, QuietClaimCountsQueuedAppFramesAndUnackedTokensOnly) {
+  // Node 0's IO thread never starts, so everything it sends stays queued.
+  // A queued control frame (a checkpoint marker, say) is outbound work but
+  // not part of the quiet claim; an app frame and an unacked token are.
+  TcpTopology topo = TcpTopology::loopback(2, 2);
+  LiveClock clock;
+  TcpTransport t(clock, topo, 0, /*seed=*/7);
+
+  Message marker = app_message(0, 1, 1);
+  marker.kind = MessageKind::kControl;
+  t.send(marker);
+  EXPECT_EQ(t.outbound_pending(), 1u);
+  EXPECT_EQ(t.outbound_app_and_tokens(), 0u);
+
+  t.send(app_message(0, 1, 2));
+  EXPECT_EQ(t.outbound_app_and_tokens(), 1u);
+
+  Token token;
+  token.from = 0;
+  token.failed = FtvcEntry{0, 3};
+  t.broadcast_token(token);
+  EXPECT_EQ(t.outbound_app_and_tokens(), 2u);
+  EXPECT_GT(t.outbound_pending(), t.outbound_app_and_tokens());
 }
 
 TEST(TcpTransport, TokenAckFromAnotherNodeLeavesTheSendPending) {
