@@ -1,6 +1,8 @@
-#include "src/explore/case_mutator.h"
-
+// The schedule kind's search moves: generation, mutation and the shrink
+// candidates.
 #include <algorithm>
+
+#include "src/explore/explore_case.h"
 
 namespace optrec {
 
@@ -40,25 +42,25 @@ void sort_crashes(FailurePlan& plan) {
 
 }  // namespace
 
-ExploreCase random_case(const CaseGenOptions& options, Rng& rng) {
+ExploreCase ScheduleKind::generate(Rng& rng) const {
   ExploreCase c;
-  c.scenario = options.base;
+  c.scenario = gen.base;
   c.scenario.schedule_hook = nullptr;  // installed per-run, never inherited
   c.scenario.seed = rng.next_u64();
   c.schedule.seed = rng.next_u64();
 
   c.schedule.reorder_prob = rng.chance(0.75) ? rng.uniform01() * 0.5 : 0.0;
   c.schedule.max_extra_delay =
-      c.schedule.reorder_prob > 0 ? rng.uniform(options.max_extra_delay + 1) : 0;
+      c.schedule.reorder_prob > 0 ? rng.uniform(gen.max_extra_delay + 1) : 0;
   c.schedule.drop_prob =
-      rng.chance(0.5) ? rng.uniform01() * options.max_drop_prob : 0.0;
+      rng.chance(0.5) ? rng.uniform01() * gen.max_drop_prob : 0.0;
   c.schedule.dup_prob =
-      rng.chance(0.35) ? rng.uniform01() * options.max_dup_prob : 0.0;
+      rng.chance(0.35) ? rng.uniform01() * gen.max_dup_prob : 0.0;
 
   c.scenario.failures = FailurePlan::none();
-  const std::size_t crashes = rng.uniform(options.max_crashes + 1);
+  const std::size_t crashes = rng.uniform(gen.max_crashes + 1);
   for (std::size_t k = 0; k < crashes; ++k) {
-    c.scenario.failures.crashes.push_back(random_crash(options, rng));
+    c.scenario.failures.crashes.push_back(random_crash(gen, rng));
   }
   // Concurrent failures are a headline paper scenario: sometimes align them.
   if (crashes >= 2 && rng.chance(0.3)) {
@@ -68,15 +70,14 @@ ExploreCase random_case(const CaseGenOptions& options, Rng& rng) {
   }
   sort_crashes(c.scenario.failures);
 
-  const std::size_t partitions = rng.uniform(options.max_partitions + 1);
+  const std::size_t partitions = rng.uniform(gen.max_partitions + 1);
   for (std::size_t k = 0; k < partitions; ++k) {
-    c.scenario.failures.partitions.push_back(random_partition(options, rng));
+    c.scenario.failures.partitions.push_back(random_partition(gen, rng));
   }
   return c;
 }
 
-ExploreCase mutate_case(const ExploreCase& parent,
-                        const CaseGenOptions& options, Rng& rng) {
+ExploreCase ScheduleKind::mutate(const ExploreCase& parent, Rng& rng) const {
   ExploreCase c = parent;
   c.scenario.schedule_hook = nullptr;
   const std::size_t edits = 1 + rng.uniform(3);
@@ -91,21 +92,21 @@ ExploreCase mutate_case(const ExploreCase& parent,
       case 2:
         c.schedule.reorder_prob = rng.uniform01() * 0.5;
         if (c.schedule.max_extra_delay == 0) {
-          c.schedule.max_extra_delay = rng.uniform(options.max_extra_delay + 1);
+          c.schedule.max_extra_delay = rng.uniform(gen.max_extra_delay + 1);
         }
         break;
       case 3:
-        c.schedule.max_extra_delay = rng.uniform(options.max_extra_delay + 1);
+        c.schedule.max_extra_delay = rng.uniform(gen.max_extra_delay + 1);
         break;
       case 4:
-        c.schedule.drop_prob = rng.uniform01() * options.max_drop_prob;
+        c.schedule.drop_prob = rng.uniform01() * gen.max_drop_prob;
         break;
       case 5:
-        c.schedule.dup_prob = rng.uniform01() * options.max_dup_prob;
+        c.schedule.dup_prob = rng.uniform01() * gen.max_dup_prob;
         break;
       case 6:
-        if (c.scenario.failures.crashes.size() < options.max_crashes) {
-          c.scenario.failures.crashes.push_back(random_crash(options, rng));
+        if (c.scenario.failures.crashes.size() < gen.max_crashes) {
+          c.scenario.failures.crashes.push_back(random_crash(gen, rng));
           sort_crashes(c.scenario.failures);
         }
         break;
@@ -120,7 +121,7 @@ ExploreCase mutate_case(const ExploreCase& parent,
         if (!c.scenario.failures.crashes.empty()) {
           c.scenario.failures
               .crashes[rng.uniform(c.scenario.failures.crashes.size())]
-              .at = rng.uniform(options.fault_window + 1);
+              .at = rng.uniform(gen.fault_window + 1);
           sort_crashes(c.scenario.failures);
         }
         break;
@@ -133,9 +134,9 @@ ExploreCase mutate_case(const ExploreCase& parent,
         }
         break;
       case 10:
-        if (c.scenario.failures.partitions.size() < options.max_partitions) {
+        if (c.scenario.failures.partitions.size() < gen.max_partitions) {
           c.scenario.failures.partitions.push_back(
-              random_partition(options, rng));
+              random_partition(gen, rng));
         } else if (!c.scenario.failures.partitions.empty()) {
           c.scenario.failures.partitions.erase(
               c.scenario.failures.partitions.begin() +
@@ -147,13 +148,106 @@ ExploreCase mutate_case(const ExploreCase& parent,
           PartitionEvent& e =
               c.scenario.failures
                   .partitions[rng.uniform(c.scenario.failures.partitions.size())];
-          e.at = rng.uniform(options.fault_window + 1);
-          e.heal_at = e.at + millis(5) + rng.uniform(options.fault_window + 1);
+          e.at = rng.uniform(gen.fault_window + 1);
+          e.heal_at = e.at + millis(5) + rng.uniform(gen.fault_window + 1);
         }
         break;
     }
   }
   return c;
+}
+
+std::vector<ExploreCase> ScheduleKind::simpler(const ExploreCase& c) const {
+  std::vector<ExploreCase> out;
+  const auto with = [&](auto edit) {
+    out.push_back(c);
+    edit(out.back());
+  };
+
+  // 1. Structural fault-plan reductions first: fewer faults beats smaller
+  // knobs for a human reading the repro.
+  for (std::size_t i = 0; i < c.scenario.failures.crashes.size(); ++i) {
+    with([i](ExploreCase& e) {
+      auto& crashes = e.scenario.failures.crashes;
+      crashes.erase(crashes.begin() + i);
+    });
+  }
+  for (std::size_t i = 0; i < c.scenario.failures.partitions.size(); ++i) {
+    with([i](ExploreCase& e) {
+      auto& partitions = e.scenario.failures.partitions;
+      partitions.erase(partitions.begin() + i);
+    });
+  }
+
+  // 2. Schedule pressure: zero each knob, then halve what must stay. (The
+  // network's own drop_prob is not a candidate: with the mutator installed
+  // the network never reads it.)
+  const ScheduleParams& s = c.schedule;
+  if (s.dup_prob != 0) {
+    with([](ExploreCase& e) { e.schedule.dup_prob = 0; });
+  }
+  if (s.drop_prob != 0) {
+    with([](ExploreCase& e) { e.schedule.drop_prob = 0; });
+  }
+  if (s.reorder_prob != 0 || s.max_extra_delay != 0) {
+    with([](ExploreCase& e) {
+      e.schedule.reorder_prob = 0;
+      e.schedule.max_extra_delay = 0;
+    });
+  }
+  if (s.max_extra_delay >= millis(2)) {
+    with([](ExploreCase& e) { e.schedule.max_extra_delay /= 2; });
+  }
+  if (s.drop_prob >= 0.02) {
+    with([](ExploreCase& e) { e.schedule.drop_prob /= 2; });
+  }
+  if (s.dup_prob >= 0.02) {
+    with([](ExploreCase& e) { e.schedule.dup_prob /= 2; });
+  }
+
+  // 3. Optional protocol machinery off.
+  const ProcessConfig& p = c.scenario.process;
+  if (p.enable_stability_tracking || p.enable_gc) {
+    with([](ExploreCase& e) {
+      e.scenario.process.enable_stability_tracking = false;
+      e.scenario.process.enable_gc = false;
+    });
+  }
+  if (p.retransmit_on_failure) {
+    with([](ExploreCase& e) {
+      e.scenario.process.retransmit_on_failure = false;
+    });
+  }
+
+  // 4. Workload size.
+  if (c.scenario.workload.intensity > 1) {
+    with([](ExploreCase& e) { e.scenario.workload.intensity /= 2; });
+  }
+  if (c.scenario.workload.depth > 2) {
+    with([](ExploreCase& e) { e.scenario.workload.depth /= 2; });
+  }
+
+  // 5. Cluster size (only when no crash targets the last process).
+  const std::size_t keep = c.scenario.n - 1;
+  const auto needs_last = [keep](const CrashEvent& crash) {
+    return crash.pid >= keep;
+  };
+  if (c.scenario.n > 2 && std::none_of(c.scenario.failures.crashes.begin(),
+                                       c.scenario.failures.crashes.end(),
+                                       needs_last)) {
+    with([keep](ExploreCase& e) {
+      e.scenario.n = keep;
+      for (PartitionEvent& p : e.scenario.failures.partitions) {
+        for (auto& group : p.groups) {
+          std::erase_if(group, [keep](ProcessId pid) { return pid >= keep; });
+        }
+        std::erase_if(p.groups, [](const std::vector<ProcessId>& g) {
+          return g.empty();
+        });
+      }
+    });
+  }
+  return out;
 }
 
 }  // namespace optrec

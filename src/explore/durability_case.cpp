@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdint>
-#include <set>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -28,7 +25,6 @@ constexpr std::size_t kFakeCluster = 3;
 /// crash_at_op values past this never fire (and must not be offset-shifted,
 /// or the absolute index would wrap around).
 constexpr std::uint64_t kNeverCrash = 1ull << 40;
-constexpr std::size_t kMaxCorpus = 256;
 
 /// One sink-triggering storage call. Appends never touch the filesystem
 /// (they only buffer), so every crash lands inside one of the sync
@@ -502,57 +498,23 @@ DurabilityOutcome run_durability_case(const DurabilityCase& c) {
   return out;
 }
 
-namespace {
-
-DurabilityCase shrink_durability(const DurabilityCase& start,
-                                 const Expectation& want, std::size_t budget,
-                                 std::size_t* attempts,
-                                 std::size_t* improvements) {
-  DurabilityCase best = start;
-  bool improved = true;
-  while (improved && *attempts < budget) {
-    improved = false;
-    std::vector<DurabilityCase> cands;
-    if (best.ops > 4) {
-      DurabilityCase a = best;
-      a.ops = std::max<std::uint32_t>(4, best.ops / 2);
-      cands.push_back(a);
-      a.ops = best.ops - 1;
-      cands.push_back(a);
-    }
-    if (best.crash_at_op < kNeverCrash && best.crash_at_op > 0) {
-      DurabilityCase a = best;
-      a.crash_at_op = best.crash_at_op / 2;
-      cands.push_back(a);
-      a.crash_at_op = best.crash_at_op - 1;
-      cands.push_back(a);
-    }
-    if (best.garble_tail > 0) {
-      DurabilityCase a = best;
-      a.garble_tail = 0;
-      cands.push_back(a);
-    }
-    if (best.corrupt_durable) {
-      DurabilityCase a = best;
-      a.corrupt_durable = false;
-      cands.push_back(a);
-    }
-    for (const DurabilityCase& cand : cands) {
-      if (*attempts >= budget) break;
-      ++*attempts;
-      const DurabilityOutcome o = run_durability_case(cand);
-      if (want.matches(o.violations)) {
-        best = cand;
-        ++*improvements;
-        improved = true;
-        break;
-      }
-    }
+DurabilityCase DurabilityKind::generate(Rng& rng) const {
+  DurabilityCase c;
+  c.seed = rng.next_u64();
+  c.ops = ops;
+  c.garble_tail = rng.chance(garble_prob) ? 1.0 : 0.0;
+  c.corrupt_durable = rng.chance(corrupt_prob);
+  c.mutation = mutation;
+  if (rng.chance(0.5)) {
+    // Aim inside the schedule: a power-cut run counts its filesystem ops.
+    c.crash_at_op = rng.uniform(run_durability_case(c).fs_ops + 2);
   }
-  return best;
+  return c;
 }
 
-DurabilityCase mutate_case(DurabilityCase c, Rng& rng) {
+DurabilityCase DurabilityKind::mutate(const DurabilityCase& parent,
+                                      Rng& rng) const {
+  DurabilityCase c = parent;
   switch (rng.uniform(5)) {
     case 0:
       c.seed = rng.next_u64();
@@ -577,89 +539,31 @@ DurabilityCase mutate_case(DurabilityCase c, Rng& rng) {
   return c;
 }
 
-}  // namespace
-
-DurabilitySweepReport run_durability_sweep(const DurabilitySweepOptions& opts) {
-  DurabilitySweepReport report;
-  Rng rng(opts.seed);
-  CoverageMap coverage;
-  std::vector<DurabilityCase> corpus;
-  std::set<std::string> repro_categories;
-  const auto t0 = std::chrono::steady_clock::now();
-
-  auto elapsed = [&t0] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-        .count();
+std::vector<DurabilityCase> DurabilityKind::simpler(
+    const DurabilityCase& c) const {
+  std::vector<DurabilityCase> out;
+  const auto with = [&](auto edit) {
+    out.push_back(c);
+    edit(out.back());
   };
-  auto budget_left = [&] {
-    return opts.time_budget_seconds <= 0 ||
-           elapsed() < opts.time_budget_seconds;
-  };
-
-  // Run one case and fold it into coverage / corpus / repro bookkeeping.
-  auto process = [&](const DurabilityCase& c) {
-    const DurabilityOutcome outcome = run_durability_case(c);
-    ++report.runs_completed;
-    if (coverage.add_all(outcome.signatures) > 0 &&
-        corpus.size() < kMaxCorpus) {
-      corpus.push_back(c);
-    }
-    if (!outcome.ok()) {
-      ++report.violation_runs;
-      const ViolationRecord& v = outcome.violations.front();
-      if (report.repros.size() < opts.max_repros &&
-          repro_categories.insert(v.category).second) {
-        DurabilityRepro repro;
-        repro.original = c;
-        repro.violation = v;
-        repro.minimal = c;
-        if (opts.shrink) {
-          Expectation want{v.kind, v.category};
-          repro.minimal =
-              shrink_durability(c, want, opts.shrink_budget,
-                                &repro.shrink_attempts,
-                                &repro.shrink_improvements);
-        }
-        report.repros.push_back(std::move(repro));
-      }
-    }
-    return outcome;
-  };
-
-  while (report.runs_completed < opts.runs && budget_left()) {
-    if (!corpus.empty() && rng.chance(0.6)) {
-      DurabilityCase base =
-          corpus[static_cast<std::size_t>(rng.uniform(corpus.size()))];
-      process(mutate_case(std::move(base), rng));
-      continue;
-    }
-    // Fresh case: probe the full schedule once (power-cut at the end) to
-    // learn its filesystem op count, then aim a crash inside it.
-    DurabilityCase c;
-    c.seed = rng.next_u64();
-    c.ops = opts.ops;
-    c.crash_at_op = UINT64_MAX;
-    c.garble_tail = rng.chance(opts.garble_prob) ? 1.0 : 0.0;
-    c.corrupt_durable = rng.chance(opts.corrupt_prob);
-    c.mutation = opts.mutation;
-    const DurabilityOutcome probe = process(c);
-    if (report.runs_completed >= opts.runs || !budget_left()) break;
-    c.crash_at_op = rng.uniform(probe.fs_ops + 2);
-    process(c);
+  if (c.ops > 4) {
+    with([](DurabilityCase& e) {
+      e.ops = std::max<std::uint32_t>(4, e.ops / 2);
+    });
+    with([](DurabilityCase& e) { --e.ops; });
   }
-
-  report.coverage_buckets = coverage.size();
-  report.corpus_size = corpus.size();
-  report.wall_seconds = elapsed();
-  return report;
+  if (c.crash_at_op < kNeverCrash && c.crash_at_op > 0) {
+    with([](DurabilityCase& e) { e.crash_at_op /= 2; });
+    with([](DurabilityCase& e) { --e.crash_at_op; });
+  }
+  if (c.garble_tail > 0) with([](DurabilityCase& e) { e.garble_tail = 0; });
+  if (c.corrupt_durable) {
+    with([](DurabilityCase& e) { e.corrupt_durable = false; });
+  }
+  return out;
 }
 
-std::string durability_repro_to_json(const DurabilityCase& c,
-                                     const Expectation& expect) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.begin_object();
-  w.kv("schema", kDurabilityReproSchema);
+void DurabilityKind::write_case(JsonWriter& w, const DurabilityCase& c) const {
   w.key("case").begin_object();
   w.kv("seed", c.seed);
   w.kv("ops", static_cast<std::uint64_t>(c.ops));
@@ -668,43 +572,30 @@ std::string durability_repro_to_json(const DurabilityCase& c,
   w.kv("corrupt_durable", c.corrupt_durable);
   if (!c.mutation.empty()) w.kv("mutation", std::string_view(c.mutation));
   w.end_object();
-  w.key("expect").begin_object();
-  w.kv("kind", std::string_view(expect.kind));
-  w.kv("category", std::string_view(expect.category));
-  w.end_object();
-  w.end_object();
-  return os.str();
 }
 
-void parse_durability_repro_json(std::string_view text, DurabilityCase* c,
-                                 Expectation* expect) {
-  const JsonValue root = JsonValue::parse(text);
-  const JsonValue* schema = root.find("schema");
-  if (schema == nullptr || schema->as_string() != kDurabilityReproSchema) {
-    throw std::runtime_error("not a durability repro artifact");
-  }
-  const JsonValue* cs = root.find("case");
+DurabilityCase DurabilityKind::read_case(const JsonValue& artifact) const {
+  const JsonValue* cs = artifact.find("case");
   if (cs == nullptr) {
     throw std::runtime_error("durability repro is missing \"case\"");
   }
-  *c = DurabilityCase{};
-  c->seed = cs->u64_or("seed", 1);
-  c->ops = static_cast<std::uint32_t>(cs->u64_or("ops", 48));
-  c->crash_at_op = cs->u64_or("crash_at_op", UINT64_MAX);
+  DurabilityCase c;
+  c.seed = cs->u64_or("seed", 1);
+  c.ops = static_cast<std::uint32_t>(cs->u64_or("ops", 48));
+  c.crash_at_op = cs->u64_or("crash_at_op", UINT64_MAX);
   if (const JsonValue* g = cs->find("garble_tail")) {
-    c->garble_tail = g->as_double();
+    c.garble_tail = g->as_double();
   }
   if (const JsonValue* b = cs->find("corrupt_durable")) {
-    c->corrupt_durable = b->as_bool();
+    c.corrupt_durable = b->as_bool();
   }
-  if (const JsonValue* m = cs->find("mutation")) c->mutation = m->as_string();
-  *expect = Expectation{};
-  if (const JsonValue* e = root.find("expect")) {
-    if (const JsonValue* k = e->find("kind")) expect->kind = k->as_string();
-    if (const JsonValue* cat = e->find("category")) {
-      expect->category = cat->as_string();
-    }
-  }
+  if (const JsonValue* m = cs->find("mutation")) c.mutation = m->as_string();
+  return c;
+}
+
+BenchLabels DurabilityKind::bench_labels() const {
+  return {{"schema", "optrec-bench-durability-explore-v1"},
+          {"mutation", mutation}};
 }
 
 }  // namespace optrec

@@ -1,6 +1,6 @@
-// Durability fuzzing: crash-consistency cases for the file-backed stable
-// storage (src/durable/), on the same corpus/coverage/shrinker funnel as
-// the schedule explorer.
+// The durability case kind: crash-consistency cases for the file-backed
+// stable storage (src/durable/), swept and shrunk by the exploration engine
+// (src/explore/explorer.h).
 //
 // One DurabilityCase pins a deterministic storage op schedule (appends,
 // group-commit flushes, synchronous tokens, checkpoints, rollback
@@ -35,11 +35,9 @@
 #include <string_view>
 #include <vector>
 
-#include "src/explore/explore_case.h"
+#include "src/explore/explorer.h"
 
 namespace optrec {
-
-inline constexpr char kDurabilityReproSchema[] = "optrec-durability-repro-v1";
 
 struct DurabilityCase {
   /// Decides the whole op schedule and every payload byte.
@@ -83,49 +81,31 @@ struct DurabilityOutcome {
 /// the image, check the oracle. Deterministic: equal cases, equal outcomes.
 DurabilityOutcome run_durability_case(const DurabilityCase& c);
 
-struct DurabilitySweepOptions {
-  std::size_t runs = 200;
-  std::uint64_t seed = 1;
+/// Generation knobs and engine moves for durability cases. Fresh cases cut
+/// power after the last op half the time; the other half crash inside the
+/// schedule's filesystem-op range, learned from one unchecked power-cut run.
+struct DurabilityKind {
+  using Case = DurabilityCase;
+  static constexpr std::string_view kSchema = "optrec-durability-repro-v1";
+
   std::uint32_t ops = 48;
   /// Applied to every generated case ("" = real implementation).
   std::string mutation;
   /// Fraction of cases with torn-tail garbling / below-floor corruption.
   double garble_prob = 0.4;
   double corrupt_prob = 0.15;
-  /// Stop admitting new runs after this much wall time (0 = no box).
-  double time_budget_seconds = 0;
-  bool shrink = true;
-  std::size_t shrink_budget = 200;
-  std::size_t max_repros = 4;
+
+  DurabilityCase generate(Rng& rng) const;
+  DurabilityCase mutate(const DurabilityCase& parent, Rng& rng) const;
+  DurabilityOutcome run(const DurabilityCase& c) const {
+    return run_durability_case(c);
+  }
+  /// Halve or decrement `ops` and `crash_at_op`, clear garble, clear
+  /// corruption.
+  std::vector<DurabilityCase> simpler(const DurabilityCase& c) const;
+  void write_case(JsonWriter& w, const DurabilityCase& c) const;
+  DurabilityCase read_case(const JsonValue& artifact) const;
+  BenchLabels bench_labels() const;
 };
-
-struct DurabilityRepro {
-  DurabilityCase original;
-  DurabilityCase minimal;
-  ViolationRecord violation;
-  std::size_t shrink_attempts = 0;
-  std::size_t shrink_improvements = 0;
-};
-
-struct DurabilitySweepReport {
-  std::size_t runs_completed = 0;
-  std::size_t violation_runs = 0;
-  std::size_t coverage_buckets = 0;
-  std::size_t corpus_size = 0;
-  double wall_seconds = 0;
-  std::vector<DurabilityRepro> repros;
-
-  bool ok() const { return violation_runs == 0; }
-};
-
-/// Coverage-guided sweep: seed cases plus mutants of coverage-novel corpus
-/// entries, violations shrunk to minimal repro cases.
-DurabilitySweepReport run_durability_sweep(const DurabilitySweepOptions& opts);
-
-/// Repro artifact (de)serialization, schema kDurabilityReproSchema.
-std::string durability_repro_to_json(const DurabilityCase& c,
-                                     const Expectation& expect);
-void parse_durability_repro_json(std::string_view text, DurabilityCase* c,
-                                 Expectation* expect);
 
 }  // namespace optrec

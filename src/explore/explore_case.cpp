@@ -1,40 +1,13 @@
 #include "src/explore/explore_case.h"
 
-#include <cctype>
-#include <sstream>
 #include <stdexcept>
 
 #include "src/explore/coverage.h"
+#include "src/harness/protocol_factory.h"
 #include "src/harness/scenario_json.h"
 #include "src/trace/trace_auditor.h"
 
 namespace optrec {
-
-std::string violation_category(std::string_view message) {
-  const auto colon = message.find(':');
-  if (colon != std::string_view::npos) message = message.substr(0, colon);
-  std::string out;
-  out.reserve(message.size());
-  for (char ch : message) {
-    if (!std::isdigit(static_cast<unsigned char>(ch))) out.push_back(ch);
-  }
-  // Collapse the "#" left behind by "... at #123" style messages.
-  while (!out.empty() && (out.back() == '#' || out.back() == ' ')) {
-    out.pop_back();
-  }
-  return out;
-}
-
-bool Expectation::matches(
-    const std::vector<ViolationRecord>& violations) const {
-  if (kind.empty()) return !violations.empty();
-  for (const ViolationRecord& v : violations) {
-    if (v.kind == kind && (category.empty() || v.category == category)) {
-      return true;
-    }
-  }
-  return false;
-}
 
 RunOutcome run_explore_case(const ExploreCase& c) {
   ScheduleMutator mutator(c.schedule);
@@ -72,44 +45,26 @@ RunOutcome run_explore_case(const ExploreCase& c) {
   return out;
 }
 
-std::string repro_to_json(const ExploreCase& c, const Expectation& expect) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.begin_object();
-  w.kv("schema", "optrec-explore-repro-v1");
+void ScheduleKind::write_case(JsonWriter& w, const ExploreCase& c) const {
   w.key("scenario");
   write_scenario_json(w, c.scenario);
   w.key("schedule");
   write_schedule_params_json(w, c.schedule);
-  w.key("expect").begin_object();
-  w.kv("kind", expect.kind);
-  w.kv("category", expect.category);
-  w.end_object();
-  w.end_object();
-  os << '\n';
-  return os.str();
 }
 
-void parse_repro_json(std::string_view text, ExploreCase* c,
-                      Expectation* expect) {
-  const JsonValue doc = JsonValue::parse(text);
-  const JsonValue* schema = doc.find("schema");
-  if (schema == nullptr || schema->as_string() != "optrec-explore-repro-v1") {
-    throw std::runtime_error("not an optrec-explore-repro-v1 document");
-  }
-  const JsonValue* scenario = doc.find("scenario");
+ExploreCase ScheduleKind::read_case(const JsonValue& artifact) const {
+  const JsonValue* scenario = artifact.find("scenario");
   if (scenario == nullptr) throw std::runtime_error("repro missing scenario");
-  c->scenario = scenario_from_json(*scenario);
-  if (const JsonValue* schedule = doc.find("schedule")) {
-    c->schedule = schedule_params_from_json(*schedule);
+  ExploreCase c;
+  c.scenario = scenario_from_json(*scenario);
+  if (const JsonValue* schedule = artifact.find("schedule")) {
+    c.schedule = schedule_params_from_json(*schedule);
   }
-  *expect = Expectation{};
-  if (const JsonValue* e = doc.find("expect")) {
-    if (const JsonValue* k = e->find("kind")) expect->kind = k->as_string();
-    if (const JsonValue* cat = e->find("category")) {
-      expect->category = cat->as_string();
-    }
-  }
+  return c;
+}
+
+BenchLabels ScheduleKind::bench_labels() const {
+  return {{"bench", "explore"}, {"protocol", protocol_name(gen.base.protocol)}};
 }
 
 }  // namespace optrec

@@ -1,25 +1,18 @@
-// ExploreCase: one fully pinned adversarial run — a ScenarioConfig plus the
-// ScheduleParams that drive the network's delivery decisions — and the
-// self-contained repro artifact format built from it.
+// The schedule case kind: one fully pinned adversarial run — a
+// ScenarioConfig plus the ScheduleParams that drive the network's delivery
+// decisions — and the generation, mutation and shrink moves the engine
+// (src/explore/explorer.h) applies to it.
 //
-// A repro artifact is one JSON document:
+// Its repro artifact (schema "optrec-explore-repro-v1") carries the case as
 //
-//   {
-//     "schema": "optrec-explore-repro-v1",
-//     "scenario": { ...scenario_json... },
-//     "schedule": { "seed": ..., "reorder_prob": ..., ... },
-//     "expect":   { "kind": "audit", "category": "rollback budget exceeded" }
-//   }
-//
-// `expect` names the violation the case was minimized against; replaying the
-// artifact (optrec_explore --repro FILE) re-runs the case and checks that
-// the same violation category fires again.
+//   "scenario": { ...scenario_json... },
+//   "schedule": { "seed": ..., "reorder_prob": ..., ... }
 #pragma once
 
-#include <string>
 #include <string_view>
 #include <vector>
 
+#include "src/explore/explorer.h"
 #include "src/explore/schedule_mutator.h"
 #include "src/harness/experiment.h"
 #include "src/harness/scenario.h"
@@ -29,29 +22,6 @@ namespace optrec {
 struct ExploreCase {
   ScenarioConfig scenario;
   ScheduleParams schedule;
-};
-
-/// One classified violation. `kind` is the detecting oracle ("audit" = trace
-/// auditor, "oracle" = causality oracle, "hang" = no quiescence before the
-/// time cap); `category` is the stable, number-free prefix of the message,
-/// used for shrink/replay matching so pids and seqs may differ.
-struct ViolationRecord {
-  std::string kind;
-  std::string category;
-  std::string message;
-};
-
-/// Strip digits and cut at the first ':' — "rollback budget exceeded: P2
-/// rolled back 3 times..." and "...P0 rolled back 2 times..." both map to
-/// "rollback budget exceeded".
-std::string violation_category(std::string_view message);
-
-/// What a repro artifact promises to reproduce. Empty kind = any violation.
-struct Expectation {
-  std::string kind;
-  std::string category;
-
-  bool matches(const std::vector<ViolationRecord>& violations) const;
 };
 
 /// Everything one exploration run produced.
@@ -76,9 +46,43 @@ struct RunOutcome {
 /// signatures. Deterministic: equal cases give equal outcomes.
 RunOutcome run_explore_case(const ExploreCase& c);
 
-/// Repro artifact (de)serialization.
-std::string repro_to_json(const ExploreCase& c, const Expectation& expect);
-void parse_repro_json(std::string_view text, ExploreCase* c,
-                      Expectation* expect);
+/// Generation randomizes the *adversarial* dimensions around a fixed base
+/// scenario (protocol, workload, cluster size stay as configured): crash
+/// counts/times — including deliberately concurrent crashes — partition
+/// windows and group splits, reorder/drop/duplicate pressure, and both the
+/// workload seed and the schedule seed.
+struct CaseGenOptions {
+  /// Template scenario; the generator only rewrites seeds, failures and
+  /// (through ScheduleParams) the network decision stream.
+  ScenarioConfig base;
+  std::size_t max_crashes = 2;
+  std::size_t max_partitions = 1;
+  /// Crashes and partition windows land in [0, fault_window].
+  SimTime fault_window = millis(250);
+  SimTime max_extra_delay = millis(80);
+  double max_drop_prob = 0.35;
+  /// Duplicate injection ceiling; set to 0 for protocols without a
+  /// duplicate filter (the paper's model does not require one of them).
+  double max_dup_prob = 0.15;
+};
+
+struct ScheduleKind {
+  using Case = ExploreCase;
+  static constexpr std::string_view kSchema = "optrec-explore-repro-v1";
+
+  CaseGenOptions gen;
+
+  ExploreCase generate(Rng& rng) const;
+  /// One to three local edits of `parent`.
+  ExploreCase mutate(const ExploreCase& parent, Rng& rng) const;
+  RunOutcome run(const ExploreCase& c) const { return run_explore_case(c); }
+  /// Greedy delta-debugging candidates: drop a crash, drop a partition
+  /// window, zero then halve the schedule pressure, switch off optional
+  /// protocol machinery, halve the workload, shrink the cluster.
+  std::vector<ExploreCase> simpler(const ExploreCase& c) const;
+  void write_case(JsonWriter& w, const ExploreCase& c) const;
+  ExploreCase read_case(const JsonValue& artifact) const;
+  BenchLabels bench_labels() const;
+};
 
 }  // namespace optrec

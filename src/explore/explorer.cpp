@@ -1,142 +1,42 @@
 #include "src/explore/explorer.h"
 
-#include <algorithm>
-#include <chrono>
-#include <mutex>
+#include <cctype>
 #include <sstream>
-#include <thread>
-
-#include "src/explore/coverage.h"
-#include "src/util/json.h"
+#include <stdexcept>
 
 namespace optrec {
 
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-/// Mutable sweep state shared by the workers, guarded by one mutex: the sim
-/// runs dominate wall time, so contention here is negligible.
-struct Shared {
-  std::mutex mu;
-  std::size_t next_index = 0;
-  bool stop = false;
-  CoverageMap coverage;
-  std::vector<ExploreCase> corpus;
-  SweepReport report;
-  std::size_t shrink_slots_taken = 0;
-};
-
-}  // namespace
-
-SweepReport run_sweep(const SweepOptions& options) {
-  using Clock = std::chrono::steady_clock;
-  const auto started = Clock::now();
-  const auto elapsed = [&started] {
-    return std::chrono::duration<double>(Clock::now() - started).count();
-  };
-
-  Shared shared;
-  std::size_t jobs = options.jobs;
-  if (jobs == 0) {
-    jobs = std::min<std::size_t>(
-        16, std::max(1u, std::thread::hardware_concurrency()));
+std::string violation_category(std::string_view message) {
+  const auto colon = message.find(':');
+  if (colon != std::string_view::npos) message = message.substr(0, colon);
+  std::string out;
+  out.reserve(message.size());
+  for (char ch : message) {
+    if (!std::isdigit(static_cast<unsigned char>(ch))) out.push_back(ch);
   }
-  jobs = std::min(jobs, options.runs == 0 ? std::size_t{1} : options.runs);
-
-  const auto worker = [&] {
-    for (;;) {
-      std::size_t index;
-      ExploreCase c;
-      {
-        std::lock_guard<std::mutex> lock(shared.mu);
-        if (shared.stop || shared.next_index >= options.runs) return;
-        if (options.time_budget_seconds > 0 &&
-            elapsed() > options.time_budget_seconds) {
-          shared.stop = true;
-          return;
-        }
-        index = shared.next_index++;
-        Rng rng(splitmix64(options.seed ^ (index * 0x9e3779b97f4a7c15ull)));
-        if (!shared.corpus.empty() && rng.chance(0.65)) {
-          const std::size_t pick = rng.uniform(shared.corpus.size());
-          c = mutate_case(shared.corpus[pick], options.gen, rng);
-        } else {
-          c = random_case(options.gen, rng);
-        }
-      }
-
-      const RunOutcome outcome = run_explore_case(c);
-
-      bool shrink_this = false;
-      Expectation expect;
-      ViolationRecord violation;
-      {
-        std::lock_guard<std::mutex> lock(shared.mu);
-        ++shared.report.runs_completed;
-        if (shared.coverage.add_all(outcome.signatures) > 0) {
-          shared.corpus.push_back(c);
-        }
-        if (!outcome.ok()) {
-          ++shared.report.violation_runs;
-          if (shared.shrink_slots_taken < options.max_repros) {
-            ++shared.shrink_slots_taken;
-            shrink_this = true;
-            violation = *outcome.first();
-            expect.kind = violation.kind;
-            expect.category = violation.category;
-          }
-        }
-      }
-
-      if (shrink_this) {
-        ReproArtifact artifact;
-        artifact.original = c;
-        artifact.expect = expect;
-        artifact.violation = violation;
-        artifact.minimal =
-            options.shrink
-                ? shrink_case(c, expect, options.shrink_budget,
-                              &artifact.shrink_stats)
-                : c;
-        std::lock_guard<std::mutex> lock(shared.mu);
-        shared.report.repros.push_back(std::move(artifact));
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(jobs);
-  for (std::size_t k = 0; k < jobs; ++k) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-
-  shared.report.coverage_buckets = shared.coverage.size();
-  shared.report.corpus_size = shared.corpus.size();
-  shared.report.wall_seconds = elapsed();
-  shared.report.runs_per_second =
-      shared.report.wall_seconds > 0
-          ? static_cast<double>(shared.report.runs_completed) /
-                shared.report.wall_seconds
-          : 0.0;
-  // Deterministic artifact order regardless of worker completion order.
-  std::sort(shared.report.repros.begin(), shared.report.repros.end(),
-            [](const ReproArtifact& a, const ReproArtifact& b) {
-              return a.violation.message < b.violation.message;
-            });
-  return shared.report;
+  // Collapse the "#" left behind by "... at #123" style messages.
+  while (!out.empty() && (out.back() == '#' || out.back() == ' ')) {
+    out.pop_back();
+  }
+  return out;
 }
 
-std::string SweepReport::bench_json(const std::string& protocol) const {
+bool Expectation::matches(
+    const std::vector<ViolationRecord>& violations) const {
+  if (kind.empty()) return !violations.empty();
+  for (const ViolationRecord& v : violations) {
+    if (v.kind == kind && (category.empty() || v.category == category)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::string SweepStats::bench_json(const BenchLabels& labels) const {
   std::ostringstream os;
   JsonWriter w(os);
   w.begin_object();
-  w.kv("bench", "explore");
-  w.kv("protocol", protocol);
+  for (const auto& [key, value] : labels) w.kv(key, std::string_view(value));
   w.kv("runs", std::uint64_t{runs_completed});
   w.kv("violation_runs", std::uint64_t{violation_runs});
   w.kv("wall_seconds", wall_seconds);
@@ -146,6 +46,87 @@ std::string SweepReport::bench_json(const std::string& protocol) const {
   w.end_object();
   os << '\n';
   return os.str();
+}
+
+namespace explore_detail {
+
+std::size_t worker_count(std::size_t jobs, std::size_t runs) {
+  if (jobs == 0) {
+    jobs = std::min<std::size_t>(
+        16, std::max(1u, std::thread::hardware_concurrency()));
+  }
+  return std::min(jobs, runs == 0 ? std::size_t{1} : runs);
+}
+
+Rng run_rng(std::uint64_t seed, std::size_t index) {
+  std::uint64_t z = seed ^ (index * 0x9e3779b97f4a7c15ull);
+  // SplitMix64 finalizer, so neighbouring indices get unrelated streams.
+  z += 0x9e3779b97f4a7c15ull;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return Rng(z ^ (z >> 31));
+}
+
+void finish(SweepStats& stats, const CoverageMap& coverage,
+            std::size_t corpus_size, double wall_seconds) {
+  stats.coverage_buckets = coverage.size();
+  stats.corpus_size = corpus_size;
+  stats.wall_seconds = wall_seconds;
+  stats.runs_per_second =
+      wall_seconds > 0
+          ? static_cast<double>(stats.runs_completed) / wall_seconds
+          : 0.0;
+}
+
+}  // namespace explore_detail
+
+std::string repro_envelope_json(
+    std::string_view schema,
+    const std::function<void(JsonWriter&)>& write_case,
+    const Expectation& expect) {
+  std::ostringstream os;
+  JsonWriter w(os);
+  w.begin_object();
+  w.kv("schema", schema);
+  write_case(w);
+  w.key("expect").begin_object();
+  w.kv("kind", std::string_view(expect.kind));
+  w.kv("category", std::string_view(expect.category));
+  w.end_object();
+  w.end_object();
+  os << '\n';
+  return os.str();
+}
+
+JsonValue parse_repro_envelope(std::string_view text, std::string_view schema,
+                               Expectation* expect) {
+  JsonValue doc = JsonValue::parse(text);
+  const JsonValue* s = doc.find("schema");
+  if (s == nullptr || s->kind() != JsonValue::Kind::kString ||
+      s->as_string() != schema) {
+    throw std::runtime_error("not an " + std::string(schema) + " document");
+  }
+  *expect = Expectation{};
+  if (const JsonValue* e = doc.find("expect")) {
+    if (const JsonValue* k = e->find("kind")) expect->kind = k->as_string();
+    if (const JsonValue* cat = e->find("category")) {
+      expect->category = cat->as_string();
+    }
+  }
+  return doc;
+}
+
+std::string repro_schema(std::string_view text) {
+  try {
+    const JsonValue doc = JsonValue::parse(text);
+    const JsonValue* s = doc.find("schema");
+    if (s != nullptr && s->kind() == JsonValue::Kind::kString) {
+      return s->as_string();
+    }
+  } catch (const std::runtime_error&) {
+    // Malformed: no schema; the kind's own parse reports the error.
+  }
+  return "";
 }
 
 }  // namespace optrec

@@ -1,6 +1,7 @@
 // CLI parity: optrec_sim and optrec_node share one run-flag parser and one
-// --metrics-json emitter. These tests exec the real
-// binaries (paths injected by CMake) exactly as a user would.
+// --metrics-json emitter; optrec_explore rejects flags of the other case
+// kind. These tests exec the real binaries (paths injected by CMake)
+// exactly as a user would.
 #include <sys/wait.h>
 
 #include <gtest/gtest.h>
@@ -19,7 +20,8 @@
 namespace optrec {
 namespace {
 
-#if defined(OPTREC_SIM_BIN) && defined(OPTREC_NODE_BIN)
+#if defined(OPTREC_SIM_BIN) && defined(OPTREC_NODE_BIN) && \
+    defined(OPTREC_EXPLORE_BIN)
 
 namespace fs = std::filesystem;
 
@@ -100,7 +102,39 @@ TEST(CliParity, MalformedFlagsExitTwoOnEveryRunner) {
   EXPECT_EQ(run(OPTREC_SIM_BIN, "--protocol=no-recovery"), 0);
 }
 
-#endif  // OPTREC_SIM_BIN && OPTREC_NODE_BIN
+TEST(ExploreCli, ForeignKindFlagsAndBadTimeBudgetsExitTwo) {
+  for (const char* args :
+       {// Schedule flags on a durability sweep.
+        "--durability --jobs=4 --protocol=cascading --n=9",
+        "--durability --protocol=dg", "--durability --workload=bank",
+        "--durability --n=4", "--durability --max-crashes=1",
+        "--durability --max-partitions=0", "--durability --retransmit",
+        "--durability --stability", "--durability --no-dup",
+        // Durability flags on a schedule sweep.
+        "--ops=5 --garble=0.9 --corrupt-prob=0.9", "--ops=5", "--garble=0.9",
+        "--corrupt-prob=0.9",
+        // --print-case only goes with --repro.
+        "--print-case", "--durability --print-case",
+        // --time-budget takes a whole, non-negative number of seconds.
+        "--time-budget=abc", "--time-budget=-1", "--time-budget=5s",
+        "--time-budget=", "--time-budget=nan", "--time-budget=inf",
+        "--durability --time-budget=-1"}) {
+    EXPECT_EQ(run(OPTREC_EXPLORE_BIN, std::string("--runs=2 ") + args), 2)
+        << args;
+  }
+  // Shared flags apply to both kinds.
+  const TempDir tmp;
+  for (const char* mode : {"", "--durability "}) {
+    EXPECT_EQ(run(OPTREC_EXPLORE_BIN,
+                  std::string(mode) + "--runs=4 --seed=2 --jobs=2 "
+                  "--time-budget=30 --max-repros=2 --shrink-budget=10 "
+                  "--out=" + tmp.path.string()),
+              0)
+        << mode;
+  }
+}
+
+#endif  // OPTREC_SIM_BIN && OPTREC_NODE_BIN && OPTREC_EXPLORE_BIN
 
 }  // namespace
 }  // namespace optrec

@@ -1,5 +1,5 @@
-// Durability fuzzer end-to-end: the fault-injection sweep must pass the
-// real implementation clean, catch both WAL ablations (negative controls),
+// Durability case kind end to end: the engine's sweep must pass the real
+// implementation clean, catch both WAL ablations (negative controls),
 // shrink violations to replayable minimal cases, and round-trip repro
 // artifacts through JSON.
 #include <gtest/gtest.h>
@@ -11,17 +11,24 @@
 namespace optrec {
 namespace {
 
-DurabilitySweepOptions base_opts() {
-  DurabilitySweepOptions opts;
+SweepOptions base_opts() {
+  SweepOptions opts;
   opts.runs = 150;
   opts.seed = 5;
-  opts.ops = 40;
+  opts.jobs = 1;
   opts.shrink_budget = 120;
   return opts;
 }
 
+DurabilityKind kind(const std::string& mutation = "") {
+  DurabilityKind k;
+  k.ops = 40;
+  k.mutation = mutation;
+  return k;
+}
+
 TEST(DurabilitySweep, RealImplementationSweepsClean) {
-  const DurabilitySweepReport report = run_durability_sweep(base_opts());
+  const SweepReport<DurabilityCase> report = run_sweep(kind(), base_opts());
   EXPECT_EQ(report.runs_completed, 150u);
   EXPECT_TRUE(report.ok()) << report.violation_runs << " violation runs, "
                            << report.repros.size() << " repros";
@@ -30,35 +37,34 @@ TEST(DurabilitySweep, RealImplementationSweepsClean) {
 }
 
 TEST(DurabilitySweep, SkipCrcAblationIsCaughtAndShrinks) {
-  DurabilitySweepOptions opts = base_opts();
+  SweepOptions opts = base_opts();
   opts.runs = 300;
-  opts.mutation = "skip-crc";
-  opts.corrupt_prob = 0.5;  // the CRC hole only shows under corruption
-  const DurabilitySweepReport report = run_durability_sweep(opts);
+  opts.jobs = 2;
+  DurabilityKind skip_crc = kind("skip-crc");
+  skip_crc.corrupt_prob = 0.5;  // the CRC hole only shows under corruption
+  const SweepReport<DurabilityCase> report = run_sweep(skip_crc, opts);
+  EXPECT_EQ(report.runs_completed, 300u);
   ASSERT_GT(report.violation_runs, 0u);
   ASSERT_FALSE(report.repros.empty());
 
   // Every shrunk minimal case still reproduces its violation category.
-  for (const DurabilityRepro& repro : report.repros) {
-    const Expectation want{repro.violation.kind, repro.violation.category};
+  for (const ReproArtifact<DurabilityCase>& repro : report.repros) {
     const DurabilityOutcome rerun = run_durability_case(repro.minimal);
-    EXPECT_TRUE(want.matches(rerun.violations))
+    EXPECT_TRUE(repro.expect.matches(rerun.violations))
         << "minimal case lost [" << repro.violation.category << "]";
   }
 }
 
 TEST(DurabilitySweep, AsyncTokensAblationIsCaught) {
-  DurabilitySweepOptions opts = base_opts();
+  SweepOptions opts = base_opts();
   opts.runs = 300;
-  opts.mutation = "async-tokens";
-  const DurabilitySweepReport report = run_durability_sweep(opts);
+  const SweepReport<DurabilityCase> report =
+      run_sweep(kind("async-tokens"), opts);
   ASSERT_GT(report.violation_runs, 0u)
       << "buffered tokens must lose durable state under kill -9";
   ASSERT_FALSE(report.repros.empty());
   const DurabilityOutcome rerun = run_durability_case(report.repros[0].minimal);
-  const Expectation want{report.repros[0].violation.kind,
-                         report.repros[0].violation.category};
-  EXPECT_TRUE(want.matches(rerun.violations));
+  EXPECT_TRUE(report.repros[0].expect.matches(rerun.violations));
 }
 
 TEST(DurabilityCase, OutcomeIsDeterministic) {
@@ -103,12 +109,12 @@ TEST(DurabilityRepro, JsonRoundTrip) {
   c.mutation = "async-tokens";
   const Expectation expect{"durability", "durable-loss"};
 
-  const std::string json = durability_repro_to_json(c, expect);
-  EXPECT_NE(json.find(kDurabilityReproSchema), std::string::npos);
+  const std::string json = repro_to_json(DurabilityKind{}, c, expect);
+  EXPECT_EQ(repro_schema(json), DurabilityKind::kSchema);
 
-  DurabilityCase back;
   Expectation expect_back;
-  parse_durability_repro_json(json, &back, &expect_back);
+  const DurabilityCase back =
+      parse_repro_json(DurabilityKind{}, json, &expect_back);
   EXPECT_EQ(back.seed, c.seed);
   EXPECT_EQ(back.ops, c.ops);
   EXPECT_EQ(back.crash_at_op, c.crash_at_op);
@@ -121,20 +127,21 @@ TEST(DurabilityRepro, JsonRoundTrip) {
   // Power-cut cases omit crash_at_op and parse back as never-crash.
   DurabilityCase powercut;
   powercut.seed = 42;
-  const std::string pj = durability_repro_to_json(powercut, Expectation{});
+  const std::string pj =
+      repro_to_json(DurabilityKind{}, powercut, Expectation{});
   EXPECT_EQ(pj.find("crash_at_op"), std::string::npos);
-  DurabilityCase pback;
   Expectation pexpect;
-  parse_durability_repro_json(pj, &pback, &pexpect);
+  const DurabilityCase pback =
+      parse_repro_json(DurabilityKind{}, pj, &pexpect);
   EXPECT_GE(pback.crash_at_op, 1ull << 40);
 }
 
 TEST(DurabilityRepro, RejectsForeignArtifacts) {
-  DurabilityCase c;
   Expectation e;
-  EXPECT_THROW(parse_durability_repro_json("{\"schema\":\"bogus\"}", &c, &e),
-               std::exception);
-  EXPECT_THROW(parse_durability_repro_json("not json at all", &c, &e),
+  EXPECT_THROW(
+      parse_repro_json(DurabilityKind{}, "{\"schema\":\"bogus\"}", &e),
+      std::exception);
+  EXPECT_THROW(parse_repro_json(DurabilityKind{}, "not json at all", &e),
                std::exception);
 }
 

@@ -1,18 +1,19 @@
 // Exploration engine unit + integration tests: scenario/schedule/repro JSON
-// round-trips, coverage signature semantics, the schedule mutator's
+// round-trips (including artifacts of both schemas as earlier builds wrote
+// them), coverage signature semantics, the schedule mutator's
 // decision-stream determinism, single-case execution, the shrinker, and
 // small end-to-end sweeps (a healthy DG sweep stays clean; a fault-injected
-// sweep finds, shrinks, and replays a Lemma-4 violation).
+// sweep finds, shrinks, and replays a Lemma-4 violation; both case kinds
+// sweep deterministically at one worker).
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "src/explore/case_mutator.h"
 #include "src/explore/coverage.h"
+#include "src/explore/durability_case.h"
 #include "src/explore/explore_case.h"
 #include "src/explore/explorer.h"
 #include "src/explore/schedule_mutator.h"
-#include "src/explore/shrinker.h"
 #include "src/harness/scenario_json.h"
 
 namespace optrec {
@@ -102,10 +103,10 @@ TEST(ReproJson, RoundTrip) {
   c.schedule.dup_prob = 0.05;
   Expectation expect{"audit", "rollback budget exceeded"};
 
-  const std::string text = repro_to_json(c, expect);
-  ExploreCase back;
+  const std::string text = repro_to_json(ScheduleKind{}, c, expect);
   Expectation back_expect;
-  parse_repro_json(text, &back, &back_expect);
+  const ExploreCase back =
+      parse_repro_json(ScheduleKind{}, text, &back_expect);
 
   EXPECT_EQ(back.schedule, c.schedule);
   EXPECT_EQ(scenario_to_json(back.scenario), scenario_to_json(c.scenario));
@@ -114,10 +115,57 @@ TEST(ReproJson, RoundTrip) {
 }
 
 TEST(ReproJson, RejectsWrongSchema) {
-  ExploreCase c;
   Expectation e;
-  EXPECT_THROW(parse_repro_json("{\"schema\":\"bogus\"}", &c, &e),
+  EXPECT_THROW(
+      parse_repro_json(ScheduleKind{}, "{\"schema\":\"bogus\"}", &e),
+      std::runtime_error);
+  EXPECT_THROW(parse_repro_json(ScheduleKind{},
+                                "{\"schema\":\"optrec-durability-repro-v1\"}",
+                                &e),
                std::runtime_error);
+}
+
+// Artifacts byte for byte as earlier builds wrote them, one per schema:
+// they must still parse, replay, and be written back identically (the
+// durability one now ends with a newline).
+TEST(ReproJson, EarlierArtifactsOfBothSchemasStillReplay) {
+  const char* schedule_artifact =
+      R"({"schema":"optrec-explore-repro-v1","scenario":{"n":4,"seed":14645416680691684754,"protocol":"damani-garg","workload":{"kind":"counter","intensity":1,"depth":24,"payload_pad":0,"all_seed":true},"process":{"checkpoint_interval_us":100000,"flush_interval_us":20000,"restart_delay_us":5000,"retransmit_on_failure":false,"discard_rollback_suffix":false,"ablation_disable_postponement":false,"ablation_skip_obsolete_filter":true,"enable_stability_tracking":false,"stability_gossip_interval_us":200000,"enable_gc":false},"network":{"min_delay_us":100,"max_delay_us":5000,"fifo":false,"drop_prob":0,"retry_interval_us":20000},"failures":{"crashes":[{"at_us":62031,"pid":3}],"partitions":[]},"time_cap_us":600000000,"settle_slice_us":200000},"schedule":{"seed":3101807067230801653,"reorder_prob":0,"max_extra_delay_us":0,"drop_prob":0,"dup_prob":0},"expect":{"kind":"audit","category":"obsolete delivery at"}})"
+      "\n";
+  const char* durability_artifact =
+      R"({"schema":"optrec-durability-repro-v1","case":{"seed":4881214214182272097,"ops":10,"crash_at_op":8,"garble_tail":0,"corrupt_durable":false,"mutation":"async-tokens"},"expect":{"kind":"durability","category":"durable-loss"}})";
+
+  EXPECT_EQ(repro_schema(schedule_artifact), ScheduleKind::kSchema);
+  Expectation expect;
+  const ExploreCase schedule_case =
+      parse_repro_json(ScheduleKind{}, schedule_artifact, &expect);
+  EXPECT_EQ(expect.kind, "audit");
+  EXPECT_EQ(expect.category, "obsolete delivery at");
+  EXPECT_EQ(schedule_case.scenario.seed, 14645416680691684754ull);
+  ASSERT_EQ(schedule_case.scenario.failures.crashes.size(), 1u);
+  EXPECT_EQ(schedule_case.scenario.failures.crashes[0].pid, 3u);
+  EXPECT_EQ(schedule_case.schedule.seed, 3101807067230801653ull);
+  EXPECT_TRUE(expect.matches(run_explore_case(schedule_case).violations));
+  EXPECT_EQ(repro_to_json(ScheduleKind{}, schedule_case, expect),
+            schedule_artifact);
+
+  EXPECT_EQ(repro_schema(durability_artifact), DurabilityKind::kSchema);
+  const DurabilityCase durability_case =
+      parse_repro_json(DurabilityKind{}, durability_artifact, &expect);
+  EXPECT_EQ(expect.kind, "durability");
+  EXPECT_EQ(expect.category, "durable-loss");
+  EXPECT_EQ(durability_case.seed, 4881214214182272097ull);
+  EXPECT_EQ(durability_case.ops, 10u);
+  EXPECT_EQ(durability_case.crash_at_op, 8u);
+  EXPECT_EQ(durability_case.garble_tail, 0.0);
+  EXPECT_FALSE(durability_case.corrupt_durable);
+  EXPECT_EQ(durability_case.mutation, "async-tokens");
+  EXPECT_TRUE(expect.matches(run_durability_case(durability_case).violations));
+  EXPECT_EQ(repro_to_json(DurabilityKind{}, durability_case, expect),
+            std::string(durability_artifact) + "\n");
+
+  EXPECT_EQ(repro_schema("not json"), "");
+  EXPECT_EQ(repro_schema("{\"n\":4}"), "");
 }
 
 TEST(ViolationCategory, StripsNumbersAndDetail) {
@@ -217,11 +265,12 @@ ScenarioConfig explorer_base() {
 }
 
 TEST(CaseMutator, GeneratedCasesStayInBounds) {
-  CaseGenOptions options;
-  options.base = explorer_base();
+  ScheduleKind kind;
+  const CaseGenOptions& options = kind.gen;
+  kind.gen.base = explorer_base();
   Rng rng(42);
   for (int i = 0; i < 50; ++i) {
-    const ExploreCase c = random_case(options, rng);
+    const ExploreCase c = kind.generate(rng);
     EXPECT_EQ(c.scenario.schedule_hook, nullptr);
     EXPECT_LE(c.scenario.failures.crashes.size(), options.max_crashes);
     EXPECT_LE(c.scenario.failures.partitions.size(), options.max_partitions);
@@ -236,7 +285,7 @@ TEST(CaseMutator, GeneratedCasesStayInBounds) {
       EXPECT_GT(p.heal_at, p.at);
       EXPECT_GE(p.groups.size(), 2u);
     }
-    const ExploreCase m = mutate_case(c, options, rng);
+    const ExploreCase m = kind.mutate(c, rng);
     EXPECT_LE(m.scenario.failures.crashes.size(), options.max_crashes);
     EXPECT_LE(m.schedule.drop_prob, options.max_drop_prob);
   }
@@ -289,7 +338,8 @@ TEST(Shrinker, MinimizesAndStaysFailing) {
   const Expectation expect{"audit", "obsolete delivery at"};
 
   ShrinkStats stats;
-  const ExploreCase minimal = shrink_case(failing, expect, 200, &stats);
+  const ExploreCase minimal =
+      shrink_case(ScheduleKind{}, failing, expect, 200, &stats);
   EXPECT_GT(stats.attempts, 0u);
 
   // The minimal case still reproduces the expected category...
@@ -304,13 +354,19 @@ TEST(Shrinker, MinimizesAndStaysFailing) {
   EXPECT_LE(minimal.scenario.n, failing.scenario.n);
 }
 
+ScheduleKind schedule_kind(bool skip_lemma4 = false) {
+  ScheduleKind kind;
+  kind.gen.base = explorer_base();
+  kind.gen.base.process.ablation_skip_obsolete_filter = skip_lemma4;
+  return kind;
+}
+
 TEST(Sweep, HealthyDgSweepIsClean) {
   SweepOptions options;
-  options.gen.base = explorer_base();
   options.runs = 40;
   options.seed = 11;
   options.jobs = 2;
-  const SweepReport report = run_sweep(options);
+  const SweepReport<ExploreCase> report = run_sweep(schedule_kind(), options);
   EXPECT_EQ(report.runs_completed, 40u);
   EXPECT_TRUE(report.ok()) << (report.repros.empty()
                                    ? std::string("violations without repros")
@@ -322,19 +378,18 @@ TEST(Sweep, HealthyDgSweepIsClean) {
 
 TEST(Sweep, FaultInjectedSweepFindsShrinksAndReplays) {
   SweepOptions options;
-  options.gen.base = explorer_base();
-  options.gen.base.process.ablation_skip_obsolete_filter = true;
   options.runs = 60;
   options.seed = 3;
   options.jobs = 2;
   options.shrink_budget = 120;
   options.max_repros = 1;
 
-  const SweepReport report = run_sweep(options);
+  const ScheduleKind kind = schedule_kind(/*skip_lemma4=*/true);
+  const SweepReport<ExploreCase> report = run_sweep(kind, options);
   ASSERT_FALSE(report.ok());
   ASSERT_FALSE(report.repros.empty());
 
-  const ReproArtifact& artifact = report.repros[0];
+  const ReproArtifact<ExploreCase>& artifact = report.repros[0];
   // The artifact is self-contained: replaying the minimal case through the
   // same entry point reproduces the recorded violation category.
   const RunOutcome replay = run_explore_case(artifact.minimal);
@@ -342,39 +397,101 @@ TEST(Sweep, FaultInjectedSweepFindsShrinksAndReplays) {
   EXPECT_TRUE(artifact.expect.matches(replay.violations));
 
   // And it survives the JSON round-trip used by `optrec_explore --repro`.
-  const std::string text = repro_to_json(artifact.minimal, artifact.expect);
-  ExploreCase parsed;
+  const std::string text = repro_to_json(kind, artifact.minimal,
+                                         artifact.expect);
   Expectation parsed_expect;
-  parse_repro_json(text, &parsed, &parsed_expect);
+  const ExploreCase parsed = parse_repro_json(kind, text, &parsed_expect);
   const RunOutcome from_json = run_explore_case(parsed);
   EXPECT_TRUE(parsed_expect.matches(from_json.violations));
 }
 
-TEST(Sweep, SingleThreadedSweepIsDeterministic) {
+// Every violating run competes for a slot, but each category gets one: a
+// sweep that hits the same bug in many runs writes one artifact for it.
+TEST(Sweep, ReproSlotsGoToDistinctCategories) {
   SweepOptions options;
-  options.gen.base = explorer_base();
-  options.runs = 25;
-  options.seed = 5;
+  options.runs = 100;
+  options.seed = 3;
+  options.jobs = 2;
+  options.shrink = false;
+  options.max_repros = 4;
+  const SweepReport<ExploreCase> report =
+      run_sweep(schedule_kind(/*skip_lemma4=*/true), options);
+  ASSERT_GT(report.violation_runs, report.repros.size());
+  ASSERT_FALSE(report.repros.empty());
+  std::set<std::string> categories;
+  for (const ReproArtifact<ExploreCase>& artifact : report.repros) {
+    EXPECT_EQ(artifact.expect.category, artifact.violation.category);
+    EXPECT_TRUE(categories.insert(artifact.expect.category).second)
+        << "two artifacts for [" << artifact.expect.category << "]";
+  }
+}
+
+template <class Kind>
+void expect_deterministic_at_one_worker(const Kind& kind,
+                                        SweepOptions options) {
   options.jobs = 1;
-  const SweepReport a = run_sweep(options);
-  const SweepReport b = run_sweep(options);
+  const auto a = run_sweep(kind, options);
+  const auto b = run_sweep(kind, options);
+  EXPECT_EQ(a.runs_completed, options.runs);
   EXPECT_EQ(a.runs_completed, b.runs_completed);
   EXPECT_EQ(a.violation_runs, b.violation_runs);
   EXPECT_EQ(a.coverage_buckets, b.coverage_buckets);
   EXPECT_EQ(a.corpus_size, b.corpus_size);
+  ASSERT_EQ(a.repros.size(), b.repros.size());
+  for (std::size_t i = 0; i < a.repros.size(); ++i) {
+    EXPECT_EQ(a.repros[i].expect.category, b.repros[i].expect.category);
+    EXPECT_EQ(repro_to_json(kind, a.repros[i].minimal, a.repros[i].expect),
+              repro_to_json(kind, b.repros[i].minimal, b.repros[i].expect));
+  }
+}
+
+TEST(Sweep, SingleThreadedSweepIsDeterministic) {
+  SweepOptions options;
+  options.runs = 25;
+  options.seed = 5;
+  expect_deterministic_at_one_worker(schedule_kind(), options);
+
+  // The durability kind, with an ablation so there are repros to compare.
+  DurabilityKind durability;
+  durability.ops = 40;
+  durability.mutation = "async-tokens";
+  options.runs = 150;
+  options.shrink_budget = 60;
+  expect_deterministic_at_one_worker(durability, options);
 }
 
 TEST(Sweep, BenchJsonHasTheContractFields) {
   SweepOptions options;
-  options.gen.base = explorer_base();
   options.runs = 5;
   options.jobs = 1;
-  const SweepReport report = run_sweep(options);
-  const std::string json = report.bench_json("damani-garg");
-  EXPECT_NE(json.find("\"bench\":\"explore\""), std::string::npos);
-  EXPECT_NE(json.find("\"runs\":5"), std::string::npos);
-  EXPECT_NE(json.find("\"runs_per_second\""), std::string::npos);
-  EXPECT_NE(json.find("\"coverage_buckets\""), std::string::npos);
+  const std::vector<std::string> counters = {
+      "runs", "violation_runs", "wall_seconds", "runs_per_second",
+      "coverage_buckets", "corpus_size"};
+
+  const ScheduleKind schedule = schedule_kind();
+  const std::string explore =
+      run_sweep(schedule, options).bench_json(schedule.bench_labels());
+  const JsonValue e = JsonValue::parse(explore);
+  EXPECT_EQ(e.find("bench")->as_string(), "explore");
+  EXPECT_EQ(e.find("protocol")->as_string(), "damani-garg");
+  EXPECT_EQ(e.u64_or("runs", 0), 5u);
+  for (const std::string& key : counters) {
+    EXPECT_NE(e.find(key), nullptr) << "BENCH_explore.json: no " << key;
+  }
+
+  DurabilityKind durability;
+  durability.mutation = "skip-crc";
+  const std::string dur =
+      run_sweep(durability, options).bench_json(durability.bench_labels());
+  const JsonValue d = JsonValue::parse(dur);
+  EXPECT_EQ(d.find("schema")->as_string(),
+            "optrec-bench-durability-explore-v1");
+  EXPECT_EQ(d.find("mutation")->as_string(), "skip-crc");
+  EXPECT_EQ(d.u64_or("runs", 0), 5u);
+  for (const std::string& key : counters) {
+    EXPECT_NE(d.find(key), nullptr)
+        << "BENCH_durability_explore.json: no " << key;
+  }
 }
 
 }  // namespace
