@@ -1,4 +1,4 @@
-// Channel data-plane microbench: the lock-free ring/wheel LiveChannel
+// Channel data-plane microbench: the lock-free ring/heap LiveChannel
 // against an in-bench mirror of the old mutex+condvar channel, under
 // 1/4/16 producers and due-only vs delayed-mix traffic.
 //
@@ -9,7 +9,7 @@
 // line for line: vector under a mutex, O(n) reservoir scan per pop,
 // condvar broadcast wakeups. The contrast it exists to show: that scan is
 // quadratic in backlog, so it collapses under producer contention while
-// the ring/wheel channel stays flat.
+// the ring/heap channel stays flat.
 //
 // Emits BENCH_channel.json (override with --out=FILE) for CI artifact
 // upload; prints a human-readable table. Exits non-zero if any run loses a
@@ -19,6 +19,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -30,7 +31,6 @@
 #include "src/live/live_clock.h"
 #include "src/util/json.h"
 #include "src/util/rng.h"
-#include "src/wire/frame_buf.h"
 
 using namespace optrec;
 
@@ -106,8 +106,8 @@ LiveFrame make_frame(ProcessId src, SimTime not_before, SimTime sent_at) {
   LiveFrame f;
   f.kind = LiveFrame::Kind::kWire;
   f.src = src;
-  f.wire = FramePool::global().wrap(
-      {0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08});
+  f.wire = std::make_shared<const Bytes>(
+      Bytes{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08});
   f.not_before = not_before;
   f.sent_at = sent_at;
   return f;
@@ -206,8 +206,8 @@ int main(int argc, char** argv) {
 
   const int kProducerCounts[] = {1, 4, 16};
   // Delayed runs park ~half the frames for up to 1 ms: long enough to
-  // exercise the wheel/next_due machinery, short enough that the run is
-  // dominated by queueing, not sleeping.
+  // exercise the delay heap and its sleep deadline, short enough that the
+  // run is dominated by queueing, not sleeping.
   const SimTime kMaxDelay = 1000;
 
   std::vector<Run> runs;
@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
       }
       {
         LiveChannel ch;
-        runs.push_back(drive(ch, "ring_wheel", producers, frames, delay));
+        runs.push_back(drive(ch, "ring_heap", producers, frames, delay));
       }
     }
   }

@@ -4,33 +4,44 @@
 
 namespace optrec {
 
+namespace {
+
+// Heap order for std::push_heap/pop_heap: the earliest not_before on top.
+bool later(const LiveFrame& a, const LiveFrame& b) {
+  return a.not_before > b.not_before;
+}
+
+}  // namespace
+
 void LiveChannel::push(LiveFrame frame) {
   size_.fetch_add(1, std::memory_order_acq_rel);
   ring_.push(std::move(frame));
   bell_.ring();
 }
 
+void LiveChannel::route_due(LiveFrame frame) {
+  if (frame.kind != LiveFrame::Kind::kWire) {
+    due_ctrl_.push_back(std::move(frame));
+  } else {
+    due_wire_.push_back(std::move(frame));
+  }
+}
+
 void LiveChannel::intake(SimTime now) {
   LiveFrame f;
   while (ring_.try_pop(f)) {
     if (f.not_before > now) {
-      wheel_.add(f.not_before, std::move(f));
-    } else if (f.kind != LiveFrame::Kind::kWire) {
-      due_ctrl_.push_back(std::move(f));
+      delayed_.push_back(std::move(f));
+      std::push_heap(delayed_.begin(), delayed_.end(), later);
     } else {
-      due_wire_.push_back(std::move(f));
+      route_due(std::move(f));
     }
   }
-  routed_.clear();
-  wheel_.advance(now, routed_);
-  for (LiveFrame& r : routed_) {
-    if (r.kind != LiveFrame::Kind::kWire) {
-      due_ctrl_.push_back(std::move(r));
-    } else {
-      due_wire_.push_back(std::move(r));
-    }
+  while (!delayed_.empty() && delayed_.front().not_before <= now) {
+    std::pop_heap(delayed_.begin(), delayed_.end(), later);
+    route_due(std::move(delayed_.back()));
+    delayed_.pop_back();
   }
-  routed_.clear();
 }
 
 std::optional<LiveFrame> LiveChannel::pop_ready(const LiveClock& clock,
@@ -61,7 +72,9 @@ std::optional<LiveFrame> LiveChannel::pop_ready(const LiveClock& clock,
       return out;
     }
     if (now >= wait_until) return std::nullopt;
-    const SimTime sleep_to = std::min(wait_until, wheel_.next_deadline());
+    const SimTime sleep_to =
+        delayed_.empty() ? wait_until
+                         : std::min(wait_until, delayed_.front().not_before);
     bell_.wait_until(seen, clock.to_time_point(sleep_to));
   }
 }

@@ -13,11 +13,14 @@
 // Data plane (this is the hot path of the whole live/TCP substrate):
 //   producers --lock-free--> MpscRing --consumer drains--> route:
 //        due now  -> due_ctrl_ / due_wire_ (uniform-random pick)
-//        delayed  -> TimingWheel (consumer-private, exact release times)
+//        delayed  -> delayed_ (consumer-private min-heap on not_before)
 // Producers never take a lock (ring fast path) and never broadcast a
 // condvar; they ring a Doorbell whose slow path only fires when the
-// consumer is actually parked. Frame payloads are refcounted FrameRefs,
-// so a push moves a pointer, not bytes.
+// consumer is actually parked. Frames not due yet (a scheduled crash, a
+// frame parked while its receiver is down, an injected delay) wait in the
+// heap; a frame leaves it exactly when its not_before passes, never early,
+// and the heap top is the consumer's sleep deadline. Frame payloads are
+// shared FrameBytes, so a push moves a pointer, not bytes.
 #pragma once
 
 #include <atomic>
@@ -31,8 +34,7 @@
 #include "src/util/ids.h"
 #include "src/util/mpsc_ring.h"
 #include "src/util/rng.h"
-#include "src/util/timing_wheel.h"
-#include "src/wire/frame_buf.h"
+#include "src/wire/wire_codec.h"
 
 namespace optrec {
 
@@ -45,9 +47,9 @@ struct LiveFrame {
   Kind kind = Kind::kWire;
   ProcessId src = kNoProcess;
   /// Wire image (kWire only), shared by reference: fan-out sends clone the
-  /// ref, never the bytes. The receiving worker decodes it; payloads cross
+  /// pointer, never the bytes. The receiving worker decodes it; payloads cross
   /// the thread boundary only as immutable bytes, the way a socket would.
-  FrameRef wire;
+  FrameBytes wire;
   /// kWire accounting without a decode: app message vs control/token.
   bool app = false;
   bool token = false;
@@ -69,7 +71,7 @@ class LiveChannel {
   std::optional<LiveFrame> pop_ready(const LiveClock& clock,
                                      SimTime wait_until, Rng& rng);
 
-  /// Frames inside the channel (ring + wheel + due sets). Lock-free; safe
+  /// Frames inside the channel (ring + delay heap + due sets). Lock-free; safe
   /// from any thread.
   std::size_t size() const { return size_.load(std::memory_order_acquire); }
   /// Most frames ever simultaneously queued in the producer ring.
@@ -78,19 +80,19 @@ class LiveChannel {
   std::uint64_t ring_overflows() const { return ring_.overflow_pushes(); }
 
  private:
-  /// Consumer only: drain the ring, route frames due/ctrl/wheel, release
-  /// matured wheel entries.
+  /// Consumer only: drain the ring into the due sets or the delay heap,
+  /// then move every matured heap frame into its due set.
   void intake(SimTime now);
+  void route_due(LiveFrame frame);
 
   MpscRing<LiveFrame> ring_;
   Doorbell bell_;
   std::atomic<std::size_t> size_{0};
 
   // Consumer-private state (owning worker thread only).
-  TimingWheel<LiveFrame> wheel_;
+  std::vector<LiveFrame> delayed_;  // min-heap on not_before
   std::vector<LiveFrame> due_wire_;
   std::vector<LiveFrame> due_ctrl_;
-  std::vector<LiveFrame> routed_;  // reusable scratch for wheel release
 };
 
 }  // namespace optrec

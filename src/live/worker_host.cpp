@@ -15,7 +15,6 @@ WorkerHost::WorkerHost(LiveClock& clock, Transport& transport,
                        const Spec& spec)
     : clock_(clock),
       counters_(counters),
-      max_block_(spec.max_block),
       retry_interval_(spec.retry_interval),
       by_pid_(spec.n, nullptr) {
   const AppFactory factory = spec.workload.make_factory();
@@ -104,7 +103,7 @@ void WorkerHost::worker_main(Worker& w) {
     w.timers->fire_due();
     sync_mirrors(w);
     const SimTime wait_until =
-        std::min(w.timers->next_deadline(), clock_.now() + max_block_);
+        std::min(w.timers->next_deadline(), clock_.now() + kMaxWait);
     std::optional<LiveFrame> frame =
         channel.pop_ready(clock_, wait_until, w.rng);
     if (!frame) continue;
@@ -130,7 +129,7 @@ void WorkerHost::worker_main(Worker& w) {
       channel.push(std::move(*frame));
       continue;
     }
-    const Frame decoded = decode_frame(frame->wire.bytes());
+    const Frame decoded = decode_frame(*frame->wire);
     w.latency->observe(static_cast<double>(clock_.now() - frame->sent_at));
     if (decoded.type == FrameType::kMessage) {
       w.proc->on_message(decoded.message);

@@ -68,8 +68,6 @@ class WorkerHost {
     TraceRecorder* trace = nullptr;
     /// Mirror target for gauges and latency (required).
     telemetry::MetricsRegistry* registry = nullptr;
-    /// Upper bound on one worker wait, so mirrors refresh even when idle.
-    SimTime max_block = millis(5);
     /// Backoff between delivery attempts while the receiver is down.
     SimTime retry_interval = millis(2);
   };
@@ -148,9 +146,11 @@ class WorkerHost {
   void exit_as(Worker& w, State state);
   bool all_joined() const;
 
+  /// Upper bound on one worker wait, so mirrors refresh even when idle.
+  static constexpr SimTime kMaxWait = millis(5);
+
   LiveClock& clock_;
   DeliveryCounters& counters_;
-  const SimTime max_block_;
   const SimTime retry_interval_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<Worker*> by_pid_;  // null for pids hosted elsewhere

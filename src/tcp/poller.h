@@ -1,7 +1,7 @@
-// Readiness notification for the TCP event loop: epoll on Linux, poll(2)
-// everywhere else. Level-triggered on both backends — the loop re-arms
-// write interest only while an outbound buffer is nonempty, so level
-// semantics cost nothing and keep the state machine simple.
+// Readiness notification for the TCP event loop, over epoll. Level-
+// triggered — the loop re-arms write interest only while an outbound
+// buffer is nonempty, so level semantics cost nothing and keep the state
+// machine simple.
 #pragma once
 
 #include <cstddef>
@@ -12,9 +12,7 @@ namespace optrec {
 
 class Poller {
  public:
-  /// The platform's backend; `use_poll` forces poll(2) on Linux too (the
-  /// test seam that keeps the fallback covered on the primary platform).
-  explicit Poller(bool use_poll = false);
+  Poller();
   ~Poller();
 
   Poller(const Poller&) = delete;
@@ -30,7 +28,7 @@ class Poller {
 
   /// Register `fd`; throws std::system_error on failure.
   void add(int fd, bool want_read, bool want_write);
-  /// Update interest for a registered fd.
+  /// Update interest for a registered fd; no syscall when it is unchanged.
   void set(int fd, bool want_read, bool want_write);
   /// Deregister; unknown fds are a no-op (callers close eagerly).
   void remove(int fd);
@@ -39,7 +37,6 @@ class Poller {
   /// returned reference is valid until the next wait() call.
   const std::vector<Event>& wait(int timeout_ms);
 
-  bool using_poll() const { return epfd_ < 0; }
   std::size_t size() const { return interest_.size(); }
 
  private:
@@ -48,7 +45,7 @@ class Poller {
     bool write = false;
   };
 
-  int epfd_ = -1;  // -1 = poll backend
+  int epfd_ = -1;
   std::unordered_map<int, Interest> interest_;
   std::vector<Event> events_;
 };

@@ -32,7 +32,6 @@ TcpCluster::TcpCluster(TcpClusterConfig config) : config_(std::move(config)) {
     nc.time_cap = config_.time_cap;
     nc.settle = config_.settle;
     nc.status_interval = config_.status_interval;
-    nc.max_block = config_.max_block;
     if (!config_.data_dir.empty()) {
       nc.data_dir = config_.data_dir + "/node-" + std::to_string(id);
     }

@@ -36,7 +36,6 @@ struct TcpClusterConfig {
   SimTime time_cap = seconds(30);
   SimTime settle = millis(150);
   SimTime status_interval = millis(25);
-  SimTime max_block = millis(5);
   bool enable_oracle = true;
   bool enable_trace = false;
   /// Durable storage root; node i persists under `<data_dir>/node-<i>`.

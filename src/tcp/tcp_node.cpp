@@ -38,7 +38,6 @@ WorkerHost::Spec host_spec(const TcpNodeConfig& c,
   spec.oracle = c.oracle;
   spec.trace = c.trace;
   spec.registry = registry;
-  spec.max_block = c.max_block;
   spec.retry_interval = c.topology.faults.retry_interval;
   return spec;
 }
@@ -189,16 +188,6 @@ void TcpNode::setup_telemetry() {
   telemetry::register_counters(registry_,
                                [this] { return transport_.tcp_stats(); });
   registry_.add_collector([this](std::vector<telemetry::Sample>& out) {
-    const auto add = [&out](const char* name, std::uint64_t v) {
-      out.push_back(
-          telemetry::scalar_sample(name, telemetry::SampleKind::kCounter, v));
-    };
-    // Buffer-pool efficiency: hits = encodes served from the freelist.
-    const FramePool::Stats ps = FramePool::global().stats();
-    add("optrec_frame_pool_hits_total", ps.hits);
-    add("optrec_frame_pool_misses_total", ps.misses);
-    add("optrec_frame_pool_recycled_total", ps.recycled);
-    add("optrec_frame_pool_discarded_total", ps.discarded);
     const auto gauge = [&out](const char* name, const char* label,
                               std::uint32_t id, std::uint64_t v) {
       out.push_back(telemetry::scalar_sample(

@@ -83,8 +83,6 @@ struct TcpNodeConfig {
   SimTime settle = millis(150);
   /// Status gossip period (and the supervisor's polling period).
   SimTime status_interval = millis(25);
-  /// Upper bound on one worker wait, so mirrors refresh even when idle.
-  SimTime max_block = millis(5);
   /// Shared validation hooks (in-process clusters); non-owning, may be
   /// null. Cross-machine runs validate per-node traces post-hoc instead.
   CausalityOracle* oracle = nullptr;

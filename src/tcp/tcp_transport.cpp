@@ -154,7 +154,7 @@ void TcpTransport::wake() {
   [[maybe_unused]] const ssize_t rc = ::write(wake_wr_.get(), &b, 1);
 }
 
-void TcpTransport::push_local(ProcessId src, ProcessId dst, FrameRef wire,
+void TcpTransport::push_local(ProcessId src, ProcessId dst, FrameBytes wire,
                               bool app, bool token, SimTime delay) {
   LiveFrame f;
   f.kind = LiveFrame::Kind::kWire;
@@ -170,7 +170,7 @@ void TcpTransport::push_local(ProcessId src, ProcessId dst, FrameRef wire,
 
 TcpTransport::OutMsg TcpTransport::control_msg(const Envelope& e) {
   OutMsg m;
-  m.head = FramePool::global().wrap(frame_envelope(e));
+  m.head = std::make_shared<const Bytes>(frame_envelope(e));
   return m;
 }
 
@@ -201,9 +201,9 @@ MsgId TcpTransport::inject_local(Message msg, SimTime delay) {
   counters_.net.add<&Network::Stats::app_messages_sent>();
   counters_.net.add<&Network::Stats::message_bytes>(message_wire_bytes(msg));
   if (trace_) trace_->emit(send_event(clock_.now(), msg));
-  FrameRef wire = FramePool::global().wrap(encode_message_frame(msg));
-  push_local(msg.src, msg.dst, std::move(wire), /*app=*/true, /*token=*/false,
-             delay);
+  push_local(msg.src, msg.dst,
+             std::make_shared<const Bytes>(encode_message_frame(msg)),
+             /*app=*/true, /*token=*/false, delay);
   return msg.id;
 }
 
@@ -235,8 +235,8 @@ MsgId TcpTransport::send(Message msg) {
   if (dup) counters_.net.add<&Network::Stats::messages_duplicated>();
 
   if (dst_node == node_id_) {
-    // Encode once into a pooled buffer; a duplicate shares the ref.
-    FrameRef wire = FramePool::global().wrap(encode_message_frame(msg));
+    // Encode once; a duplicate shares the bytes.
+    FrameBytes wire = std::make_shared<const Bytes>(encode_message_frame(msg));
     if (dup) {
       push_local(msg.src, msg.dst, wire, app, /*token=*/false,
                  draw_delay(rng));
@@ -274,10 +274,9 @@ void TcpTransport::broadcast_token(const Token& token) {
   counters_.net.add<&Network::Stats::token_broadcasts>();
   if (trace_) trace_->emit(token_broadcast_event(clock_.now(), token));
   Rng& rng = *send_rng_.at(token.from);
-  // One encode for the whole broadcast: every local channel frame is a
-  // clone of this ref, and one kToken frame carries it to every remote
-  // node.
-  FrameRef wire = FramePool::global().wrap(encode_token_frame(token));
+  // One encode for the whole broadcast: every local channel frame shares
+  // these bytes, and one kToken frame carries them to every remote node.
+  FrameBytes wire = std::make_shared<const Bytes>(encode_token_frame(token));
   const std::size_t bytes = token_wire_bytes(token);
   for (ProcessId dst = 0; dst < topo_.n; ++dst) {
     if (dst == token.from) continue;
@@ -292,7 +291,7 @@ void TcpTransport::broadcast_token(const Token& token) {
   e.kind = EnvelopeKind::kToken;
   e.src_node = node_id_;
   e.src_pid = token.from;
-  e.wire = Bytes(wire.data(), wire.data() + wire.size());
+  e.wire = *wire;
   {
     std::lock_guard<std::mutex> lock(tokens_mu_);
     e.token_seq = next_token_seq_++;
@@ -304,7 +303,7 @@ void TcpTransport::broadcast_token(const Token& token) {
       token_sends_.emplace(std::make_pair(p->node, e.token_seq), send);
       tokens_pending_.fetch_add(1, std::memory_order_acq_rel);
       stats_.add<&TcpStats::tokens_tx>();
-      queue_to_peer(p->node, send.msg);  // ref clone; no byte copy
+      queue_to_peer(p->node, send.msg);  // pointer clone; no byte copy
     }
   }
   wake();
@@ -587,10 +586,10 @@ void TcpTransport::on_peer_established(Peer& p) {
   hello.src_node = node_id_;
   hello.epoch = epoch_;
   hello.cluster = topo_.cluster;
-  FrameRef framed = FramePool::global().wrap(frame_envelope(hello));
-  outbuf_bytes_.fetch_add(framed.size(), std::memory_order_relaxed);
+  FrameBytes framed = std::make_shared<const Bytes>(frame_envelope(hello));
+  outbuf_bytes_.fetch_add(framed->size(), std::memory_order_relaxed);
   stats_.add<&TcpStats::frames_tx>();
-  p.sendq_bytes += framed.size();
+  p.sendq_bytes += framed->size();
   p.sendq.push_back({std::move(framed), 0});
   flush_peer(p);
 }
@@ -735,7 +734,7 @@ void TcpTransport::process_envelope(Peer& p, Envelope& e) {
       LiveFrame f;
       f.kind = LiveFrame::Kind::kWire;
       f.src = e.src_pid;
-      f.wire = FramePool::global().wrap(std::move(e.wire));
+      f.wire = std::make_shared<const Bytes>(std::move(e.wire));
       // From the decoded kind, not the envelope flag: the worker counts the
       // delivery by the same kind, so a lying flag cannot skew in-flight.
       f.app = m.kind == MessageKind::kApp;
@@ -822,7 +821,7 @@ void TcpTransport::process_token(Peer& p, Envelope& e) {
     // Local delivery exactly once per broadcast, however many retries carry
     // it here; each local copy draws its own injected delay. The token's
     // own process lives on the sender, so every local process gets one.
-    FrameRef wire = FramePool::global().wrap(std::move(e.wire));
+    FrameBytes wire = std::make_shared<const Bytes>(std::move(e.wire));
     for (ProcessId pid : topo_.node(node_id_).processes) {
       push_local(e.src_pid, pid, wire, /*app=*/false, /*token=*/true,
                  draw_delay(token_rng_));
@@ -854,30 +853,30 @@ void TcpTransport::process_token_ack(const Peer& p, const Envelope& e) {
 
 std::size_t TcpTransport::flush_peer(Peer& p) {
   if (!p.connected || p.blocked || !p.fd.valid()) return 0;
-  // Stage ring frames as segments — no copy, just ref moves. The ring
+  // Stage ring frames as segments — no copy, just pointer moves. The ring
   // keeps anything past the high-water mark (loss-free backpressure).
   std::size_t staged = 0;
   OutMsg m;
   while (p.sendq_bytes < kOutbufHighWater && p.outq.try_pop(m)) {
     if (m.delta != nullptr) materialize_delta(p, m);
     if (m.app) p.pending_app.fetch_sub(1, std::memory_order_acq_rel);
-    const std::size_t sz = m.head.size() + m.payload.size();
+    const std::size_t sz =
+        m.head->size() + (m.payload != nullptr ? m.payload->size() : 0);
     outbuf_bytes_.fetch_add(sz, std::memory_order_relaxed);
     stats_.add<&TcpStats::frames_tx>();
     p.sendq_bytes += sz;
     p.sendq.push_back({std::move(m.head), 0});
-    if (m.payload.size() != 0) p.sendq.push_back({std::move(m.payload), 0});
+    if (m.payload != nullptr) p.sendq.push_back({std::move(m.payload), 0});
     ++staged;
   }
   while (!p.sendq.empty()) {
-    // Scatter-gather straight out of the pooled frame buffers.
+    // Scatter-gather straight out of the shared frame buffers.
     struct iovec iov[kMaxIov];
     std::size_t cnt = 0;
     for (const SendSeg& s : p.sendq) {
       if (cnt == kMaxIov) break;
-      iov[cnt].iov_base =
-          const_cast<std::uint8_t*>(s.buf.data()) + s.off;
-      iov[cnt].iov_len = s.buf.size() - s.off;
+      iov[cnt].iov_base = const_cast<std::uint8_t*>(s.buf->data()) + s.off;
+      iov[cnt].iov_len = s.buf->size() - s.off;
       ++cnt;
     }
     msghdr mh{};
@@ -896,7 +895,7 @@ std::size_t TcpTransport::flush_peer(Peer& p) {
       std::size_t left = static_cast<std::size_t>(n);
       while (left != 0) {
         SendSeg& s = p.sendq.front();
-        const std::size_t avail = s.buf.size() - s.off;
+        const std::size_t avail = s.buf->size() - s.off;
         if (left >= avail) {
           left -= avail;
           p.sendq.pop_front();
@@ -935,8 +934,8 @@ void TcpTransport::materialize_delta(Peer& p, OutMsg& m) {
   stats_.add<&TcpStats::delta_bytes_tx>(wire.size());
   stats_.add<&TcpStats::delta_flat_bytes>(flat_size);
   m.head =
-      FramePool::global().wrap(frame_wire_envelope_prefix(e, wire.size()));
-  m.payload = FramePool::global().wrap(std::move(wire));
+      std::make_shared<const Bytes>(frame_wire_envelope_prefix(e, wire.size()));
+  m.payload = std::make_shared<const Bytes>(std::move(wire));
   m.delta.reset();
 }
 
@@ -1002,7 +1001,7 @@ void TcpTransport::retry_tokens() {
     Peer& p = *peers_[key.first];
     if (!p.connected || p.blocked) continue;
     stats_.add<&TcpStats::token_retries>();
-    p.outq.push(send.msg);  // ref clones; the bytes are never copied
+    p.outq.push(send.msg);  // pointer clones; the bytes are never copied
   }
 }
 

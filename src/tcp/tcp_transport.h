@@ -4,7 +4,7 @@
 // one TcpTransport per NODE hosts the LiveChannel inboxes of its local
 // processes and exchanges length-delimited envelopes (src/tcp/envelope.h)
 // with every other node over nonblocking TCP. A single IO thread per node
-// owns all sockets through a Poller (epoll on Linux, poll(2) elsewhere);
+// owns all sockets through an epoll Poller (src/tcp/poller.h);
 // worker threads only queue and poke the IO thread through a wake pipe.
 // A one-node transport hosts every process and never opens a peer socket:
 // every frame goes straight into a local channel, which makes a one-node
@@ -35,12 +35,12 @@
 //
 // Outbound data plane (zero-copy, lock-free): workers push each outbound
 // envelope onto the destination peer's lock-free ring. Control envelopes
-// are framed once into pooled, refcounted buffers (src/wire/frame_buf.h);
-// a message is encoded by the IO thread as it enters the connection's
-// byte stream, through that connection's delta codec
-// (src/scale/delta_codec.h), into a head prefix plus payload buffer. The
-// IO thread drains each ring into a per-connection segment queue and
-// writes with scatter-gather sendmsg (writev) straight out of the pooled
+// are framed once into shared, immutable FrameBytes
+// (src/wire/wire_codec.h); a message is encoded by the IO thread as it
+// enters the connection's byte stream, through that connection's delta
+// codec (src/scale/delta_codec.h), into a head prefix plus payload buffer.
+// The IO thread drains each ring into a per-connection segment queue and
+// writes with scatter-gather sendmsg (writev) straight out of those
 // buffers: no staging copy exists anywhere between encode and the socket.
 //
 // Thread contract:
@@ -89,7 +89,7 @@
 #include "src/util/counter_fields.h"
 #include "src/util/mpsc_ring.h"
 #include "src/util/rng.h"
-#include "src/wire/frame_buf.h"
+#include "src/wire/wire_codec.h"
 
 namespace optrec {
 
@@ -285,8 +285,8 @@ class TcpTransport : public Transport {
   /// The socket writes both back-to-back — byte-identical to
   /// frame_envelope, with zero copies after encode.
   struct OutMsg {
-    FrameRef head;
-    FrameRef payload;
+    FrameBytes head;
+    FrameBytes payload;  // null for a control envelope
     bool app = false;
     std::shared_ptr<const DeltaSend> delta;
     std::uint64_t delta_delay = 0;  // per-copy injected delay (micros)
@@ -296,7 +296,7 @@ class TcpTransport : public Transport {
   /// in the sendq count as "on the wire": they are dropped, like in-flight
   /// packets, when the connection dies.
   struct SendSeg {
-    FrameRef buf;
+    FrameBytes buf;
     std::size_t off = 0;
   };
 
@@ -337,7 +337,7 @@ class TcpTransport : public Transport {
 
   /// One kToken awaiting its destination's kTokenAck (under tokens_mu_).
   struct TokenSend {
-    OutMsg msg;  // prebuilt envelope frame; retries clone the refs
+    OutMsg msg;  // prebuilt envelope frame; retries clone the pointer
     SimTime next_retry = 0;
   };
 
@@ -350,7 +350,7 @@ class TcpTransport : public Transport {
   SimTime draw_delay(Rng& rng);
   static std::uint64_t unix_micros();
   void wake();
-  void push_local(ProcessId src, ProcessId dst, FrameRef wire, bool app,
+  void push_local(ProcessId src, ProcessId dst, FrameBytes wire, bool app,
                   bool token, SimTime delay);
   /// Queue one outbound envelope to `node` (lock-free ring push). App
   /// frames are subject to the backpressure cap; returns false when

@@ -21,7 +21,9 @@
 //   optrec_explore --durability --mutate=skip-crc --expect-violation
 //
 // Repro mode: replay a repro artifact and check that the recorded violation
-// category fires again. The artifact's schema string picks the case kind.
+// category fires again. The artifact holds the whole case and its schema
+// string picks the case kind, so every other flag but --print-case is a
+// usage error.
 //
 //   optrec_explore --repro=repros/repro-0.json
 //
@@ -294,6 +296,17 @@ int main(int argc, char** argv) {
     die(e.what());
   }
 
+  if (!repro_file.empty()) {
+    for (int i = 1; i < argc; ++i) {
+      if (parse_flag(argv[i], "--repro", &value) ||
+          parse_switch(argv[i], "--print-case")) {
+        continue;
+      }
+      die(std::string(argv[i]) +
+          " does not apply to --repro (the artifact holds the whole case)");
+    }
+    return replay_repro(repro_file, print_case);
+  }
   for (int i = 1; i < argc; ++i) {
     for (const char* flag : durability_mode ? kScheduleFlags
                                             : kDurabilityFlags) {
@@ -303,9 +316,8 @@ int main(int argc, char** argv) {
                                    : " needs --durability"));
     }
   }
-  if (print_case && repro_file.empty()) die("--print-case needs --repro");
+  if (print_case) die("--print-case needs --repro");
   if (schedule.gen.base.n < 2) die("--n must be >= 2");
-  if (!repro_file.empty()) return replay_repro(repro_file, print_case);
   if (options.runs == 0) die("--runs must be > 0");
 
   if (durability_mode) {

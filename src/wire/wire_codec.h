@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 
 #include "src/net/message.h"
 #include "src/util/bytes.h"
@@ -67,6 +68,11 @@ struct Frame {
 
 Bytes encode_message_frame(const Message& msg);
 Bytes encode_token_frame(const Token& token);
+
+/// An encoded frame shared by reference and never mutated after it is
+/// built: token fan-out, duplicate copies, retries and socket segments
+/// clone the pointer, never the bytes.
+using FrameBytes = std::shared_ptr<const Bytes>;
 
 /// Decode either frame kind. Throws FrameError on malformed, truncated,
 /// oversized, or trailing-garbage input; never asserts or reads out of

@@ -132,6 +132,29 @@ TEST(ExploreCli, ForeignKindFlagsAndBadTimeBudgetsExitTwo) {
               0)
         << mode;
   }
+
+  // Replay takes the whole case, its kind included, from the artifact:
+  // with --repro every flag but --print-case exits 2. The artifact is real,
+  // so the exit 2 cannot come from a missing file.
+  const fs::path repros = tmp.path / "repros";
+  ASSERT_EQ(run(OPTREC_EXPLORE_BIN,
+                "--mutate=skip-lemma4 --runs=100 --seed=3 --expect-violation "
+                "--max-repros=1 --out=" + repros.string()),
+            0);
+  ASSERT_TRUE(fs::exists(repros / "repro-0.json"));
+  const std::string repro = "--repro=" + (repros / "repro-0.json").string();
+  EXPECT_EQ(run(OPTREC_EXPLORE_BIN, repro), 0);
+  EXPECT_EQ(run(OPTREC_EXPLORE_BIN, repro + " --print-case"), 0);
+  for (const char* args :
+       {"--mutate=skip-crc --runs=9 --expect-violation", "--durability",
+        "--mutate=skip-lemma4", "--runs=9", "--expect-violation", "--seed=3",
+        "--jobs=2", "--time-budget=5", "--no-shrink", "--shrink-budget=3",
+        "--max-repros=1", "--out=.", "--bench-out=bench.json", "--quiet",
+        "--protocol=dg", "--workload=bank", "--n=4", "--max-crashes=1",
+        "--max-partitions=0", "--retransmit", "--stability", "--no-dup",
+        "--ops=5", "--garble=0.9", "--corrupt-prob=0.9"}) {
+    EXPECT_EQ(run(OPTREC_EXPLORE_BIN, repro + " " + args), 2) << args;
+  }
 }
 
 #endif  // OPTREC_SIM_BIN && OPTREC_NODE_BIN && OPTREC_EXPLORE_BIN

@@ -1,18 +1,18 @@
-// LiveChannel data-plane hammer: the ring/wheel/doorbell channel under
-// real producer concurrency, plus the wheel-routed control-preemption
-// property (a crash frame that matures inside the timing wheel must beat
+// LiveChannel data-plane hammer: the ring/heap/doorbell channel under
+// real producer concurrency, plus the delay-routed control-preemption
+// property (a crash frame that matures inside the delay heap must beat
 // any backlog of due wire frames).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "src/live/live_channel.h"
 #include "src/live/live_clock.h"
 #include "src/util/rng.h"
-#include "src/wire/frame_buf.h"
 
 namespace optrec {
 namespace {
@@ -21,7 +21,7 @@ LiveFrame wire_frame(ProcessId src, SimTime not_before, SimTime sent_at) {
   LiveFrame f;
   f.kind = LiveFrame::Kind::kWire;
   f.src = src;
-  f.wire = FramePool::global().wrap({1, 2, 3});
+  f.wire = std::make_shared<const Bytes>(Bytes{1, 2, 3});
   f.not_before = not_before;
   f.sent_at = sent_at;
   return f;
@@ -46,7 +46,7 @@ TEST(LiveChannelStressTest, ConcurrentProducersDelayMixLosesNothing) {
       Rng rng(static_cast<std::uint64_t>(p) + 100);
       for (int i = 0; i < kPerProducer; ++i) {
         const SimTime now = clock.now();
-        // ~half due immediately, ~half parked in the wheel briefly.
+        // ~half due immediately, ~half parked in the delay heap briefly.
         const SimTime delay = rng.chance(0.5) ? 0 : rng.uniform(2000);
         channel.push(wire_frame(static_cast<ProcessId>(p), now + delay, now));
       }
@@ -67,7 +67,7 @@ TEST(LiveChannelStressTest, ConcurrentProducersDelayMixLosesNothing) {
     ASSERT_TRUE(f.has_value()) << "timed out with " << popped << " popped";
     ASSERT_LE(f->not_before, clock.now()) << "frame released early";
     ASSERT_LT(f->src, static_cast<ProcessId>(kProducers));
-    ASSERT_EQ(f->wire.size(), 3u);
+    ASSERT_EQ(f->wire->size(), 3u);
     ++per_src[f->src];
     ++popped;
   }
@@ -79,7 +79,7 @@ TEST(LiveChannelStressTest, ConcurrentProducersDelayMixLosesNothing) {
   EXPECT_EQ(channel.size(), 0u);
 }
 
-// A crash frame that matures through the timing wheel preempts due wire
+// A crash frame that matures through the delay heap preempts due wire
 // traffic the moment it becomes due, even when wire frames keep arriving.
 TEST(LiveChannelTest, WheelRoutedCrashPreemptsDueWireBacklog) {
   LiveClock clock;
@@ -89,7 +89,7 @@ TEST(LiveChannelTest, WheelRoutedCrashPreemptsDueWireBacklog) {
   const SimTime crash_at = clock.now() + millis(5);
   LiveFrame crash;
   crash.kind = LiveFrame::Kind::kCrash;
-  crash.not_before = crash_at;  // parks in the consumer's wheel
+  crash.not_before = crash_at;  // parks in the consumer's delay heap
   channel.push(crash);
   for (int i = 0; i < 64; ++i) {
     channel.push(wire_frame(1, /*not_before=*/0, clock.now()));

@@ -33,6 +33,41 @@ TEST(LiveChannelTest, HoldsFrameUntilNotBefore) {
   EXPECT_GE(clock.now(), f.not_before);
 }
 
+// A frame delayed an hour stays queued and counted while nearer frames
+// release on time, and a bounded wait that only it could end times out
+// instead of surfacing it early.
+TEST(LiveChannelTest, FarFutureFrameStaysQueuedWhileNearerFramesRelease) {
+  LiveClock clock;
+  LiveChannel channel;
+  Rng rng(4);
+
+  constexpr ProcessId kFar = 99;
+  LiveFrame far;
+  far.src = kFar;
+  far.not_before = clock.now() + seconds(3600);
+  channel.push(far);
+  for (ProcessId i = 0; i < 3; ++i) {
+    LiveFrame near;
+    near.src = i;
+    near.not_before = clock.now() + millis(2 * (i + 1));
+    channel.push(near);
+  }
+  EXPECT_EQ(channel.size(), 4u);
+
+  for (int i = 0; i < 3; ++i) {
+    auto popped = channel.pop_ready(clock, clock.now() + millis(500), rng);
+    ASSERT_TRUE(popped.has_value());
+    EXPECT_NE(popped->src, kFar);
+    EXPECT_GE(clock.now(), popped->not_before);
+  }
+  EXPECT_EQ(channel.size(), 1u);
+
+  const SimTime wait_until = clock.now() + millis(20);
+  EXPECT_FALSE(channel.pop_ready(clock, wait_until, rng).has_value());
+  EXPECT_GE(clock.now(), wait_until);
+  EXPECT_EQ(channel.size(), 1u);
+}
+
 TEST(LiveChannelTest, DueControlFrameBeatsWireBacklog) {
   LiveClock clock;
   LiveChannel channel;
