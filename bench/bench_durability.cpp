@@ -233,8 +233,6 @@ RecoveryRow run_recovery(std::uint64_t log_len) {
   {
     DurableOptions opts;
     opts.dir = dir;
-    // Keep the full log on disk: this experiment measures replay length.
-    opts.compact_threshold = ~0ull;
     DurableBackend backend(opts);
     backend.start_fresh();
     StableStorage storage;
@@ -252,7 +250,6 @@ RecoveryRow run_recovery(std::uint64_t log_len) {
 
   DurableOptions opts;
   opts.dir = dir;
-  opts.compact_threshold = ~0ull;
   DurableBackend backend(opts);
   StableStorage restored;
   const auto start = Clock::now();

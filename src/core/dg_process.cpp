@@ -136,6 +136,11 @@ void DamaniGargProcess::take_checkpoint() {
     // sends of handlers after the restored checkpoint (Remark 1).
     c.extra = retransmitter_.snapshot();
   }
+  if (config().enable_gc) {
+    // So must the duplicate filter, once GC may reclaim the log prefix it
+    // is rebuilt from: peers keep retransmitting what we delivered there.
+    c.delivered_keys = delivered_keys_snapshot();
+  }
   c.taken_at = sim().now();
   storage().checkpoints().append(std::move(c));
   ++metrics().checkpoints_taken;
@@ -190,7 +195,7 @@ void DamaniGargProcess::handle_restart() {
     apply_delivery(storage().log().entry(i), /*replay=*/true);
   }
   reapply_token_log();
-  rebuild_delivered_keys(delivered_total_);
+  rebuild_delivered_keys(delivered_total_, checkpoint.delivered_keys);
 
   // Announce the failure: (version that failed, timestamp at restoration).
   Token token;
@@ -340,7 +345,7 @@ void DamaniGargProcess::rollback(ProcessId from, FtvcEntry failed) {
 
   storage().checkpoints().truncate_after(*idx);
   storage().log().truncate_from(replay_to);
-  rebuild_delivered_keys(delivered_total_);
+  rebuild_delivered_keys(delivered_total_, checkpoint.delivered_keys);
 
   // Fig. 2 "On Rollback": ts++, and the version number is NOT incremented.
   // The TR's "clock = s.clock" must not be read as reverting the process's
@@ -439,6 +444,8 @@ void DamaniGargProcess::after_stability_change() {
     metrics().gc_held_intervals -= gc_held_reported_;
     metrics().gc_held_intervals += gc.held_intervals;
     gc_held_reported_ = gc.held_intervals;
+    forget_committed_outputs_through(
+        storage().checkpoints().at(0).delivered_count);
     if (gc.checkpoints_reclaimed + gc.log_entries_reclaimed > 0) {
       trace_simple(TraceEventType::kGc, gc.checkpoints_reclaimed,
                    gc.log_entries_reclaimed);

@@ -16,7 +16,8 @@ std::vector<Message> Retransmitter::collect_for(ProcessId failed,
   // wiped from the hold queue). Skipping such sends silently loses them, so
   // we resend every non-obsolete recorded send to the failed process and
   // rely on the receiver's (sender, version, seq) duplicate filter, which is
-  // rebuilt from its stable log and therefore knows exactly what survived.
+  // rebuilt from its restored checkpoint's keys plus its stable log and
+  // therefore knows exactly what survived, GC'd log prefix included.
   (void)restored;
   std::vector<Message> out;
   for (const auto& [key, msg] : sent_) {
@@ -46,19 +47,6 @@ void Retransmitter::restore(const Bytes& bytes) {
     Message m = Message::decode(r);
     sent_.emplace(Key{m.dst, m.src_version, m.send_seq}, std::move(m));
   }
-}
-
-std::size_t Retransmitter::prune_dominated(const Ftvc& floor) {
-  std::size_t pruned = 0;
-  for (auto it = sent_.begin(); it != sent_.end();) {
-    if (it->second.clock.dominated_by(floor)) {
-      it = sent_.erase(it);
-      ++pruned;
-    } else {
-      ++it;
-    }
-  }
-  return pruned;
 }
 
 }  // namespace optrec

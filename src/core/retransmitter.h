@@ -36,10 +36,6 @@ class Retransmitter {
   std::vector<Message> collect_for(ProcessId failed, const Ftvc& restored,
                                    const History& history) const;
 
-  /// Drop entries whose clocks are dominated by `floor` (they can never be
-  /// retransmission candidates again). Bounds memory in long runs.
-  std::size_t prune_dominated(const Ftvc& floor);
-
   /// Serialize the whole send history (for inclusion in checkpoints: the
   /// history must survive the sender's OWN crash, since replay only re-runs
   /// handlers after the restored checkpoint).

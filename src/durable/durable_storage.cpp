@@ -1,6 +1,7 @@
 #include "src/durable/durable_storage.h"
 
 #include <chrono>
+#include <stdexcept>
 
 namespace optrec {
 namespace {
@@ -81,8 +82,8 @@ RecoveryResult DurableBackend::recover_into(StableStorage& storage) {
     return corrupt("stable log ends before the newest checkpoint's cursor");
   }
 
-  // Commit point: from here the recovery succeeds. Compact the replayed
-  // state into a fresh WAL generation (dropping reclaimed/truncated bytes
+  // Commit point: from here the recovery succeeds. Write the rebuilt
+  // storage as a fresh WAL generation (dropping reclaimed/truncated bytes
   // and any torn tail), point the manifest at it, then clear stray files.
   result.warm = true;
   result.replayed_messages = replay.entries.size();
@@ -92,8 +93,6 @@ RecoveryResult DurableBackend::recover_into(StableStorage& storage) {
   result.recovered_delivered = frontier;
 
   next_seq_ = manifest->next_seq;
-  append_frontier_ = frontier;
-  committed_frontier_ = frontier;
   live_seqs_.assign(manifest->checkpoint_seqs.begin(),
                     manifest->checkpoint_seqs.end());
   snapshot_bytes_.clear();
@@ -101,14 +100,11 @@ RecoveryResult DurableBackend::recover_into(StableStorage& storage) {
     snapshot_bytes_[live_seqs_[i]] = 12 + ckpts[i].byte_size();
   }
 
-  const std::uint64_t old_gen = manifest->wal_gen;
-  wal_gen_ = old_gen + 1;
-  fs().write_file_atomic(wal_path(opts_.dir, wal_gen_),
-                         encode_compact_wal(replay));
-  wal_ = std::make_unique<WalWriter>(fs(), wal_path(opts_.dir, wal_gen_),
-                                     opts_.ablations);
-  write_manifest();
-  stats_.add<&DurableStats::compactions>();
+  storage.restore_tokens(std::move(replay.tokens));
+  storage.log().restore(std::move(replay.entries), replay.base);
+  storage.checkpoints().restore(std::move(ckpts), next_seq_);
+  wal_gen_ = manifest->wal_gen;
+  write_wal_generation(storage);
 
   // Anything the manifest does not name is dead: older WAL generations,
   // snapshots from a discarded future, temp files from interrupted writes.
@@ -127,10 +123,6 @@ RecoveryResult DurableBackend::recover_into(StableStorage& storage) {
     }
     if (!live_snapshot) fs().remove(path);
   }
-
-  storage.restore_tokens(std::move(replay.tokens));
-  storage.log().restore(std::move(replay.entries), replay.base);
-  storage.checkpoints().restore(std::move(ckpts), next_seq_);
 
   stats_.set<&DurableStats::warm_recovered>(1);
   stats_.set<&DurableStats::recovered_delivered>(result.recovered_delivered);
@@ -167,17 +159,13 @@ void DurableBackend::log_truncate(std::uint64_t from) {
   append_frontier_ = from;
   committed_frontier_ = from;
   refresh_gauges();
-  maybe_compact();
 }
 
-void DurableBackend::log_reclaim(std::uint64_t before) {
-  // Riding the sync commit hardens every buffered message (reclaim only
-  // drops entries below `before`; the frontier is untouched), so the
-  // committed frontier catches up to the append frontier here.
-  wal_->append_reclaim(before);
-  committed_frontier_ = append_frontier_;
-  refresh_gauges();
-  maybe_compact();
+void DurableBackend::log_reclaim(std::uint64_t /*before*/) {
+  if (source() == nullptr) {
+    throw std::logic_error("DurableBackend: log_reclaim with no source");
+  }
+  write_wal_generation(*source());
 }
 
 void DurableBackend::log_crash_wipe(std::uint64_t stable_frontier) {
@@ -269,23 +257,16 @@ void DurableBackend::refresh_gauges() {
   stats_.set<&DurableStats::disk_stable_bytes>(disk);
 }
 
-void DurableBackend::maybe_compact() {
-  if (wal_->committed_offset() <= opts_.compact_threshold) return;
-  if (wal_->buffered_bytes() > 0) return;  // never drop the volatile tail
-  const auto raw = fs().read_file(wal_path(opts_.dir, wal_gen_));
-  if (!raw) return;
-  WalReplay replay =
-      replay_wal(*raw, wal_->committed_offset(), opts_.ablations);
-  if (replay.corrupt) return;  // leave forensics intact; recovery will flag it
-  const Bytes compact = encode_compact_wal(replay);
-  if (compact.size() >= raw->size()) return;  // nothing reclaimed yet
+void DurableBackend::write_wal_generation(const StableStorage& storage) {
   const std::uint64_t old_gen = wal_gen_;
-  const WalWriterStats carried = wal_->stats();
+  const WalWriterStats carried = wal_ ? wal_->stats() : WalWriterStats{};
   ++wal_gen_;
-  fs().write_file_atomic(wal_path(opts_.dir, wal_gen_), compact);
+  fs().write_file_atomic(wal_path(opts_.dir, wal_gen_),
+                         encode_wal_image(storage.log(), storage.token_log()));
   wal_ = std::make_unique<WalWriter>(fs(), wal_path(opts_.dir, wal_gen_),
                                      opts_.ablations);
   wal_->set_stats(carried);  // lifetime counters survive the writer swap
+  append_frontier_ = committed_frontier_ = storage.log().total_count();
   write_manifest();
   fs().remove(wal_path(opts_.dir, old_gen));
   stats_.add<&DurableStats::compactions>();

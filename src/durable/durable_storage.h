@@ -5,7 +5,10 @@
 //
 //   message appends  -> buffered WAL records, group-committed on flush
 //   token appends    -> synchronous WAL commit (Section 6.3)
-//   truncate/reclaim -> synchronous WAL markers (+ opportunistic compaction)
+//   truncate         -> synchronous WAL marker
+//   reclaim (GC)     -> a new WAL generation written from the mirrored
+//                       storage (reclaim marker, live log, token log),
+//                       swapped in by a manifest rewrite; no file is read
 //   checkpoints      -> atomic snapshot files + manifest rewrite
 //
 // and can rebuild a StableStorage from disk after the owning process was
@@ -35,9 +38,6 @@ struct DurableOptions {
   std::string dir;
   /// Filesystem to write through; nullptr = the real one (posix_fs()).
   DurableFs* fs = nullptr;
-  /// Compact the WAL (drop reclaimed/truncated records) when a reclaim or
-  /// truncate leaves more than this many committed bytes on disk.
-  std::uint64_t compact_threshold = 1u << 20;
   /// Fault-injection ablations (negative controls for the fuzzer).
   WalAblations ablations;
 };
@@ -65,6 +65,7 @@ struct DurableStats {
   std::uint64_t memory_stable_bytes = 0;
   std::uint64_t snapshot_writes = 0;
   std::uint64_t manifest_writes = 0;
+  /// WAL generations written from memory (recovery, GC reclaims).
   std::uint64_t compactions = 0;
   std::uint64_t recovery_us = 0;  // recover_into() wall time
 
@@ -136,17 +137,18 @@ class DurableBackend final : public StableSink {
   void start_fresh();
 
   /// Rebuild `storage` (which must be empty and have no sink attached)
-  /// from the data dir. On warm success the WAL is compacted and reopened,
-  /// stray files are removed, and the backend is ready for new writes; the
-  /// caller then attaches this backend as the storage's sink. On a
-  /// cold/corrupt result the backend is left unopened — call start_fresh().
+  /// from the data dir. On warm success the rebuilt storage is written as a
+  /// fresh WAL generation, stray files are removed, and the backend is
+  /// ready for new writes; the caller then attaches this backend as the
+  /// storage's sink. On a cold/corrupt result the backend is left unopened
+  /// — call start_fresh(). The only place the backend reads its files.
   RecoveryResult recover_into(StableStorage& storage);
 
   // StableSink:
   void log_append(std::uint64_t index, const Message& msg) override;
   void log_flush(std::uint64_t upto) override;
   void log_truncate(std::uint64_t from) override;
-  void log_reclaim(std::uint64_t before) override;
+  void log_reclaim(std::uint64_t before) override;  // needs source()
   void log_crash_wipe(std::uint64_t stable_frontier) override;
   void token_append(const Token& token) override;
   void checkpoint_append(const Checkpoint& ckpt) override;
@@ -170,7 +172,11 @@ class DurableBackend final : public StableSink {
   DurableFs& fs() { return *fs_; }
   void write_manifest();
   void refresh_gauges();
-  void maybe_compact();
+  /// Start the next WAL generation as `storage`'s image, point the
+  /// manifest at it and delete the old one. The old writer's buffered
+  /// records mirror the log's volatile tail, which the image holds too:
+  /// they harden here, as a synchronous marker would have hardened them.
+  void write_wal_generation(const StableStorage& storage);
 
   DurableOptions opts_;
   DurableFs* fs_;

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "src/durable/crc32.h"
+#include "src/storage/message_log.h"
 #include "src/util/serialization.h"
 
 namespace optrec {
@@ -23,6 +24,18 @@ std::uint32_t get_u32le(const std::uint8_t* p) {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
+/// Append one `[len][crc][type][body]` record to `out`.
+void frame_into(Bytes& out, WalRecordType type, const Bytes& body) {
+  const auto len = static_cast<std::uint32_t>(body.size() + 1);
+  put_u32le(out, len);
+  Bytes typed;
+  typed.reserve(body.size() + 1);
+  typed.push_back(static_cast<std::uint8_t>(type));
+  typed.insert(typed.end(), body.begin(), body.end());
+  put_u32le(out, crc32(typed));
+  out.insert(out.end(), typed.begin(), typed.end());
+}
+
 }  // namespace
 
 WalWriter::WalWriter(DurableFs& fs, std::string path, WalAblations ablations)
@@ -37,17 +50,6 @@ WalWriter::WalWriter(DurableFs& fs, std::string path, WalAblations ablations)
     stats_.bytes_written += magic.size();
   }
   committed_ = file_->size();
-}
-
-void WalWriter::frame_into(Bytes& out, WalRecordType type, const Bytes& body) {
-  const auto len = static_cast<std::uint32_t>(body.size() + 1);
-  put_u32le(out, len);
-  Bytes typed;
-  typed.reserve(body.size() + 1);
-  typed.push_back(static_cast<std::uint8_t>(type));
-  typed.insert(typed.end(), body.begin(), body.end());
-  put_u32le(out, crc32(typed));
-  out.insert(out.end(), typed.begin(), typed.end());
 }
 
 void WalWriter::append_message(std::uint64_t index, const Message& msg) {
@@ -231,34 +233,24 @@ WalReplay replay_wal(const Bytes& raw, std::uint64_t committed_floor,
   return out;
 }
 
-Bytes encode_compact_wal(const WalReplay& replay) {
+Bytes encode_wal_image(const MessageLog& log,
+                       const std::vector<Token>& tokens) {
   Bytes out(kWalMagic, kWalMagic + kWalMagicBytes);
-  auto frame = [&out](WalRecordType type, const Bytes& body) {
-    const auto len = static_cast<std::uint32_t>(body.size() + 1);
-    put_u32le(out, len);
-    Bytes typed;
-    typed.reserve(body.size() + 1);
-    typed.push_back(static_cast<std::uint8_t>(type));
-    typed.insert(typed.end(), body.begin(), body.end());
-    put_u32le(out, crc32(typed));
-    out.insert(out.end(), typed.begin(), typed.end());
-  };
-  if (replay.base != 0) {
+  if (log.base() != 0) {
     Writer w;
-    w.put_u64(replay.base);
-    frame(WalRecordType::kReclaim, w.buffer());
+    w.put_u64(log.base());
+    frame_into(out, WalRecordType::kReclaim, w.buffer());
   }
-  std::uint64_t index = replay.base;
-  for (const auto& msg : replay.entries) {
+  for (std::uint64_t i = log.base(); i < log.total_count(); ++i) {
     Writer w;
-    w.put_u64(index++);
-    msg.encode(w);
-    frame(WalRecordType::kMessage, w.buffer());
+    w.put_u64(i);
+    log.entry(i).encode(w);
+    frame_into(out, WalRecordType::kMessage, w.buffer());
   }
-  for (const auto& token : replay.tokens) {
+  for (const auto& token : tokens) {
     Writer w;
     token.encode(w);
-    frame(WalRecordType::kToken, w.buffer());
+    frame_into(out, WalRecordType::kToken, w.buffer());
   }
   return out;
 }

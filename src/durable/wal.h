@@ -18,9 +18,10 @@
 //    buffered messages plus the token and syncs before returning. WAL
 //    ordering means a durable token also hardens every message buffered
 //    before it — there are no holes.
-//  - truncate (rollback) and reclaim (GC) records are likewise synchronous:
-//    once the in-memory state dropped entries, recovery must never
-//    resurrect them.
+//  - truncate (rollback) records are likewise synchronous: once the
+//    in-memory state dropped entries, recovery must never resurrect them.
+//    A GC reclaim instead starts a new generation (`encode_wal_image`)
+//    whose first record is the reclaim marker.
 //
 // Recovery replays the file sequentially. A bad record at or past the
 // manifest's committed offset is a torn tail: truncate there and carry on.
@@ -37,6 +38,8 @@
 #include "src/net/message.h"
 
 namespace optrec {
+
+class MessageLog;
 
 constexpr char kWalMagic[8] = {'O', 'P', 'T', 'R', 'W', 'A', 'L', '1'};
 constexpr std::size_t kWalMagicBytes = 8;
@@ -104,12 +107,11 @@ class WalWriter {
   std::size_t buffered_records() const { return buffered_records_; }
 
   const WalWriterStats& stats() const { return stats_; }
-  /// Replace the counters (used when a compaction swaps writers and the
-  /// lifetime totals must survive the swap).
+  /// Replace the counters (used when a new WAL generation swaps writers
+  /// and the lifetime totals must survive the swap).
   void set_stats(const WalWriterStats& stats) { stats_ = stats; }
 
  private:
-  void frame_into(Bytes& out, WalRecordType type, const Bytes& body);
   void sync_commit(WalRecordType type, const Bytes& body);
 
   std::unique_ptr<DurableFile> file_;
@@ -147,8 +149,11 @@ struct WalReplay {
 WalReplay replay_wal(const Bytes& raw, std::uint64_t committed_floor,
                      const WalAblations& ablations = {});
 
-/// Re-encode a replayed log as a fresh compact WAL image (magic + one
-/// record per live entry/token), used by recovery-time compaction.
-Bytes encode_compact_wal(const WalReplay& replay);
+/// A fresh WAL image of an in-memory log: the magic, a reclaim marker when
+/// `log` starts past index 0, one record per entry from its base (the
+/// volatile tail included) and one per token. Replaying it rebuilds exactly
+/// that log and token log. Recovery and every GC reclaim start a new WAL
+/// generation with it.
+Bytes encode_wal_image(const MessageLog& log, const std::vector<Token>& tokens);
 
 }  // namespace optrec

@@ -370,7 +370,6 @@ DurabilityOutcome run_durability_case(const DurabilityCase& c) {
   DurableOptions dopts;
   dopts.dir = "store";
   dopts.fs = &fs;
-  dopts.compact_threshold = 4096;  // small, so GC-heavy runs hit compaction
   dopts.ablations = ablations;
   DurableBackend backend(dopts);
   backend.start_fresh();

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "src/util/log.h"
+#include "src/util/serialization.h"
 #include "src/wire/wire_codec.h"
 
 namespace optrec {
@@ -173,7 +174,9 @@ void ProcessBase::deliver_to_app(const Message& msg, bool replay) {
       states_at_count_[delivered_total_].push_back(cur_state_);
     }
   }
-  delivered_keys_.insert({msg.src, msg.src_version, msg.send_seq});
+  if (msg.src < n_) {
+    delivered_keys_.insert({msg.src, msg.src_version, msg.send_seq});
+  }
   if (replay) {
     ++metrics_.messages_replayed;
   } else {
@@ -194,12 +197,32 @@ bool ProcessBase::is_duplicate(const Message& msg) const {
   return delivered_keys_.count({msg.src, msg.src_version, msg.send_seq}) > 0;
 }
 
-void ProcessBase::rebuild_delivered_keys(std::uint64_t count) {
+Bytes ProcessBase::delivered_keys_snapshot() const {
+  Writer w;
+  w.put_u64(delivered_keys_.size());
+  for (const auto& [src, version, seq] : delivered_keys_) {
+    w.put_u32(src);
+    w.put_u32(version);
+    w.put_u64(seq);
+  }
+  return w.take();
+}
+
+void ProcessBase::rebuild_delivered_keys(std::uint64_t count,
+                                         const Bytes& snapshot) {
   delivered_keys_.clear();
+  if (!snapshot.empty()) {
+    Reader r(snapshot);
+    for (std::uint64_t k = r.get_u64(); k > 0; --k) {
+      const ProcessId src = r.get_u32();
+      const Version version = r.get_u32();
+      delivered_keys_.insert({src, version, r.get_u64()});
+    }
+  }
   const auto& log = storage_.log();
   for (std::uint64_t i = log.base(); i < count; ++i) {
     const Message& m = log.entry(i);
-    delivered_keys_.insert({m.src, m.src_version, m.send_seq});
+    if (m.src < n_) delivered_keys_.insert({m.src, m.src_version, m.send_seq});
   }
 }
 
@@ -367,6 +390,13 @@ void ProcessBase::forget_committed_outputs_after(std::uint64_t count) {
       committed_output_ids_.upper_bound(
           {count, std::numeric_limits<std::uint64_t>::max()}),
       committed_output_ids_.end());
+}
+
+void ProcessBase::forget_committed_outputs_through(std::uint64_t count) {
+  committed_output_ids_.erase(
+      committed_output_ids_.begin(),
+      committed_output_ids_.upper_bound(
+          {count, std::numeric_limits<std::uint64_t>::max()}));
 }
 
 TraceEvent ProcessBase::trace_base(TraceEventType type) const {

@@ -247,10 +247,20 @@ class ProcessBase : public Endpoint {
 
   /// True if (src, src_version, send_seq) was already delivered in the
   /// current surviving state; guards against Remark-1 duplicate resends.
+  /// Only deliveries from fleet processes (src < n) are keyed: injected
+  /// client requests come from pseudo-process n, which never retransmits
+  /// (a client retry is a fresh injection the app dedups itself).
   bool is_duplicate(const Message& msg) const;
 
-  /// Rebuild the duplicate-filter set from the log prefix [0, count).
-  void rebuild_delivered_keys(std::uint64_t count);
+  /// The duplicate filter's keys, encoded for a checkpoint: with GC on, the
+  /// log prefix they would be rebuilt from may be reclaimed while a peer
+  /// can still retransmit what it held.
+  Bytes delivered_keys_snapshot() const;
+  /// Rebuild the duplicate filter as the keys `snapshot` holds (a restored
+  /// checkpoint's delivered_keys_snapshot(), or empty) plus those of the
+  /// log entries [log base, count). Exact as long as the log base is at or
+  /// below the restored checkpoint's cursor, which GC guarantees.
+  void rebuild_delivered_keys(std::uint64_t count, const Bytes& snapshot = {});
   /// Register one delivered key directly (protocols that persist their own
   /// delivery tables, e.g. sender-based logging's checkpointed RSN table).
   void add_delivered_key(ProcessId src, Version src_version,
@@ -316,6 +326,10 @@ class ProcessBase : public Endpoint {
   /// rollback belong to a discarded timeline; the replacement timeline's
   /// outputs at those counts are new outputs).
   void forget_committed_outputs_after(std::uint64_t count);
+  /// Forget committed-output identities at or below `count`, the oldest
+  /// live checkpoint's cursor after a GC pass: replay never starts below
+  /// it, so no handler at those counts runs again.
+  void forget_committed_outputs_through(std::uint64_t count);
 
   // Mutable protocol-visible counters maintained by the base:
   Version version_ = 0;              // incarnation (DG restart bumps this)
@@ -350,6 +364,8 @@ class ProcessBase : public Endpoint {
 
   StateId cur_state_ = 0;
   std::unordered_map<std::uint64_t, std::vector<StateId>> states_at_count_;
+  /// (src, src_version, send_seq) of every delivery from a fleet process in
+  /// the surviving timeline.
   std::set<std::tuple<ProcessId, Version, std::uint64_t>> delivered_keys_;
 
   std::vector<PendingOutput> pending_outputs_;
@@ -357,8 +373,9 @@ class ProcessBase : public Endpoint {
   /// every delivery so replay reproduces identities.
   std::uint64_t outputs_in_state_ = 0;
   /// (delivered_count, output_idx) of every output committed by this
-  /// incarnation; cleared on crash (a new incarnation re-commits, so outputs
-  /// are at-least-once across real failures — clients dedup by sequence).
+  /// incarnation that replay could still regenerate; cleared on crash (a
+  /// new incarnation re-commits, so outputs are at-least-once across real
+  /// failures — clients dedup by sequence).
   std::set<std::pair<std::uint64_t, std::uint64_t>> committed_output_ids_;
   OutputListener output_listener_;
 

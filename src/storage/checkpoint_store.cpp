@@ -14,6 +14,7 @@ void Checkpoint::encode(Writer& w) const {
   history.encode(w);
   w.put_bytes(app_state);
   w.put_bytes(extra);
+  w.put_bytes(delivered_keys);
   w.put_u64(taken_at);
 }
 
@@ -26,6 +27,7 @@ Checkpoint Checkpoint::decode(Reader& r) {
   c.history = History::decode(r);
   c.app_state = r.get_bytes();
   c.extra = r.get_bytes();
+  c.delivered_keys = r.get_bytes();
   c.taken_at = r.get_u64();
   return c;
 }

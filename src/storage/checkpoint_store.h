@@ -34,6 +34,11 @@ struct Checkpoint {
   /// Protocol-specific durable extras (e.g. the DG retransmitter's send
   /// history when Remark-1 retransmission is enabled). Empty otherwise.
   Bytes extra;
+  /// The duplicate filter's keys of every delivery from a fleet process up
+  /// to delivered_count (ProcessBase::delivered_keys_snapshot). Recorded
+  /// when GC may reclaim the log prefix the keys would otherwise be rebuilt
+  /// from; empty otherwise.
+  Bytes delivered_keys;
   SimTime taken_at = 0;
 
   void encode(Writer& w) const;

@@ -21,6 +21,8 @@
 //  - `log_crash_wipe` discards the buffered-but-unflushed tail, matching
 //    `MessageLog::on_crash()` (an in-memory crash simulation; a real process
 //    death discards the backend's buffer for free).
+//  - `log_reclaim` lets the backend rewrite its log image from `source()`,
+//    the storage it mirrors, instead of reading its own files back.
 #pragma once
 
 #include <cstddef>
@@ -30,6 +32,7 @@ namespace optrec {
 
 struct Checkpoint;
 struct Message;
+class StableStorage;
 struct Token;
 
 class StableSink {
@@ -43,7 +46,8 @@ class StableSink {
   virtual void log_flush(std::uint64_t upto) = 0;
   /// Rollback discarded log entries at indices >= `from`.
   virtual void log_truncate(std::uint64_t from) = 0;
-  /// GC reclaimed log entries at indices < `before`.
+  /// GC reclaimed log entries at indices < `before`; source() holds the
+  /// live log from `before` on and the token log.
   virtual void log_reclaim(std::uint64_t before) = 0;
   /// The volatile (unflushed) tail was lost to a simulated crash; the log
   /// resumes appending at `stable_frontier`. A backend whose durable
@@ -61,6 +65,14 @@ class StableSink {
   virtual void checkpoint_truncate(std::size_t live_count) = 0;
   /// GC dropped the oldest checkpoints; `reclaimed` of them are gone.
   virtual void checkpoint_reclaim(std::size_t reclaimed) = 0;
+
+  /// The storage this sink mirrors: set by StableStorage::attach_sink, null
+  /// while detached.
+  const StableStorage* source() const { return source_; }
+
+ private:
+  friend class StableStorage;
+  const StableStorage* source_ = nullptr;
 };
 
 }  // namespace optrec

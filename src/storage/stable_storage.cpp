@@ -41,7 +41,9 @@ std::size_t StableStorage::stable_bytes() const {
 }
 
 void StableStorage::attach_sink(StableSink* sink) {
+  if (sink_ != nullptr) sink_->source_ = nullptr;
   sink_ = sink;
+  if (sink_ != nullptr) sink_->source_ = this;
   checkpoints_.attach_sink(sink);
   log_.attach_sink(sink);
 }

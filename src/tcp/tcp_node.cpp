@@ -23,7 +23,12 @@ TcpNodeConfig checked(TcpNodeConfig c) {
   // A serving node MUST gate replies behind the Damani-Garg output-commit
   // point; without stability tracking output_commit_gated() is false and a
   // reply produced in a later-rolled-back interval would escape to clients.
-  if (c.serve) c.process.enable_stability_tracking = true;
+  // The same stability line bounds its memory (Remark 2): GC reclaims the
+  // logged requests, checkpoints and committed-output ids behind it.
+  if (c.serve) {
+    c.process.enable_stability_tracking = true;
+    c.process.enable_gc = true;
+  }
   return c;
 }
 
@@ -123,8 +128,9 @@ void TcpNode::setup_service() {
   // process `n` (outside the fleet): version 0 so no failure token can ever
   // orphan them, an all-zero size-n clock so the obsolete filter never
   // discards them (every restored timestamp is >= 1), and a per-incarnation
-  // send_seq stream so Remark-1 duplicate filtering stays sound across node
-  // respawns.
+  // send_seq stream so every injection has its own identity. The duplicate
+  // filter ignores pid n: it never retransmits, and a client retry is a
+  // fresh injection that ServiceApp dedups by (client_id, seq).
   inject_seq_.store(transport_.epoch(), std::memory_order_relaxed);
   frontend_ = std::make_unique<service::ServiceFrontend>(
       opts, [this, n](ProcessId dst, Bytes payload) {

@@ -72,19 +72,6 @@ TEST_F(RetransmitterTest, ReplayedSendOverwritesIdentically) {
   EXPECT_EQ(rex.size(), 1u);
 }
 
-TEST_F(RetransmitterTest, PruneDominated) {
-  Ftvc early(0, 3);
-  Ftvc late(0, 3);
-  for (int i = 0; i < 5; ++i) late.tick_send();
-  rex.record(make_msg(1, 0, early));
-  rex.record(make_msg(1, 1, late));
-
-  Ftvc floor(1, 3);
-  floor.merge_deliver(early);
-  EXPECT_EQ(rex.prune_dominated(floor), 1u);
-  EXPECT_EQ(rex.size(), 1u);
-}
-
 TEST_F(RetransmitterTest, ClearEmpties) {
   rex.record(make_msg(1, 0, Ftvc(0, 3)));
   rex.clear();

@@ -8,6 +8,8 @@
 #include "src/app/bank_app.h"
 #include "src/app/counter_app.h"
 #include "src/core/output_commit.h"
+#include "src/durable/durable_storage.h"
+#include "src/durable/mem_fs.h"
 #include "src/harness/experiment.h"
 #include "src/util/serialization.h"
 
@@ -34,10 +36,8 @@ std::int64_t total_balance(Scenario& scenario) {
   return total;
 }
 
-TEST(RetransmissionTest, BankConservesMoneyAcrossFailure) {
-  auto config = bank_config(200);
-  config.process.retransmit_on_failure = true;
-  config.failures.crashes = {{millis(30), 1}, {millis(70), 3}};
+/// Run `config` and expect the bank total to be conserved.
+void expect_conserved(const ScenarioConfig& config) {
   Scenario scenario(config);
   ASSERT_TRUE(scenario.run());
   ASSERT_TRUE(scenario.oracle()->check_consistency().empty());
@@ -45,6 +45,33 @@ TEST(RetransmissionTest, BankConservesMoneyAcrossFailure) {
       static_cast<std::int64_t>(config.n) * BankAppConfig{}.initial_balance;
   EXPECT_EQ(total_balance(scenario), expected)
       << "with Remark-1 retransmission no money may vanish or duplicate";
+}
+
+TEST(RetransmissionTest, BankConservesMoneyAcrossFailure) {
+  // With Remark-2 GC a restarted process no longer has the log prefix that
+  // recorded its oldest receipts, yet peers retransmit them all.
+  for (const bool gc : {false, true}) {
+    SCOPED_TRACE(gc ? "GC on" : "GC off");
+    auto config = bank_config(200);
+    config.process.retransmit_on_failure = true;
+    config.process.enable_stability_tracking = gc;
+    config.process.enable_gc = gc;
+    config.failures.crashes = {{millis(30), 1}, {millis(70), 3}};
+    expect_conserved(config);
+  }
+}
+
+TEST(RetransmissionTest, GcKeepsMoneyConservedAcrossSeeds) {
+  for (std::uint64_t seed = 200; seed < 220; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    auto config = bank_config(seed);
+    config.process.retransmit_on_failure = true;
+    config.process.enable_stability_tracking = true;
+    config.process.enable_gc = true;
+    config.failures.crashes = {
+        {millis(30), 1}, {millis(70), 3}, {millis(150), 2}};
+    expect_conserved(config);
+  }
 }
 
 TEST(RetransmissionTest, WithoutItMoneyMayVanishButNeverAppears) {
@@ -372,6 +399,70 @@ TEST(GarbageCollectionTest, SafeWithFailures) {
   const auto result = run_experiment(config);
   EXPECT_TRUE(result.quiesced);
   EXPECT_TRUE(result.violations.empty());
+}
+
+TEST(GarbageCollectionTest, WarmRecoveryStillDropsARetransmittedReceipt) {
+  // P1 delivers a message from P0, checkpoints past it, and GC reclaims
+  // the logged copy. Rebuilt from disk after a kill -9, P1 must still drop
+  // P0's Remark-1 retransmission of that message as a duplicate.
+  ProcessConfig pconfig;
+  pconfig.checkpoint_interval = millis(10);
+  pconfig.flush_interval = 0;
+  pconfig.enable_stability_tracking = true;
+  pconfig.stability_gossip_interval = 0;
+  pconfig.enable_gc = true;
+  NetworkConfig far;
+  far.min_delay = far.max_delay = seconds(3600);
+  // Its clock depends on no state that is not stable yet, so P1's next
+  // checkpoint is covered the moment P1's own log is.
+  Message from_p0;
+  from_p0.src = 0;
+  from_p0.dst = 1;
+  from_p0.send_seq = 7;
+  from_p0.clock = Ftvc::with_entries(0, std::vector<FtvcEntry>(2));
+  from_p0.payload = Bytes{1};
+
+  MemFs fs;
+  DurableOptions dopts;
+  dopts.dir = "p1";
+  dopts.fs = &fs;
+  {
+    DurableBackend backend(dopts);
+    backend.start_fresh();
+    std::vector<std::unique_ptr<App>> apps;
+    apps.push_back(std::make_unique<SinkApp>());
+    apps.push_back(std::make_unique<SinkApp>());
+    DgFleet fleet(308, far, pconfig, std::move(apps));
+    DamaniGargProcess& p1 = *fleet.procs[1];
+    p1.storage().attach_sink(&backend);
+    fleet.sim.schedule_at(millis(1), [&] { p1.on_message(from_p0); });
+    fleet.sim.run(millis(20));  // P1 checkpoints at 15 ms
+    ASSERT_EQ(p1.delivered_count(), 1u);
+    ASSERT_EQ(p1.storage().log().base(), 1u) << "GC reclaimed the receipt";
+  }
+
+  auto image = fs.crash_image();
+  DurableOptions ropts = dopts;
+  ropts.fs = image.get();
+  DurableBackend backend(ropts);
+  Simulation sim(309);
+  Network net(sim, far);
+  Metrics metrics;
+  DamaniGargProcess p0(RuntimeEnv(sim, sim, net), 0, 2,
+                       std::make_unique<SinkApp>(), pconfig, metrics);
+  DamaniGargProcess p1(RuntimeEnv(sim, sim, net), 1, 2,
+                       std::make_unique<SinkApp>(), pconfig, metrics);
+  ASSERT_TRUE(backend.recover_into(p1.storage()).warm);
+  p1.storage().attach_sink(&backend);
+  p0.start();
+  p1.start_recovered();
+  ASSERT_EQ(p1.delivered_count(), 1u);
+
+  Message resent = from_p0;
+  resent.retransmission = true;
+  p1.on_message(resent);
+  EXPECT_EQ(metrics.messages_discarded_duplicate, 1u);
+  EXPECT_EQ(p1.delivered_count(), 1u) << "the receipt was applied twice";
 }
 
 TEST(LiteralTrModeTest, StillConsistentJustLossier) {

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -61,12 +62,15 @@ TEST(ServiceKillRecover, OracleStaysCleanAcrossSigkillWarmRespawn) {
   const int status = std::system(cmd.str().c_str());
   ASSERT_TRUE(WIFEXITED(status));
   if (WEXITSTATUS(status) != 0) {
-    std::ostringstream text;
+    // Each file goes through its own string: streaming an empty rdbuf()
+    // sets failbit on the destination and would swallow every later file.
+    std::string text;
     for (const std::string& f : {node_log, lg_log}) {
       std::ifstream in(f);
-      text << "---- " << f << ":\n" << in.rdbuf() << "\n";
+      const std::string body{std::istreambuf_iterator<char>(in), {}};
+      text += "---- " + f + ":\n" + body + "\n";
     }
-    FAIL() << "fleet or loadgen failed\n" << text.str();
+    FAIL() << "fleet or loadgen failed\n" << text;
   }
 
   // The loadgen's exit code already encodes "oracle clean" (3 = violation);

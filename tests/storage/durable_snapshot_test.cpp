@@ -53,14 +53,42 @@ Bytes enc(const T& v) {
   return w.buffer();
 }
 
-DurableOptions mem_opts(MemFs& fs, std::uint64_t compact_threshold = 1u
-                                                                     << 20) {
+DurableOptions mem_opts(DurableFs& fs) {
   DurableOptions opts;
   opts.dir = "store";
   opts.fs = &fs;
-  opts.compact_threshold = compact_threshold;
   return opts;
 }
+
+/// Forwards to a MemFs and counts whole-file reads.
+class CountingFs final : public DurableFs {
+ public:
+  explicit CountingFs(MemFs& inner) : inner_(inner) {}
+  std::uint64_t reads() const { return reads_; }
+
+  void mkdirs(const std::string& dir) override { inner_.mkdirs(dir); }
+  bool exists(const std::string& path) const override {
+    return inner_.exists(path);
+  }
+  std::optional<Bytes> read_file(const std::string& path) const override {
+    ++reads_;
+    return inner_.read_file(path);
+  }
+  std::unique_ptr<DurableFile> open_append(const std::string& path) override {
+    return inner_.open_append(path);
+  }
+  void write_file_atomic(const std::string& path, const Bytes& data) override {
+    inner_.write_file_atomic(path, data);
+  }
+  void remove(const std::string& path) override { inner_.remove(path); }
+  std::vector<std::string> list_dir(const std::string& dir) const override {
+    return inner_.list_dir(dir);
+  }
+
+ private:
+  MemFs& inner_;
+  mutable std::uint64_t reads_ = 0;
+};
 
 /// The recovered storage must equal the durable view of `expect`: same log
 /// window, same tokens, same checkpoint window, same lifetime counters.
@@ -213,8 +241,7 @@ TEST(DurableBackend, SynchronousTokenHardensUnflushedMessages) {
 
 TEST(DurableBackend, RollbackReclaimAndCompactionSurviveKillNine) {
   MemFs fs;
-  // Tiny threshold so the GC traffic below triggers real compactions.
-  DurableOptions opts = mem_opts(fs, /*compact_threshold=*/256);
+  DurableOptions opts = mem_opts(fs);
   DurableBackend backend(opts);
   backend.start_fresh();
 
@@ -238,10 +265,10 @@ TEST(DurableBackend, RollbackReclaimAndCompactionSurviveKillNine) {
   live.log().flush();
 
   EXPECT_GT(backend.stats().compactions, 0u)
-      << "threshold was sized to force at least one compaction";
+      << "the reclaim starts a new WAL generation";
 
   auto image = fs.crash_image();
-  DurableOptions ropts = mem_opts(*image, /*compact_threshold=*/256);
+  DurableOptions ropts = mem_opts(*image);
   DurableBackend recoverer(ropts);
   StableStorage restored;
   const RecoveryResult r = recoverer.recover_into(restored);
@@ -253,6 +280,56 @@ TEST(DurableBackend, RollbackReclaimAndCompactionSurviveKillNine) {
   expect_storage_equal(restored, live);
   EXPECT_EQ(restored.log().base(), 8u);
   EXPECT_EQ(restored.log().total_count(), 10u);
+}
+
+TEST(DurableBackend, ReclaimWritesTheLiveSuffixWithoutReadingTheWal) {
+  MemFs mem;
+  CountingFs fs(mem);
+  DurableBackend backend(mem_opts(fs));
+  backend.start_fresh();
+
+  StableStorage live;
+  live.attach_sink(&backend);
+  live.checkpoints().append(make_ckpt(0));
+  // Well past a megabyte of committed WAL, then GC up to a checkpoint two
+  // entries short of the end.
+  constexpr std::uint64_t kEntries = 1200;
+  for (std::uint64_t i = 0; i < kEntries; ++i) {
+    Message m = make_msg(i);
+    m.payload.resize(1024, 0x5a);
+    live.log().append(std::move(m));
+  }
+  live.log().flush();
+  live.log_token(make_tok(1));
+  live.checkpoints().append(make_ckpt(kEntries - 2));
+  live.checkpoints().reclaim_before_delivered(kEntries - 2);
+  live.log().reclaim_before(kEntries - 2);
+  EXPECT_EQ(fs.reads(), 0u) << "a reclaim read the WAL back from disk";
+
+  // The active generation is the live suffix alone: the reclaim marker,
+  // the two live entries and the token.
+  const auto manifest =
+      Manifest::decode(mem.read_file(manifest_path("store")).value());
+  ASSERT_TRUE(manifest.has_value());
+  const Bytes wal = mem.read_file(wal_path("store", manifest->wal_gen)).value();
+  EXPECT_LT(wal.size(), 8u * 1024);
+  EXPECT_EQ(manifest->wal_committed, wal.size());
+  const WalReplay replay = replay_wal(wal, wal.size());
+  ASSERT_FALSE(replay.corrupt) << replay.corrupt_reason;
+  EXPECT_EQ(replay.base, kEntries - 2);
+  EXPECT_EQ(replay.entries.size(), 2u);
+  EXPECT_EQ(replay.tokens.size(), 1u);
+  EXPECT_EQ(mem.list_dir("store").size(), 3u)
+      << "manifest, the live snapshot and one WAL generation";
+
+  auto image = mem.crash_image();
+  DurableBackend recoverer(mem_opts(*image));
+  StableStorage restored;
+  const RecoveryResult r = recoverer.recover_into(restored);
+  ASSERT_TRUE(r.warm);
+  ASSERT_FALSE(r.corrupt) << r.corrupt_reason;
+  live.attach_sink(nullptr);
+  expect_storage_equal(restored, live);
 }
 
 TEST(DurableBackend, FreshDirectoryIsAColdStart) {

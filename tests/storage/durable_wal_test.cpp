@@ -6,6 +6,7 @@
 
 #include "src/durable/mem_fs.h"
 #include "src/durable/wal.h"
+#include "src/storage/message_log.h"
 #include "src/util/serialization.h"
 
 namespace optrec {
@@ -239,7 +240,9 @@ TEST(DurableWal, CompactionPreservesReplayedState) {
 
   const WalReplay before = replay_wal(wal_bytes(fs), wal.committed_offset());
   ASSERT_FALSE(before.corrupt);
-  const Bytes compact = encode_compact_wal(before);
+  MessageLog log;
+  log.restore(before.entries, before.base);
+  const Bytes compact = encode_wal_image(log, before.tokens);
   EXPECT_LT(compact.size(), wal_bytes(fs).size());
 
   const WalReplay after = replay_wal(compact, compact.size());
