@@ -341,8 +341,8 @@ int main(int argc, char** argv) {
     rows.push_back(run_one(protocol, n, nodes, seed, crashes));
   }
   // Channel fan-in sweep: n = 2/5/17 processes puts 1/4/16 producers on
-  // every inbox channel and per-peer outbound ring — the contention axis
-  // bench_channel isolates, here over real loopback sockets.
+  // every inbox channel and per-peer outbound ring, over real loopback
+  // sockets.
   for (std::size_t fanin_n : {std::size_t{2}, std::size_t{5},
                               std::size_t{17}}) {
     Row row = run_one(ProtocolKind::kDamaniGarg, fanin_n,

@@ -3,7 +3,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "src/scale/gc_policy.h"
 #include "src/util/log.h"
 #include "src/util/serialization.h"
 
@@ -246,9 +245,7 @@ void DamaniGargProcess::handle_token(const Token& token) {
   history_.observe_token(token.from, token.failed);
 
   if (config().retransmit_on_failure && token.restored_clock) {
-    for (Message& m :
-         retransmitter_.collect_for(token.from, *token.restored_clock,
-                                    history_)) {
+    for (Message& m : retransmitter_.collect_for(token.from, history_)) {
       resend_raw(std::move(m));
     }
   }
@@ -435,11 +432,9 @@ void DamaniGargProcess::after_stability_change() {
         return p.clock.size() > 0 && stability_.covers(p.clock);
       });
   if (config().enable_gc) {
-    const scale::TunedGcResult gc =
-        scale::run_gc_tuned(storage(), stability_, config().gc);
+    const GcResult gc = collect_garbage(storage(), stability_);
     metrics().gc_checkpoints_reclaimed += gc.checkpoints_reclaimed;
     metrics().gc_log_entries_reclaimed += gc.log_entries_reclaimed;
-    metrics().gc_tokens_compacted += gc.tokens_compacted;
     metrics().gc_reclaimed_bytes += gc.reclaimed_bytes;
     metrics().gc_held_intervals -= gc_held_reported_;
     metrics().gc_held_intervals += gc.held_intervals;

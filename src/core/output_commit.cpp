@@ -4,6 +4,7 @@
 #include <tuple>
 #include <vector>
 
+#include "src/storage/stable_storage.h"
 #include "src/util/serialization.h"
 
 namespace optrec {
@@ -73,6 +74,35 @@ void StabilityTracker::merge(const StabilityTracker& other) {
   for (const auto& [key, ts] : other.stable_) {
     note_stable(key.first, key.second, ts);
   }
+}
+
+GcResult collect_garbage(StableStorage& storage,
+                         const StabilityTracker& tracker) {
+  GcResult result;
+  const std::size_t before_bytes = storage.stable_bytes();
+  auto& checkpoints = storage.checkpoints();
+
+  if (!checkpoints.empty()) {
+    const auto frontier = checkpoints.latest_matching(
+        [&](const Checkpoint& c) { return tracker.covers(c.clock); });
+    if (frontier) {
+      if (*frontier > 0) {
+        result.checkpoints_reclaimed = checkpoints.reclaim_before_delivered(
+            checkpoints.at(*frontier).delivered_count);
+      }
+      // Log entries before the oldest surviving checkpoint's replay cursor
+      // can never be replayed again.
+      result.log_entries_reclaimed =
+          storage.log().reclaim_before(checkpoints.at(0).delivered_count);
+    }
+  }
+
+  const std::size_t after_bytes = storage.stable_bytes();
+  result.reclaimed_bytes =
+      before_bytes > after_bytes ? before_bytes - after_bytes : 0;
+  result.held_intervals = static_cast<std::size_t>(
+      storage.log().total_count() - storage.log().base());
+  return result;
 }
 
 }  // namespace optrec

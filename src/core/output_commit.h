@@ -1,5 +1,5 @@
 // Stability tracking for output commit and garbage collection
-// (paper Section 6.5, item 2 / Remark 2).
+// (paper Section 6.5, item 2 / Remark 2), and the one garbage collector.
 //
 // Each process advertises, per (process, version), the highest timestamp of
 // its own states that are *recoverable* — reconstructible from stable
@@ -20,6 +20,7 @@
 // (DESIGN.md §3).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -30,6 +31,8 @@
 #include "src/util/ids.h"
 
 namespace optrec {
+
+class StableStorage;
 
 class StabilityTracker {
  public:
@@ -62,5 +65,22 @@ class StabilityTracker {
   std::size_t n_;
   std::map<std::pair<ProcessId, Version>, Timestamp> stable_;
 };
+
+/// What one garbage-collection pass freed and what it left. "Intervals"
+/// follow the paper's state-interval vocabulary: one logged message is one
+/// state interval.
+struct GcResult {
+  std::size_t checkpoints_reclaimed = 0;
+  std::size_t log_entries_reclaimed = 0;
+  std::size_t reclaimed_bytes = 0;  // exact stable-footprint delta
+  std::size_t held_intervals = 0;   // log entries still addressable
+};
+
+/// Remark 2's rule: reclaim every checkpoint older than the newest one the
+/// tracker covers, then every log entry before the oldest surviving
+/// checkpoint's replay cursor. Safe to call at any time; with nothing
+/// covered it reclaims nothing but still reports held_intervals.
+GcResult collect_garbage(StableStorage& storage,
+                         const StabilityTracker& tracker);
 
 }  // namespace optrec

@@ -7,7 +7,6 @@ void Retransmitter::record(const Message& msg) {
 }
 
 std::vector<Message> Retransmitter::collect_for(ProcessId failed,
-                                                const Ftvc& restored,
                                                 const History& history) const {
   // NOTE on the paper's filter: Remark 1 suggests resending only sends
   // "concurrent with the token's state". But clock dominance does not imply
@@ -18,7 +17,6 @@ std::vector<Message> Retransmitter::collect_for(ProcessId failed,
   // rely on the receiver's (sender, version, seq) duplicate filter, which is
   // rebuilt from its restored checkpoint's keys plus its stable log and
   // therefore knows exactly what survived, GC'd log prefix included.
-  (void)restored;
   std::vector<Message> out;
   for (const auto& [key, msg] : sent_) {
     if (msg.dst != failed) continue;

@@ -3,10 +3,11 @@
 // Without this, messages received-but-unlogged by a crashed process vanish:
 // the computation stays *consistent* but loses work (and, in value-carrying
 // apps like BankApp, value). When enabled, a restarting process broadcasts
-// its restored FTVC with its token; peers then retransmit exactly the
-// messages they sent to it whose send states were concurrent with (not
-// dominated by) the restored state and that are not obsolete. Receivers
-// deduplicate via (sender, sender-version, send-seq).
+// its restored FTVC with its token; on that token, peers retransmit every
+// message they sent to it that is not obsolete. Remark 1 would skip sends
+// the restored clock dominates, but dominance does not imply receipt
+// (DESIGN.md §3), so none is skipped: receivers deduplicate via (sender,
+// sender-version, send-seq).
 //
 // The send history lives in volatile memory: it is rebuilt by the sender's
 // own replay, and the messages it would lose in a crash are obsolete anyway.
@@ -17,7 +18,6 @@
 #include <tuple>
 #include <vector>
 
-#include "src/clocks/ftvc.h"
 #include "src/history/history.h"
 #include "src/net/message.h"
 #include "src/util/ids.h"
@@ -30,10 +30,9 @@ class Retransmitter {
   /// sender-version, send-seq; replayed re-sends overwrite identically).
   void record(const Message& msg);
 
-  /// Messages to resend to `failed`, per the Remark-1 rule: destined to it,
-  /// not already reflected in its restored state (clock not dominated by
-  /// `restored`), and not obsolete under the caller's current history.
-  std::vector<Message> collect_for(ProcessId failed, const Ftvc& restored,
+  /// Messages to resend to `failed`: every recorded send destined to it
+  /// that is not obsolete under the caller's current history.
+  std::vector<Message> collect_for(ProcessId failed,
                                    const History& history) const;
 
   /// Serialize the whole send history (for inclusion in checkpoints: the

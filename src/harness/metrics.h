@@ -86,7 +86,6 @@ struct Metrics {
   std::uint64_t stability_rounds_on_flush = 0;
   std::uint64_t gc_checkpoints_reclaimed = 0;
   std::uint64_t gc_log_entries_reclaimed = 0;
-  std::uint64_t gc_tokens_compacted = 0;  // aggressive token-log compaction
   std::uint64_t gc_reclaimed_bytes = 0;   // exact stable-footprint freed
   /// State intervals (log entries) still held after the last GC pass: a
   /// level gauge, not an accumulator (merge_from takes the sum across
@@ -97,7 +96,7 @@ struct Metrics {
   /// (src/util/counter_fields.h). Rows with a /metrics family are mirrored
   /// per process as {pid="K"} counters by telemetry::ProcessGauges, so they
   /// must be monotonic. merge_from and the JSON writer iterate this table.
-  static constexpr std::array<CounterField<Metrics>, 34> kFields{{
+  static constexpr std::array<CounterField<Metrics>, 33> kFields{{
       {"app_messages_sent", &Metrics::app_messages_sent,
        "optrec_app_messages_sent_total", "Application messages sent"},
       {"control_messages_sent", &Metrics::control_messages_sent},
@@ -156,7 +155,6 @@ struct Metrics {
       {"gc_log_entries_reclaimed", &Metrics::gc_log_entries_reclaimed,
        "optrec_gc_reclaimed_intervals_total",
        "Stable-log state intervals reclaimed by Remark-2 GC"},
-      {"gc_tokens_compacted", &Metrics::gc_tokens_compacted},
       {"gc_reclaimed_bytes", &Metrics::gc_reclaimed_bytes},
       {"gc_held_intervals", &Metrics::gc_held_intervals, nullptr, "",
        CounterKind::kGauge},

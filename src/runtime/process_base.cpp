@@ -131,7 +131,7 @@ void ProcessBase::crash() {
                delivered_total_ - recoverable);
   metrics_.messages_lost_in_crash += storage_.on_crash();
   on_crash_wipe();
-  pending_outputs_.clear();
+  discard_pending_outputs_if([](const PendingOutput&) { return true; });
   committed_output_ids_.clear();
   outputs_in_state_ = 0;
   delivered_keys_.clear();
@@ -380,9 +380,23 @@ void ProcessBase::commit_pending_outputs_if(const OutputPredicate& own_stable,
 }
 
 void ProcessBase::drop_pending_outputs_after(std::uint64_t count) {
-  std::erase_if(pending_outputs_, [count](const PendingOutput& p) {
+  discard_pending_outputs_if([count](const PendingOutput& p) {
     return p.delivered_count > count;
   });
+}
+
+void ProcessBase::discard_pending_outputs_if(const OutputPredicate& lost) {
+  const auto first_lost = std::stable_partition(
+      pending_outputs_.begin(), pending_outputs_.end(),
+      [&lost](const PendingOutput& p) { return !lost(p); });
+  if (output_listener_) {
+    for (auto it = first_lost; it != pending_outputs_.end(); ++it) {
+      output_listener_(OutputEvent::kDiscarded,
+                       CommittedOutput{std::move(it->data), it->requested_at,
+                                       it->own_stable_at.value_or(0), 0});
+    }
+  }
+  pending_outputs_.erase(first_lost, pending_outputs_.end());
 }
 
 void ProcessBase::forget_committed_outputs_after(std::uint64_t count) {

@@ -27,7 +27,6 @@
 #include "src/harness/metrics.h"
 #include "src/net/network.h"
 #include "src/runtime/env.h"
-#include "src/scale/gc_policy.h"
 #include "src/sim/simulation.h"
 #include "src/storage/stable_storage.h"
 #include "src/trace/trace_event.h"
@@ -68,9 +67,6 @@ struct ProcessConfig {
   bool enable_stability_tracking = false;
   SimTime stability_gossip_interval = millis(200);
   bool enable_gc = false;
-  /// Remark-2 GC aggressiveness (only consulted when enable_gc is set);
-  /// kStandard reproduces the fixed pre-knob behavior exactly.
-  scale::GcPolicy gc;
 };
 
 /// One externally visible output, with commit bookkeeping (paper Remark 2).
@@ -91,6 +87,7 @@ struct CommittedOutput {
 enum class OutputEvent {
   kGated,      // requested, parked behind the output-commit point
   kCommitted,  // released: the producing state interval is stable
+  kDiscarded,  // gated, then dropped by a crash or a rollback uncommitted
 };
 
 class ProcessBase : public Endpoint {
@@ -153,7 +150,9 @@ class ProcessBase : public Endpoint {
   /// replies). Invoked synchronously from the protocol's execution context —
   /// the worker thread on live backends. kGated fires with own_stable_at
   /// and committed_at 0; kCommitted fires for every committed output, gated
-  /// or not.
+  /// or not; kDiscarded fires, with committed_at 0, for every gated output
+  /// that leaves the gate without committing. Each kGated output ends in
+  /// exactly one kCommitted or kDiscarded.
   using OutputListener =
       std::function<void(OutputEvent, const CommittedOutput&)>;
   void set_output_listener(OutputListener listener) {
@@ -345,6 +344,8 @@ class ProcessBase : public Endpoint {
   void flush_timer_fired();
   void restart_now();
   void requeue_retry(Message msg);
+  /// Drop every pending output `lost` accepts, firing kDiscarded for each.
+  void discard_pending_outputs_if(const OutputPredicate& lost);
 
   RuntimeEnv env_;
   ProcessId pid_;

@@ -127,34 +127,4 @@ FleetPiggybackReport run_fleet_piggyback(const FleetPiggybackConfig& config) {
   return report;
 }
 
-FleetGcReport run_fleet_gc(const FleetGcConfig& config) {
-  ScenarioConfig sc;
-  sc.n = config.n;
-  sc.seed = config.seed;
-  sc.workload.kind = WorkloadKind::kCounter;
-  sc.workload.intensity = config.intensity;
-  sc.workload.depth = config.depth;
-  sc.workload.all_seed = true;
-  sc.process.enable_stability_tracking = true;
-  sc.process.enable_gc = true;
-  sc.process.gc.level = config.level;
-  if (config.crashes > 0) {
-    Rng rng(config.seed * 104729 + 7);
-    sc.failures = FailurePlan::random(rng, config.n, config.crashes,
-                                      millis(30), millis(300));
-  }
-
-  Scenario scenario(std::move(sc));
-  FleetGcReport report;
-  report.level = config.level;
-  report.quiesced = scenario.run();
-  const Metrics& m = scenario.metrics();
-  report.checkpoints_reclaimed = m.gc_checkpoints_reclaimed;
-  report.log_entries_reclaimed = m.gc_log_entries_reclaimed;
-  report.tokens_compacted = m.gc_tokens_compacted;
-  report.reclaimed_bytes = m.gc_reclaimed_bytes;
-  report.held_intervals = m.gc_held_intervals;
-  return report;
-}
-
 }  // namespace optrec::scale

@@ -5,8 +5,8 @@
 // every application send is encoded through a per-sender DeltaWireEncoder,
 // decoded through the receiver's DeltaWireDecoder, and checked byte-exact
 // against the flat encoding. Each (sender, receiver) pair is one FIFO
-// stream, exactly as on a TCP connection. bench_fleet and tests/scale both
-// drive this; the bench stays a thin JSON emitter.
+// stream, exactly as on a TCP connection. E13 (bench_diff_piggyback) and
+// tests/scale both drive this; the bench stays a thin JSON emitter.
 #pragma once
 
 #include <cstddef>
@@ -15,7 +15,6 @@
 
 #include "src/app/workload.h"
 #include "src/scale/delta_codec.h"
-#include "src/scale/gc_policy.h"
 
 namespace optrec::scale {
 
@@ -80,28 +79,5 @@ struct FleetPiggybackReport {
 /// Run one simulated fleet and model the delta piggyback codec over its
 /// application traffic.
 FleetPiggybackReport run_fleet_piggyback(const FleetPiggybackConfig& config);
-
-struct FleetGcConfig {
-  std::size_t n = 8;
-  std::uint64_t seed = 1;
-  std::uint32_t intensity = 6;
-  std::uint32_t depth = 48;
-  std::size_t crashes = 1;
-  GcLevel level = GcLevel::kStandard;
-};
-
-struct FleetGcReport {
-  GcLevel level = GcLevel::kStandard;
-  bool quiesced = false;
-  std::uint64_t checkpoints_reclaimed = 0;
-  std::uint64_t log_entries_reclaimed = 0;
-  std::uint64_t tokens_compacted = 0;
-  std::uint64_t reclaimed_bytes = 0;
-  std::uint64_t held_intervals = 0;  // fleet total after the last GC pass
-};
-
-/// Run one stability-tracked fleet with the given Remark-2 GC aggressiveness
-/// and report what it reclaimed/held (drives the bench_fleet GC sweep).
-FleetGcReport run_fleet_gc(const FleetGcConfig& config);
 
 }  // namespace optrec::scale

@@ -35,7 +35,9 @@
 namespace optrec::service {
 
 /// The client service's counters: the frontend's own, plus the replies
-/// the output-commit gate parked and released on this node's workers.
+/// the output-commit gate parked, released and discarded on this node's
+/// workers. Every gated reply is released or discarded exactly once, and
+/// every released reply is sent or dropped.
 struct ServiceStats {
   std::uint64_t connections = 0;
   std::uint64_t requests = 0;
@@ -46,10 +48,11 @@ struct ServiceStats {
   std::uint64_t protocol_errors = 0;
   std::uint64_t replies_gated = 0;
   std::uint64_t replies_released = 0;
+  std::uint64_t replies_discarded = 0;
 
   /// Every counter with its JSON key and /metrics family
   /// (src/util/counter_fields.h).
-  static constexpr std::array<CounterField<ServiceStats>, 9> kFields{{
+  static constexpr std::array<CounterField<ServiceStats>, 10> kFields{{
       {"connections", &ServiceStats::connections,
        "optrec_service_connections_total"},
       {"requests", &ServiceStats::requests, "optrec_service_requests_total"},
@@ -68,6 +71,9 @@ struct ServiceStats {
       {"replies_released", &ServiceStats::replies_released,
        "optrec_replies_released_total",
        "Client replies released: producing interval became stable"},
+      {"replies_discarded", &ServiceStats::replies_discarded,
+       "optrec_replies_discarded_total",
+       "Gated client replies dropped uncommitted by a crash or rollback"},
   }};
 };
 
@@ -100,7 +106,7 @@ class ServiceFrontend : public TcpTransport::PollClient {
   bool handle(Poller& poller, const Poller::Event& ev) override;
 
   /// The service counters (relaxed atomics). The node bumps the
-  /// output-commit gate's two rows from its workers' output listeners.
+  /// output-commit gate's three rows from its workers' output listeners.
   AtomicCounters<ServiceStats>& stats() { return stats_; }
   const AtomicCounters<ServiceStats>& stats() const { return stats_; }
 

@@ -35,17 +35,11 @@ class StableStorage {
   void log_token(const Token& token);
   const std::vector<Token>& token_log() const { return tokens_; }
 
-  /// Remark-2 history GC (aggressive level): drop every token superseded by
-  /// a LATER logged token for the same (process, version). Replay applies
-  /// tokens in order and the last record per version wins, so the compacted
-  /// log rebuilds an identical history. Returns the number removed.
-  std::size_t compact_token_log();
-
   /// Crash: wipe volatile state. Returns number of unlogged messages lost.
   std::size_t on_crash() { return log_.on_crash(); }
 
   /// Total stable footprint in bytes (checkpoints + stable log + tokens);
-  /// tracked by the GC bench.
+  /// a GC pass reports its drop as reclaimed_bytes.
   std::size_t stable_bytes() const;
 
   /// Mirror all mutations (checkpoints, log, tokens) to a persistence

@@ -171,6 +171,10 @@ void TcpNode::setup_service() {
             frontend_->stats().add<&Stats::replies_gated>();
             return;
           }
+          if (event == OutputEvent::kDiscarded) {
+            frontend_->stats().add<&Stats::replies_discarded>();
+            return;
+          }
           frontend_->stats().add<&Stats::replies_released>();
           if (out.committed_at >= out.requested_at) {
             gate_latency.observe(

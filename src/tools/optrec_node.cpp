@@ -124,9 +124,8 @@ std::string non_empty(const std::string& value, const char* what) {
   return value;
 }
 
-/// One TCP-only flag; false when `arg` is not one. --gc-level also turns
-/// on the shared --stability/--gc process settings.
-bool parse_node_flag(const char* arg, NodeFlags& nf, RunFlags& flags) {
+/// One TCP-only flag; false when `arg` is not one.
+bool parse_node_flag(const char* arg, NodeFlags& nf) {
   std::string v;
   if (parse_flag(arg, "--tcp-nodes", &v)) {
     nf.tcp_nodes = parse_u64(v, "--tcp-nodes");
@@ -153,10 +152,6 @@ bool parse_node_flag(const char* arg, NodeFlags& nf, RunFlags& flags) {
     nf.spawn = true;
   } else if (parse_switch(arg, "--print-topology")) {
     nf.print_topology = true;
-  } else if (parse_flag(arg, "--gc-level", &v)) {
-    flags.process.enable_stability_tracking = true;
-    flags.process.enable_gc = true;
-    flags.process.gc.level = scale::parse_gc_level(v);
   } else if (parse_flag(arg, "--telemetry-port", &v)) {
     nf.telemetry_port = parse_port(v, "--telemetry-port");
   } else if (parse_flag(arg, "--telemetry-base-port", &v)) {
@@ -404,7 +399,7 @@ int main(int argc, char** argv) {
   NodeFlags nf;
   if (const auto error =
           parse_run_flags(argc, argv, flags, [&](const char* arg) {
-            return parse_node_flag(arg, nf, flags);
+            return parse_node_flag(arg, nf);
           })) {
     die(*error);
   }

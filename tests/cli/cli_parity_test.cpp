@@ -97,6 +97,8 @@ TEST(CliParity, MalformedFlagsExitTwoOnEveryRunner) {
   }
   EXPECT_EQ(run(OPTREC_NODE_BIN, "--node=0 --base-port=70000"), 2);
   EXPECT_EQ(run(OPTREC_NODE_BIN, "--telemetry-port=65536"), 2);
+  // Remark 2's rule is the only collector: there is no GC level to pick.
+  EXPECT_EQ(run(OPTREC_NODE_BIN, "--gc-level=standard"), 2);
   EXPECT_EQ(run(OPTREC_SIM_BIN, "--partition=2,100"), 2);
   // The alias protocol_name() prints is accepted everywhere.
   EXPECT_EQ(run(OPTREC_SIM_BIN, "--protocol=no-recovery"), 0);

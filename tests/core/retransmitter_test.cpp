@@ -29,10 +29,7 @@ TEST_F(RetransmitterTest, CollectsConcurrentSendsToFailedProcess) {
   rex.record(make_msg(1, 0, at_send));
   rex.record(make_msg(2, 1, sender));  // different destination
 
-  // The failed process restored a state that never saw our send: the send
-  // clock is concurrent with (not dominated by) the restored clock.
-  const Ftvc restored(1, 3);
-  const auto out = rex.collect_for(1, restored, history);
+  const auto out = rex.collect_for(1, history);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].dst, 1u);
   EXPECT_EQ(out[0].send_seq, 0u);
@@ -40,16 +37,14 @@ TEST_F(RetransmitterTest, CollectsConcurrentSendsToFailedProcess) {
 
 TEST_F(RetransmitterTest, ResendsEvenWhenRestoredClockDominates) {
   // Clock dominance does NOT imply the message was received (it can arise
-  // transitively), so a dominated send is still retransmitted; the receiver
+  // transitively), so collect_for takes no restored clock: a send the
+  // restored state depends on is still retransmitted, and the receiver
   // deduplicates recovered receipts instead (see collect_for's note).
   Ftvc sender(0, 3);
   const Ftvc at_send = sender;
   sender.tick_send();
   rex.record(make_msg(1, 0, at_send));
-
-  Ftvc restored(1, 3);
-  restored.merge_deliver(at_send);
-  EXPECT_EQ(rex.collect_for(1, restored, history).size(), 1u);
+  EXPECT_EQ(rex.collect_for(1, history).size(), 1u);
 }
 
 TEST_F(RetransmitterTest, SkipsObsoleteSends) {
@@ -62,7 +57,7 @@ TEST_F(RetransmitterTest, SkipsObsoleteSends) {
   rex.record(make_msg(1, 0, sender));
   history.observe_token(2, {0, 1});  // P2's states beyond ts 1 are lost
 
-  EXPECT_TRUE(rex.collect_for(1, Ftvc(1, 3), history).empty());
+  EXPECT_TRUE(rex.collect_for(1, history).empty());
 }
 
 TEST_F(RetransmitterTest, ReplayedSendOverwritesIdentically) {

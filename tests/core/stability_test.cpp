@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/output_commit.h"
-#include "src/scale/gc_policy.h"
 #include "src/storage/stable_storage.h"
 
 namespace optrec {
@@ -84,8 +83,7 @@ TEST(GarbageCollectorTest, NoopWhenNothingCovered) {
   clock.tick_send();  // ts 2 — beyond the seeded stability
   storage.checkpoints().append(make_ckpt(0, clock));
   const StabilityTracker tracker(2);
-  const scale::TunedGcResult result =
-      scale::run_gc_tuned(storage, tracker, scale::GcPolicy{});
+  const GcResult result = collect_garbage(storage, tracker);
   EXPECT_EQ(result.checkpoints_reclaimed, 0u);
   EXPECT_EQ(result.log_entries_reclaimed, 0u);
 }
@@ -106,23 +104,20 @@ TEST(GarbageCollectorTest, ReclaimsBehindCoveredCheckpoint) {
   StabilityTracker tracker(2);
   tracker.note_stable(0, 0, 2);  // covers c1 but not c2
 
-  const scale::TunedGcResult result =
-      scale::run_gc_tuned(storage, tracker, scale::GcPolicy{});
+  const GcResult result = collect_garbage(storage, tracker);
   EXPECT_EQ(result.checkpoints_reclaimed, 1u);   // c0 goes
   EXPECT_EQ(result.log_entries_reclaimed, 4u);   // entries 0..3
   EXPECT_EQ(storage.checkpoints().at(0).delivered_count, 4u);
   EXPECT_EQ(storage.log().base(), 4u);
   // Idempotent.
-  const scale::TunedGcResult again =
-      scale::run_gc_tuned(storage, tracker, scale::GcPolicy{});
+  const GcResult again = collect_garbage(storage, tracker);
   EXPECT_EQ(again.checkpoints_reclaimed, 0u);
 }
 
 TEST(GarbageCollectorTest, EmptyStorageIsSafe) {
   StableStorage storage;
   const StabilityTracker tracker(2);
-  const scale::TunedGcResult result =
-      scale::run_gc_tuned(storage, tracker, scale::GcPolicy{});
+  const GcResult result = collect_garbage(storage, tracker);
   EXPECT_EQ(result.checkpoints_reclaimed, 0u);
 }
 

@@ -164,18 +164,35 @@ class SinkApp : public App {
 /// DG processes built directly, so apps can emit outputs; one Metrics per
 /// process. The processes' output listeners hold `this`.
 struct DgFleet {
+  /// Output-listener events seen from one process.
+  struct Events {
+    std::size_t gated = 0;
+    std::size_t committed = 0;
+    std::size_t discarded = 0;
+    std::size_t held() const { return gated - committed - discarded; }
+  };
+
   DgFleet(std::uint64_t seed, NetworkConfig net_config, ProcessConfig pconfig,
           std::vector<std::unique_ptr<App>> apps,
           CausalityOracle* oracle = nullptr)
-      : sim(seed), net(sim, net_config), metrics(apps.size()) {
+      : sim(seed), net(sim, net_config), metrics(apps.size()),
+        events(apps.size()) {
     const std::size_t n = apps.size();
     for (ProcessId pid = 0; pid < n; ++pid) {
       procs.push_back(std::make_unique<DamaniGargProcess>(
           RuntimeEnv(sim, sim, net), pid, n, std::move(apps[pid]), pconfig,
           metrics[pid], oracle));
       procs.back()->set_output_listener(
-          [this](OutputEvent event, const CommittedOutput& out) {
-            if (event == OutputEvent::kCommitted) committed.push_back(out);
+          [this, pid](OutputEvent event, const CommittedOutput& out) {
+            Events& e = events[pid];
+            switch (event) {
+              case OutputEvent::kGated: ++e.gated; break;
+              case OutputEvent::kCommitted:
+                ++e.committed;
+                committed.push_back(out);
+                break;
+              case OutputEvent::kDiscarded: ++e.discarded; break;
+            }
           });
     }
     for (auto& p : procs) {
@@ -197,6 +214,7 @@ struct DgFleet {
   std::vector<Metrics> metrics;
   std::vector<std::unique_ptr<DamaniGargProcess>> procs;
   std::vector<CommittedOutput> committed;
+  std::vector<Events> events;  // by pid
 };
 
 std::vector<std::unique_ptr<App>> counter_apps(std::size_t n) {
@@ -313,6 +331,42 @@ TEST(OutputCommitTest, CommittedOutputsComeOnlyFromStatesThatSurvive) {
       << violations.size() << " violations, first: " << violations.front();
 }
 
+TEST(OutputCommitTest, CrashAndRollbackReportEveryGatedOutputTheyDiscard) {
+  // A crash and the rollbacks it causes drop gated outputs of lost and
+  // orphan states. The listener must see one kDiscarded for each, so every
+  // kGated output ends in exactly one kCommitted or kDiscarded.
+  ProcessConfig pconfig;
+  pconfig.flush_interval = millis(20);
+  pconfig.checkpoint_interval = millis(50);
+  pconfig.enable_stability_tracking = true;
+  pconfig.stability_gossip_interval = millis(30);
+  DgFleet fleet(306, NetworkConfig{}, pconfig, counter_apps(3));
+  std::size_t held_at_crash = 0;
+  std::size_t discarded_by_crash = 0;
+  fleet.sim.schedule_at(millis(30), [&fleet, &held_at_crash,
+                                     &discarded_by_crash] {
+    DgFleet::Events& e = fleet.events[1];
+    held_at_crash = e.held();
+    const std::size_t before = e.discarded;
+    fleet.procs[1]->crash();
+    discarded_by_crash = e.discarded - before;
+  });
+  fleet.sim.run(seconds(5));
+
+  EXPECT_GT(held_at_crash, 0u);
+  EXPECT_EQ(discarded_by_crash, held_at_crash);
+  EXPECT_EQ(fleet.events[1].held(), 0u);
+  // P0 and P2 never crashed: whatever they discarded, a rollback did.
+  const Metrics m = fleet.total();
+  EXPECT_GT(m.rollbacks, 0u);
+  EXPECT_GT(fleet.events[0].discarded + fleet.events[2].discarded, 0u);
+  for (ProcessId pid = 0; pid < fleet.procs.size(); ++pid) {
+    const DgFleet::Events& e = fleet.events[pid];
+    EXPECT_EQ(e.gated, e.committed + e.discarded) << "P" << pid;
+    EXPECT_EQ(e.committed, fleet.metrics[pid].outputs_committed) << "P" << pid;
+  }
+}
+
 TEST(StabilityGossipTest, MalformedControlMessagesAreDroppedAndCounted) {
   // No transport checks a control payload; a peer's bad bytes must be
   // dropped and counted, never thrown out of the receiver.
@@ -399,6 +453,28 @@ TEST(GarbageCollectionTest, SafeWithFailures) {
   const auto result = run_experiment(config);
   EXPECT_TRUE(result.quiesced);
   EXPECT_TRUE(result.violations.empty());
+}
+
+TEST(GarbageCollectionTest, KeepsRecoveryOracleCleanAcrossThreeCrashes) {
+  // The collector reclaims while three crashes roll processes back; every
+  // recovery must still be oracle-clean with one rollback per failure.
+  ScenarioConfig config;
+  config.n = 6;
+  config.seed = 29;
+  config.workload.intensity = 6;
+  config.workload.depth = 40;
+  config.workload.all_seed = true;
+  config.process.enable_stability_tracking = true;
+  config.process.enable_gc = true;
+  config.enable_oracle = true;
+  Rng rng(7);
+  config.failures = FailurePlan::random(rng, config.n, 3, millis(30),
+                                        millis(400));
+  Scenario scenario(std::move(config));
+  ASSERT_TRUE(scenario.run());
+  EXPECT_TRUE(scenario.oracle()->check_consistency().empty());
+  EXPECT_LE(scenario.metrics().max_rollbacks_per_process_per_failure(), 1u);
+  EXPECT_GT(scenario.metrics().gc_reclaimed_bytes, 0u);
 }
 
 TEST(GarbageCollectionTest, WarmRecoveryStillDropsARetransmittedReceipt) {

@@ -165,14 +165,12 @@ TEST(TcpScale, DeltaAndHierarchicalComposeUnderFaults) {
 }
 
 TEST(TcpScale, TunedGcReclaimsStorageOnTheTcpPath) {
-  // Aggressive Remark-2 GC wired through TcpClusterConfig.process.gc: the
-  // run must stay oracle-clean while actually reclaiming log intervals.
+  // Remark-2 GC wired through TcpClusterConfig.process: the run must stay
+  // oracle-clean while actually reclaiming log intervals.
   TcpClusterConfig config = base_config();
   config.workload.depth = 96;
   config.process.enable_stability_tracking = true;
   config.process.enable_gc = true;
-  config.process.gc.level = scale::GcLevel::kAggressive;
-  config.process.gc.keep_checkpoints = 2;
   // Settling needs a 150 ms window with no frame in flight on any node;
   // eight processes gossiping every 20 ms make such windows rare enough
   // under CPU contention that the run could hit its time cap. 100 ms
